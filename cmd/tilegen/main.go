@@ -24,7 +24,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	cmetiling "repro"
 	"repro/internal/cliutil"
@@ -117,17 +116,10 @@ func main() {
 	// evaluations, lost checkpoint writes, a fallback resume); any entry
 	// turns exit 0 into ExitDegraded.
 	var degraded []string
-	if *progress {
-		opt.Progress = func(p cmetiling.Progress) {
-			prefix := ""
-			if p.Island > 0 {
-				prefix = fmt.Sprintf("[i%d] ", p.Island)
-			}
-			fmt.Fprintf(os.Stderr, "%sgen %2d  best %.6g  evals %d  %v\n",
-				prefix, p.Gen, p.BestEver, p.Evaluations, p.Elapsed.Round(time.Millisecond))
-		}
-	}
 	var recorders []cmetiling.Recorder
+	if *progress {
+		recorders = append(recorders, cmetiling.NewTTYSink(os.Stderr))
+	}
 	if *traceOut != "" {
 		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {

@@ -176,10 +176,6 @@ type (
 	// paper's Figure-7 schedule; the others mark bounded runs whose
 	// results are still valid best-so-far candidates).
 	StopReason = ga.StopReason
-	// Progress is the per-generation report delivered to the deprecated
-	// Options.Progress callback; new code should observe
-	// GenerationDoneEvent through Options.Observer instead.
-	Progress = ga.Progress
 	// Checkpoint is a resumable generation-boundary snapshot of a
 	// search, written through Options.Checkpoint and restored through
 	// Options.ResumeFrom.

@@ -25,6 +25,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"os"
+	"reflect"
 	"runtime"
 	"strconv"
 	"sync"
@@ -55,7 +56,8 @@ type Options struct {
 	Confidence float64
 	// GA holds the genetic-algorithm parameters; the zero value means the
 	// paper's configuration (population 30, pc 0.9, pm 0.001, 15–25
-	// generations).
+	// generations). A block that sets any field must set PopSize too: it
+	// is then used as given, never merged with the paper's values.
 	GA ga.Config
 	// Seed makes the whole search deterministic.
 	Seed uint64
@@ -78,8 +80,8 @@ type Options struct {
 	// explicit GA.Fidelity setting takes precedence.
 	Fidelity ga.Fidelity
 	// Islands splits the GA population into this many concurrently
-	// evolving demes with ring-topology elite migration (0 or 1 = the
-	// classic single population, bit-identical to earlier releases). Each
+	// evolving demes with ring-topology elite migration (0 or 1 = one
+	// population, the paper's search). Each
 	// island draws from its own seed-derived PCG stream and evaluates on
 	// its own analyzer pool, so any island count is deterministic for a
 	// fixed Seed at any worker count. An explicit GA.Islands setting takes
@@ -105,14 +107,6 @@ type Options struct {
 	// reproducible through the JSONL sink. A nil Observer is free: the
 	// hot paths pay one pointer check and allocate nothing.
 	Observer telemetry.Recorder
-	// Progress, when non-nil, is invoked after every GA generation with
-	// the generation number, best fitness, evaluations spent and elapsed
-	// wall-clock time.
-	//
-	// Deprecated: Progress is a compatibility adapter over the telemetry
-	// stream — it is translated into an Observer that forwards
-	// GenerationDone events. New code should set Observer directly.
-	Progress func(ga.Progress)
 	// FailurePolicy selects how a failed candidate evaluation (panic,
 	// injected fault, watchdog-stalled) is treated: FailAbort (the zero
 	// value, the historical behaviour) fails the search on the first
@@ -217,25 +211,11 @@ func (o Options) Validate() error {
 		if err := o.GA.Validate(); err != nil {
 			return badOption("GA", "%v", err)
 		}
+	} else if !reflect.DeepEqual(o.GA, ga.Config{}) {
+		return badOption("GA", "PopSize is 0 but other fields are set; set PopSize (ga.PaperConfig gives the paper's values) or leave the block zero")
 	}
 	return nil
 }
-
-// progressRecorder adapts the deprecated Options.Progress callback onto
-// the telemetry stream: GenerationDone events become ga.Progress calls;
-// all other events and counters are ignored.
-type progressRecorder struct{ fn func(ga.Progress) }
-
-func (p progressRecorder) Event(e telemetry.Event) {
-	if g, ok := e.(telemetry.GenerationDone); ok {
-		p.fn(ga.Progress{
-			Gen: g.Gen, Best: g.Best, Avg: g.Avg, BestEver: g.BestEver,
-			Evaluations: g.Evaluations, Island: g.Island, Elapsed: g.Elapsed,
-		})
-	}
-}
-
-func (p progressRecorder) Add(telemetry.Counters) {}
 
 func (o Options) withDefaults() Options {
 	if o.SamplePoints == 0 {
@@ -245,18 +225,10 @@ func (o Options) withDefaults() Options {
 		o.Confidence = 0.90
 	}
 	if o.GA.PopSize == 0 {
-		seed := o.Seed
-		o.GA = ga.PaperConfig(seed)
+		o.GA = ga.PaperConfig(o.Seed)
 	}
 	if o.Workers <= 0 {
 		o.Workers = DefaultWorkers()
-	}
-	if o.Progress != nil {
-		// Fold the legacy callback into the observer and clear it, so
-		// composite searches that re-default their sub-options never
-		// double-wrap the adapter.
-		o.Observer = telemetry.Multi(o.Observer, progressRecorder{o.Progress})
-		o.Progress = nil
 	}
 	return o
 }
@@ -324,57 +296,16 @@ func (o Options) gaRuntime(cfg ga.Config, label string) ga.Config {
 	return cfg
 }
 
-// islandRuntime arms the per-island objective forks of a multi-island GA
-// configuration: each deme gets its own evaluator fork (private analyzer
-// pool and mutex over the shared immutable sample), wrapped in the same
-// guard, so islands evaluate concurrently without serialising on one
-// pool. The forks are value-identical — same nest, sample and cache — so
-// cross-island migration and memo sharing stay sound. Single-population
-// configurations pass through untouched.
-func islandRuntime(cfg ga.Config, guard *evalGuard, label string, ev *evaluator,
-	build func(*evaluator) func([]int64) (float64, error)) ga.Config {
-	if cfg.Islands > 1 {
-		cfg.IslandObjective = func(i int) ga.Objective {
-			return guard.objective(label, build(ev.fork(i+1)))
-		}
-	}
-	return cfg
-}
-
-// fidelityRuntime arms the multi-fidelity evaluator hooks of a GA
-// configuration: the ladder opens one resumable partial evaluation per
-// fresh candidate, built from the same per-search candidate decoder (mk)
-// the classic objective uses, so rung scores and full-fidelity fitness
-// are computed by the identical machinery. Multi-island configurations
-// get one evaluator fork per deme, mirroring islandRuntime. With the
-// ladder off this is a no-op.
-func fidelityRuntime(cfg ga.Config, ctx context.Context, guard *evalGuard, label string, ev *evaluator,
-	mk func(*evaluator, []int64) (*ir.Nest, iterspace.Space, error)) ga.Config {
-	if !cfg.Fidelity.Enabled() {
-		return cfg
-	}
-	open := func(e *evaluator) ga.FidelityEvaluator {
-		return &fidelityEval{ev: e, ctx: ctx, guard: guard, label: label, mk: mk}
-	}
-	cfg.FidelityEval = open(ev)
-	if cfg.Islands > 1 {
-		cfg.IslandFidelityEval = func(i int) ga.FidelityEvaluator {
-			return open(ev.fork(i + 1))
-		}
-	}
-	return cfg
-}
-
 // fidelityEval implements ga.FidelityEvaluator over one search's fixed
 // sample: Open decodes a candidate into its (nest, space) pair lazily and
 // returns the partial evaluation that accumulates classified prefix
 // ranges across rungs.
 type fidelityEval struct {
-	ev    *evaluator
-	ctx   context.Context
-	guard *evalGuard
-	label string
-	mk    func(*evaluator, []int64) (*ir.Nest, iterspace.Space, error)
+	ev     *evaluator
+	ctx    context.Context
+	guard  *evalGuard
+	label  string
+	decode func(*evaluator, []int64) (*ir.Nest, iterspace.Space, error)
 }
 
 // Points implements ga.FidelityEvaluator.
@@ -388,9 +319,9 @@ func (f *fidelityEval) Open(values []int64) ga.PartialEval {
 // partialEval is one candidate's resumable evaluation: classified
 // statistics accumulate over cumulative sample prefixes, so promotion to
 // a finer rung pays only for the unseen range and no point is classified
-// twice. Failures run through the search's evalGuard exactly like the
-// classic path — the failure fitness latches and every later rung
-// reports it unchanged.
+// twice. Failures run through the search's evalGuard exactly like a
+// one-at-a-time evaluation — the failure fitness latches and every later
+// rung reports it unchanged.
 type partialEval struct {
 	f      *fidelityEval
 	values []int64
@@ -417,7 +348,7 @@ func (p *partialEval) Score(upTo, rung int) (score float64) {
 		}
 	}()
 	if !p.opened {
-		nest, space, err := p.f.mk(p.f.ev, p.values)
+		nest, space, err := p.f.decode(p.f.ev, p.values)
 		if err != nil {
 			return p.fail(err)
 		}
@@ -684,13 +615,11 @@ func (e *evaluator) release() {
 	}
 }
 
-// evalSpace evaluates the sample over nest traversed in space order, using
-// the pooled parallel workers. With an observer attached it also reports
-// the evaluation batch and the pool hit/miss counter. With the shared
-// cache enabled, finalized statistics for the search's base nest are
-// recalled and stored by content key, so repeated requests skip the
-// classification work entirely (the recalled value is the one an
-// evaluation would compute, so results never change).
+// evalSpace evaluates the whole sample over nest traversed in space
+// order. With the shared cache enabled, finalized statistics for the
+// search's base nest are recalled and stored by content key, so repeated
+// requests skip the classification work entirely (the recalled value is
+// the one an evaluation would compute, so results never change).
 func (e *evaluator) evalSpace(ctx context.Context, nest *ir.Nest, space iterspace.Space) (cachesim.Stats, error) {
 	statsKey := e.statsKey(nest, space)
 	if statsKey != "" {
@@ -698,46 +627,19 @@ func (e *evaluator) evalSpace(ctx context.Context, nest *ir.Nest, space iterspac
 			return st, nil
 		}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ans, reused, err := e.analyzers(nest, space)
-	if err != nil {
-		return cachesim.Stats{}, err
-	}
-	if e.obs != nil {
-		if reused {
-			e.obs.Add(telemetry.Counters{PoolHits: 1})
-		} else {
-			e.obs.Add(telemetry.Counters{PoolMisses: 1})
-		}
-	}
-	st, err := e.runEval(ctx, ans)
+	st, err := e.evalRange(ctx, nest, space, 0, len(e.sample.Points), 0)
 	if err == nil && statsKey != "" {
 		e.shared.PutStats(statsKey, st)
 	}
 	return st, err
 }
 
-// runEval runs one pooled evaluation, under the stall watchdog when
-// armed. Callers hold e.mu.
-func (e *evaluator) runEval(ctx context.Context, ans []*cme.Analyzer) (cachesim.Stats, error) {
-	if e.stall <= 0 {
-		return e.sample.EvaluateObservedIsland(ctx, ans, e.obs, e.island)
-	}
-	// Under the watchdog a truly hung evaluation leaks its workers, which
-	// still hold the pooled analyzers — abandon the pool (the caller holds
-	// e.mu) so the next evaluation rebuilds a fresh one.
-	return e.watchedStats(ctx, func() { e.pool, e.poolNest = nil, nil },
-		func(wctx context.Context) (cachesim.Stats, error) {
-			return e.sample.EvaluateObservedIsland(wctx, ans, e.obs, e.island)
-		})
-}
-
 // evalRange evaluates the half-open sample range [lo, hi) over nest
-// traversed in space order — the multi-fidelity ladder's unit of work —
-// using the same pooled workers, watchdog and telemetry as a full
-// evaluation. The returned statistics cover only the range; the caller
-// accumulates them into the candidate's running prefix total.
+// traversed in space order on the pooled parallel workers, under the
+// stall watchdog when armed. It reports the evaluation batch, tagged with
+// its fidelity rung (0 = the full sample), and the pool hit/miss counter
+// to the observer. A ladder rung covers only the newly classified range;
+// the caller accumulates it into the candidate's running prefix total.
 func (e *evaluator) evalRange(ctx context.Context, nest *ir.Nest, space iterspace.Space, lo, hi, rung int) (cachesim.Stats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -754,19 +656,22 @@ func (e *evaluator) evalRange(ctx context.Context, nest *ir.Nest, space iterspac
 	}
 	sub := e.sample.Range(lo, hi)
 	if e.stall <= 0 {
-		return sub.EvaluateObservedRung(ctx, ans, e.obs, e.island, rung)
+		return sub.EvaluateObserved(ctx, ans, e.obs, e.island, rung)
 	}
+	// Under the watchdog a truly hung evaluation leaks its workers, which
+	// still hold the pooled analyzers — abandon the pool (the caller holds
+	// e.mu) so the next evaluation rebuilds a fresh one.
 	return e.watchedStats(ctx, func() { e.pool, e.poolNest = nil, nil },
 		func(wctx context.Context) (cachesim.Stats, error) {
-			return sub.EvaluateObservedRung(wctx, ans, e.obs, e.island, rung)
+			return sub.EvaluateObserved(wctx, ans, e.obs, e.island, rung)
 		})
 }
 
 // prefixKey returns the shared-cache key for cumulative statistics over
 // the first n sample points, or "" when not shareable (same rules as
-// statsKey). The full-sample prefix is exactly the classic evaluation,
-// so it shares the classic key — a fidelity search warms the cache for
-// classic searches over the same nest, and vice versa.
+// statsKey). The full-sample prefix is exactly a full evaluation, so it
+// shares evalSpace's key — a fidelity search warms the cache for searches
+// without fidelity over the same nest, and vice versa.
 func (e *evaluator) prefixKey(nest *ir.Nest, space iterspace.Space, n int) string {
 	base := e.statsKey(nest, space)
 	if base == "" {
@@ -849,11 +754,11 @@ func (e *evaluator) evalFresh(ctx context.Context, an *cme.Analyzer) (cachesim.S
 		}
 	}
 	if e.stall <= 0 {
-		return e.sample.EvaluateObservedIsland(ctx, ans, e.obs, e.island)
+		return e.sample.EvaluateObserved(ctx, ans, e.obs, e.island, 0)
 	}
 	// One-off analyzers: nothing shared to abandon on a hang.
 	return e.watchedStats(ctx, nil, func(wctx context.Context) (cachesim.Stats, error) {
-		return e.sample.EvaluateObservedIsland(wctx, ans, e.obs, e.island)
+		return e.sample.EvaluateObserved(wctx, ans, e.obs, e.island, 0)
 	})
 }
 
@@ -907,6 +812,134 @@ func (e *evaluator) sharedFitnessMemo(label string, extra ...string) ga.SharedMe
 	return &sharedMemo{c: e.shared, scope: evalcache.Scope(parts...)}
 }
 
+// problem is what one GA search optimises: its genome, the heuristic
+// individuals seeded into the initial population and how a genome is
+// scored.
+type problem struct {
+	label string
+	spec  ga.Spec
+	// seeds are injected into the initial population unless the caller
+	// set GA.SeedValues.
+	seeds [][]int64
+	// memoScope adds discriminators to the shared fitness memo's scope,
+	// for a fitness that depends on more than the evaluator's nest,
+	// geometry and sample.
+	memoScope []string
+	// decode maps a genome to the nest and iteration space whose sampled
+	// replacement misses are its fitness. The one-at-a-time objective and
+	// the fidelity ladder both use it, so rung scores and full-fidelity
+	// fitness come from the same machinery.
+	decode func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error)
+	// cost, when set, scores a genome instead of decode. The fidelity
+	// ladder cannot resume a custom cost over sample prefixes, so such a
+	// search refuses it.
+	cost func(ctx context.Context, e *evaluator, v []int64) (float64, error)
+}
+
+// search hands a finished GA run to the finalisation of its search.
+type search struct {
+	ev    *evaluator
+	res   ga.Result
+	guard *evalGuard
+	opt   Options
+	label string
+}
+
+// finalize announces the finalisation phase and returns the context its
+// evaluations run under. Finalisation deliberately ignores the (possibly
+// expired) search context: the best-so-far contract promises a fully
+// populated result, and this tail is a bounded few evaluations.
+func (s *search) finalize() context.Context {
+	s.opt.emitPhase(s.label, "finalize")
+	return context.Background()
+}
+
+// runSearch is the skeleton every GA search shares: validate and default
+// the options, bound the context, draw the sample, run the GA over the
+// problem mk builds, then hand the outcome to finish. finish runs its
+// evaluations in a fixed order, which fixes the telemetry stream.
+func runSearch[R any](ctx context.Context, nest *ir.Nest, opt Options,
+	mk func(*evaluator) problem, finish func(*search) (R, error)) (R, error) {
+	var zero R
+	if err := opt.Validate(); err != nil {
+		return zero, err
+	}
+	opt = opt.withDefaults()
+	ctx, cancel := opt.searchContext(ctx)
+	defer cancel()
+	opt = opt.sharedScoped(ctx)
+	ev, err := newEvaluator(nest, opt)
+	if err != nil {
+		return zero, err
+	}
+	defer ev.release()
+	p := mk(ev)
+	if p.cost != nil && (opt.Fidelity.Enabled() || opt.GA.Fidelity.Enabled()) {
+		return zero, badOption("Fidelity", "multi-fidelity evaluation is not supported by the %s search", p.label)
+	}
+	started := opt.emitStart(nest, p.label)
+	gaCfg := opt.gaRuntime(withMutationFloor(opt.GA, p.spec), p.label)
+	// Fidelity pruning records cohort-dependent scaled fitness, which must
+	// never leak into the cross-search memo tier.
+	if gaCfg.SharedMemo == nil && !gaCfg.Fidelity.Enabled() {
+		gaCfg.SharedMemo = ev.sharedFitnessMemo(p.label, p.memoScope...)
+	}
+	if len(gaCfg.SeedValues) == 0 {
+		gaCfg.SeedValues = p.seeds
+	}
+	guard := opt.newGuard()
+	objective := func(e *evaluator) ga.Objective {
+		return guard.objective(p.label, func(v []int64) (float64, error) {
+			if p.cost != nil {
+				return p.cost(ctx, e, v)
+			}
+			n, space, err := p.decode(e, v)
+			if err != nil {
+				return 0, err
+			}
+			st, err := e.evalSpace(ctx, n, space)
+			return float64(st.Replacement), err
+		})
+	}
+	fidelity := func(e *evaluator) ga.FidelityEvaluator {
+		return &fidelityEval{ev: e, ctx: ctx, guard: guard, label: p.label, decode: p.decode}
+	}
+	if gaCfg.Fidelity.Enabled() {
+		gaCfg.FidelityEval = fidelity(ev)
+	}
+	if gaCfg.Islands > 1 {
+		// Each deme evaluates on its own evaluator fork (private analyzer
+		// pool over the shared immutable sample), so islands run
+		// concurrently without serialising on one pool. The forks are
+		// value-identical, so migration and memo sharing stay sound.
+		gaCfg.IslandObjective = func(i int) ga.Objective { return objective(ev.fork(i + 1)) }
+		gaCfg.IslandFidelityEval = func(i int) ga.FidelityEvaluator { return fidelity(ev.fork(i + 1)) }
+	}
+	res, err := ga.Run(ctx, p.spec, objective(ev), gaCfg)
+	if err != nil {
+		return zero, err
+	}
+	if err := guard.err(); err != nil {
+		return zero, err
+	}
+	out, err := finish(&search{ev: ev, res: res, guard: guard, opt: opt, label: p.label})
+	if err != nil {
+		return zero, err
+	}
+	opt.emitStop(p.label, res, started)
+	return out, nil
+}
+
+// tileSpec is the paper's tile-size genome over the evaluator's box: one
+// chromosome per loop ranging over [1, extent].
+func (e *evaluator) tileSpec() ga.Spec {
+	uppers := make([]int64, e.box.NumCoords())
+	for d := range uppers {
+		uppers[d] = e.box.Extent(d)
+	}
+	return ga.NewTileSpec(uppers)
+}
+
 // TilingResult reports a tile-size search.
 type TilingResult struct {
 	// Tile is the best tile vector found.
@@ -933,86 +966,42 @@ type TilingResult struct {
 // The context bounds the search: on cancellation or deadline expiry the
 // best-so-far tile is returned with the matching Stopped reason.
 func OptimizeTiling(ctx context.Context, nest *ir.Nest, opt Options) (*TilingResult, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults()
-	ctx, cancel := opt.searchContext(ctx)
-	defer cancel()
-	opt = opt.sharedScoped(ctx)
-	ev, err := newEvaluator(nest, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer ev.release()
-	started := opt.emitStart(nest, "tiling")
-	uppers := make([]int64, nest.Depth())
-	for d := range uppers {
-		uppers[d] = ev.box.Extent(d)
-	}
-	spec := ga.NewTileSpec(uppers)
-	gaCfg := opt.gaRuntime(withMutationFloor(opt.GA, spec), "tiling")
-	// Fidelity pruning records cohort-dependent scaled fitness, which must
-	// never leak into the cross-search memo tier.
-	if gaCfg.SharedMemo == nil && !gaCfg.Fidelity.Enabled() {
-		gaCfg.SharedMemo = ev.sharedFitnessMemo("tiling")
-	}
-	if len(gaCfg.SeedValues) == 0 {
-		gaCfg.SeedValues = tileSeeds(nest, ev.box, opt.Cache)
-	}
-	guard := opt.newGuard()
-	build := func(ev *evaluator) func([]int64) (float64, error) {
-		return func(v []int64) (float64, error) {
-			st, err := ev.tiled(ctx, nest, tileFromGenome(ev.box, v))
-			if err != nil {
-				return 0, err
-			}
-			return float64(st.Replacement), nil
+	return runSearch(ctx, nest, opt, func(ev *evaluator) problem {
+		return problem{
+			label: "tiling",
+			spec:  ev.tileSpec(),
+			seeds: tileSeeds(nest, ev.box, opt.Cache),
+			decode: func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error) {
+				return nest, iterspace.NewTiled(e.box, tileFromGenome(e.box, v)), nil
+			},
 		}
-	}
-	obj := guard.objective("tiling", build(ev))
-	gaCfg = islandRuntime(gaCfg, guard, "tiling", ev, build)
-	gaCfg = fidelityRuntime(gaCfg, ctx, guard, "tiling", ev,
-		func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error) {
-			return nest, iterspace.NewTiled(e.box, tileFromGenome(e.box, v)), nil
-		})
-	res, err := ga.Run(ctx, spec, obj, gaCfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := guard.err(); err != nil {
-		return nil, err
-	}
-
-	best := tileFromGenome(ev.box, res.Best)
-	tiledNest, space, err := tiling.Apply(nest, best)
-	if err != nil {
-		return nil, err
-	}
-	// Finalisation deliberately ignores the (possibly expired) search
-	// context: the best-so-far contract promises a fully populated
-	// result, and this tail is a bounded two evaluations.
-	opt.emitPhase("tiling", "finalize")
-	fin := context.Background()
-	beforeStats, err := ev.untiled(fin, nest)
-	if err != nil {
-		return nil, err
-	}
-	afterStats, err := ev.tiled(fin, nest, best)
-	if err != nil {
-		return nil, err
-	}
-	opt.emitStop("tiling", res, started)
-	return &TilingResult{
-		Tile:        best,
-		Before:      ev.estimate(beforeStats),
-		After:       ev.estimate(afterStats),
-		TiledNest:   tiledNest,
-		Space:       space,
-		GA:          res,
-		Stopped:     res.Stopped,
-		Quarantined: guard.quarantined(),
-	}, nil
+	}, func(s *search) (*TilingResult, error) {
+		ev := s.ev
+		best := tileFromGenome(ev.box, s.res.Best)
+		tiledNest, space, err := tiling.Apply(nest, best)
+		if err != nil {
+			return nil, err
+		}
+		fin := s.finalize()
+		beforeStats, err := ev.untiled(fin, nest)
+		if err != nil {
+			return nil, err
+		}
+		afterStats, err := ev.tiled(fin, nest, best)
+		if err != nil {
+			return nil, err
+		}
+		return &TilingResult{
+			Tile:        best,
+			Before:      ev.estimate(beforeStats),
+			After:       ev.estimate(afterStats),
+			TiledNest:   tiledNest,
+			Space:       space,
+			GA:          s.res,
+			Stopped:     s.res.Stopped,
+			Quarantined: s.guard.quarantined(),
+		}, nil
+	})
 }
 
 // withMutationFloor raises the per-bit mutation probability to 1/(2L) for
@@ -1132,98 +1121,59 @@ type OrderedTilingResult struct {
 // reuse-carrying loop should be the innermost tile loop) this beats every
 // fixed-order tiling.
 func OptimizeTilingOrder(ctx context.Context, nest *ir.Nest, opt Options) (*OrderedTilingResult, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
+	var k int
+	decode := func(box *iterspace.Box, v []int64) ([]int64, []int) {
+		return tileFromGenome(box, v[:k]), lehmerToPerm(v[k:], k)
 	}
-	opt = opt.withDefaults()
-	ctx, cancel := opt.searchContext(ctx)
-	defer cancel()
-	opt = opt.sharedScoped(ctx)
-	ev, err := newEvaluator(nest, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer ev.release()
-	started := opt.emitStart(nest, "tiling-order")
-	k := nest.Depth()
-	uppers := make([]int64, k)
-	for d := range uppers {
-		uppers[d] = ev.box.Extent(d)
-	}
-	tileSpec := ga.NewTileSpec(uppers)
-	// Lehmer code: digit p chooses among the k-p remaining dimensions.
-	chroms := append([]ga.Chromosome(nil), tileSpec.Chroms...)
-	for p := 0; p < k-1; p++ {
-		chroms = append(chroms, ga.NewChromosome(0, int64(k-p)))
-	}
-	spec := ga.Spec{Chroms: chroms}
-	gaCfg := opt.gaRuntime(withMutationFloor(opt.GA, spec), "tiling-order")
-	if gaCfg.SharedMemo == nil && !gaCfg.Fidelity.Enabled() {
-		gaCfg.SharedMemo = ev.sharedFitnessMemo("tiling-order")
-	}
-	if len(gaCfg.SeedValues) == 0 {
+	return runSearch(ctx, nest, opt, func(ev *evaluator) problem {
+		k = nest.Depth()
+		// Lehmer code: digit p chooses among the k-p remaining dimensions.
+		chroms := ev.tileSpec().Chroms
+		for p := 0; p < k-1; p++ {
+			chroms = append(chroms, ga.NewChromosome(0, int64(k-p)))
+		}
+		var seeds [][]int64
 		for _, tile := range tileSeeds(nest, ev.box, opt.Cache) {
 			seed := make([]int64, len(chroms))
 			copy(seed, tile)
-			gaCfg.SeedValues = append(gaCfg.SeedValues, seed) // identity order
+			seeds = append(seeds, seed) // identity order
 		}
-	}
-	decode := func(v []int64) ([]int64, []int) {
-		return tileFromGenome(ev.box, v[:k]), lehmerToPerm(v[k:], k)
-	}
-	guard := opt.newGuard()
-	build := func(ev *evaluator) func([]int64) (float64, error) {
-		return func(v []int64) (float64, error) {
-			tile, order := decode(v)
-			st, err := ev.evalSpace(ctx, nest, iterspace.NewPermutedTiled(ev.box, tile, order))
-			if err != nil {
-				return 0, err
-			}
-			return float64(st.Replacement), nil
+		return problem{
+			label: "tiling-order",
+			spec:  ga.Spec{Chroms: chroms},
+			seeds: seeds,
+			decode: func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error) {
+				tile, order := decode(e.box, v)
+				return nest, iterspace.NewPermutedTiled(e.box, tile, order), nil
+			},
 		}
-	}
-	obj := guard.objective("tiling-order", build(ev))
-	gaCfg = islandRuntime(gaCfg, guard, "tiling-order", ev, build)
-	gaCfg = fidelityRuntime(gaCfg, ctx, guard, "tiling-order", ev,
-		func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error) {
-			tile, order := decode(v)
-			return nest, iterspace.NewPermutedTiled(e.box, tile, order), nil
-		})
-	res, err := ga.Run(ctx, spec, obj, gaCfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := guard.err(); err != nil {
-		return nil, err
-	}
-	tile, order := decode(res.Best)
-	tiledNest, space, err := tiling.ApplyPermuted(nest, tile, order)
-	if err != nil {
-		return nil, err
-	}
-	// Finalisation runs through the same pooled parallel evaluator as the
-	// search itself, outside the (possibly expired) search context.
-	opt.emitPhase("tiling-order", "finalize")
-	fin := context.Background()
-	afterStats, err := ev.evalSpace(fin, nest, space)
-	if err != nil {
-		return nil, err
-	}
-	beforeStats, err := ev.untiled(fin, nest)
-	if err != nil {
-		return nil, err
-	}
-	opt.emitStop("tiling-order", res, started)
-	return &OrderedTilingResult{
-		Tile:        tile,
-		Order:       order,
-		Before:      ev.estimate(beforeStats),
-		After:       ev.estimate(afterStats),
-		TiledNest:   tiledNest,
-		GA:          res,
-		Stopped:     res.Stopped,
-		Quarantined: guard.quarantined(),
-	}, nil
+	}, func(s *search) (*OrderedTilingResult, error) {
+		ev := s.ev
+		tile, order := decode(ev.box, s.res.Best)
+		tiledNest, space, err := tiling.ApplyPermuted(nest, tile, order)
+		if err != nil {
+			return nil, err
+		}
+		fin := s.finalize()
+		afterStats, err := ev.evalSpace(fin, nest, space)
+		if err != nil {
+			return nil, err
+		}
+		beforeStats, err := ev.untiled(fin, nest)
+		if err != nil {
+			return nil, err
+		}
+		return &OrderedTilingResult{
+			Tile:        tile,
+			Order:       order,
+			Before:      ev.estimate(beforeStats),
+			After:       ev.estimate(afterStats),
+			TiledNest:   tiledNest,
+			GA:          s.res,
+			Stopped:     s.res.Stopped,
+			Quarantined: s.guard.quarantined(),
+		}, nil
+	})
 }
 
 // lehmerToPerm decodes a Lehmer code (digit p in [0, k-p)) into a
@@ -1287,85 +1237,47 @@ type PaddingResult struct {
 // OptimizePadding searches inter- and intra-array padding with the GA,
 // leaving the loop order untouched (Table 3's "Padding" column).
 func OptimizePadding(ctx context.Context, nest *ir.Nest, opt Options) (*PaddingResult, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults()
-	ctx, cancel := opt.searchContext(ctx)
-	defer cancel()
-	opt = opt.sharedScoped(ctx)
-	ev, err := newEvaluator(nest, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer ev.release()
-	started := opt.emitStart(nest, "padding")
-	spec, decodePlan := paddingSpec(nest, opt.Cache)
-	gaCfg := opt.gaRuntime(withMutationFloor(opt.GA, spec), "padding")
-	if gaCfg.SharedMemo == nil && !gaCfg.Fidelity.Enabled() {
-		gaCfg.SharedMemo = ev.sharedFitnessMemo("padding")
-	}
-	if len(gaCfg.SeedValues) == 0 {
-		// Seed the identity plan: padding should never end worse than
-		// doing nothing.
-		gaCfg.SeedValues = [][]int64{make([]int64, len(spec.Chroms))}
-	}
-	guard := opt.newGuard()
-	build := func(ev *evaluator) func([]int64) (float64, error) {
-		return func(v []int64) (float64, error) {
-			padded, err := padding.Apply(nest, decodePlan(v))
-			if err != nil {
-				return 0, err
-			}
-			st, err := ev.untiled(ctx, padded)
-			if err != nil {
-				return 0, err
-			}
-			return float64(st.Replacement), nil
+	var decodePlan func([]int64) padding.Plan
+	return runSearch(ctx, nest, opt, func(ev *evaluator) problem {
+		var spec ga.Spec
+		spec, decodePlan = paddingSpec(nest, opt.Cache)
+		return problem{
+			label: "padding",
+			spec:  spec,
+			// Seed the identity plan: padding should never end worse than
+			// doing nothing.
+			seeds: [][]int64{make([]int64, len(spec.Chroms))},
+			decode: func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error) {
+				padded, err := padding.Apply(nest, decodePlan(v))
+				return padded, e.box, err
+			},
 		}
-	}
-	obj := guard.objective("padding", build(ev))
-	gaCfg = islandRuntime(gaCfg, guard, "padding", ev, build)
-	gaCfg = fidelityRuntime(gaCfg, ctx, guard, "padding", ev,
-		func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error) {
-			padded, err := padding.Apply(nest, decodePlan(v))
-			if err != nil {
-				return nil, nil, err
-			}
-			return padded, e.box, nil
-		})
-	res, err := ga.Run(ctx, spec, obj, gaCfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := guard.err(); err != nil {
-		return nil, err
-	}
-	plan := decodePlan(res.Best)
-	padded, err := padding.Apply(nest, plan)
-	if err != nil {
-		return nil, err
-	}
-	opt.emitPhase("padding", "finalize")
-	fin := context.Background()
-	beforeStats, err := ev.untiled(fin, nest)
-	if err != nil {
-		return nil, err
-	}
-	afterStats, err := ev.untiled(fin, padded)
-	if err != nil {
-		return nil, err
-	}
-	opt.emitStop("padding", res, started)
-	return &PaddingResult{
-		Plan:        plan,
-		Before:      ev.estimate(beforeStats),
-		After:       ev.estimate(afterStats),
-		PaddedNest:  padded,
-		GA:          res,
-		Stopped:     res.Stopped,
-		Quarantined: guard.quarantined(),
-	}, nil
+	}, func(s *search) (*PaddingResult, error) {
+		ev := s.ev
+		plan := decodePlan(s.res.Best)
+		padded, err := padding.Apply(nest, plan)
+		if err != nil {
+			return nil, err
+		}
+		fin := s.finalize()
+		beforeStats, err := ev.untiled(fin, nest)
+		if err != nil {
+			return nil, err
+		}
+		afterStats, err := ev.untiled(fin, padded)
+		if err != nil {
+			return nil, err
+		}
+		return &PaddingResult{
+			Plan:        plan,
+			Before:      ev.estimate(beforeStats),
+			After:       ev.estimate(afterStats),
+			PaddedNest:  padded,
+			GA:          s.res,
+			Stopped:     s.res.Stopped,
+			Quarantined: s.guard.quarantined(),
+		}, nil
+	})
 }
 
 // paddingSpec builds the GA genome for padding parameters: one chromosome
@@ -1461,102 +1373,60 @@ func OptimizePaddingThenTiling(ctx context.Context, nest *ir.Nest, opt Options) 
 // can beat the sequential composition when the best padding for the
 // untiled order is not the best padding under tiling.
 func OptimizeJoint(ctx context.Context, nest *ir.Nest, opt Options) (*CombinedResult, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults()
-	ctx, cancel := opt.searchContext(ctx)
-	defer cancel()
-	opt = opt.sharedScoped(ctx)
-	ev, err := newEvaluator(nest, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer ev.release()
-	started := opt.emitStart(nest, "joint")
-	padSpec, decodePlan := paddingSpec(nest, opt.Cache)
-	uppers := make([]int64, nest.Depth())
-	for d := range uppers {
-		uppers[d] = ev.box.Extent(d)
-	}
-	tileSpec := ga.NewTileSpec(uppers)
-	joint := ga.Spec{Chroms: append(append([]ga.Chromosome(nil), padSpec.Chroms...), tileSpec.Chroms...)}
-	nPad := len(padSpec.Chroms)
-	gaCfg := opt.gaRuntime(withMutationFloor(opt.GA, joint), "joint")
-	if gaCfg.SharedMemo == nil && !gaCfg.Fidelity.Enabled() {
-		gaCfg.SharedMemo = ev.sharedFitnessMemo("joint")
-	}
-	if len(gaCfg.SeedValues) == 0 {
+	var decodePlan func([]int64) padding.Plan
+	var nPad int
+	return runSearch(ctx, nest, opt, func(ev *evaluator) problem {
+		var padSpec ga.Spec
+		padSpec, decodePlan = paddingSpec(nest, opt.Cache)
+		nPad = len(padSpec.Chroms)
 		// Seed zero-padding combined with each tile heuristic.
+		var seeds [][]int64
 		for _, tile := range tileSeeds(nest, ev.box, opt.Cache) {
 			seed := make([]int64, nPad+len(tile))
 			copy(seed[nPad:], tile)
-			gaCfg.SeedValues = append(gaCfg.SeedValues, seed)
+			seeds = append(seeds, seed)
 		}
-	}
-
-	guard := opt.newGuard()
-	build := func(ev *evaluator) func([]int64) (float64, error) {
-		return func(v []int64) (float64, error) {
-			padded, err := padding.Apply(nest, decodePlan(v[:nPad]))
-			if err != nil {
-				return 0, err
-			}
-			st, err := ev.tiled(ctx, padded, tileFromGenome(ev.box, v[nPad:]))
-			if err != nil {
-				return 0, err
-			}
-			return float64(st.Replacement), nil
+		return problem{
+			label: "joint",
+			spec:  ga.Spec{Chroms: append(padSpec.Chroms, ev.tileSpec().Chroms...)},
+			seeds: seeds,
+			decode: func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error) {
+				padded, err := padding.Apply(nest, decodePlan(v[:nPad]))
+				return padded, iterspace.NewTiled(e.box, tileFromGenome(e.box, v[nPad:])), err
+			},
 		}
-	}
-	obj := guard.objective("joint", build(ev))
-	gaCfg = islandRuntime(gaCfg, guard, "joint", ev, build)
-	gaCfg = fidelityRuntime(gaCfg, ctx, guard, "joint", ev,
-		func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error) {
-			padded, err := padding.Apply(nest, decodePlan(v[:nPad]))
-			if err != nil {
-				return nil, nil, err
-			}
-			return padded, iterspace.NewTiled(e.box, tileFromGenome(e.box, v[nPad:])), nil
-		})
-	res, err := ga.Run(ctx, joint, obj, gaCfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := guard.err(); err != nil {
-		return nil, err
-	}
-	plan := decodePlan(res.Best[:nPad])
-	tile := tileFromGenome(ev.box, res.Best[nPad:])
-	padded, err := padding.Apply(nest, plan)
-	if err != nil {
-		return nil, err
-	}
-	opt.emitPhase("joint", "finalize")
-	fin := context.Background()
-	origStats, err := ev.untiled(fin, nest)
-	if err != nil {
-		return nil, err
-	}
-	padStats, err := ev.untiled(fin, padded)
-	if err != nil {
-		return nil, err
-	}
-	combStats, err := ev.tiled(fin, padded, tile)
-	if err != nil {
-		return nil, err
-	}
-	opt.emitStop("joint", res, started)
-	return &CombinedResult{
-		Plan:        plan,
-		Tile:        tile,
-		Original:    ev.estimate(origStats),
-		Padded:      ev.estimate(padStats),
-		Combined:    ev.estimate(combStats),
-		GA:          res,
-		Stopped:     res.Stopped,
-		Quarantined: guard.quarantined(),
-	}, nil
+	}, func(s *search) (*CombinedResult, error) {
+		ev := s.ev
+		plan := decodePlan(s.res.Best[:nPad])
+		tile := tileFromGenome(ev.box, s.res.Best[nPad:])
+		padded, err := padding.Apply(nest, plan)
+		if err != nil {
+			return nil, err
+		}
+		fin := s.finalize()
+		origStats, err := ev.untiled(fin, nest)
+		if err != nil {
+			return nil, err
+		}
+		padStats, err := ev.untiled(fin, padded)
+		if err != nil {
+			return nil, err
+		}
+		combStats, err := ev.tiled(fin, padded, tile)
+		if err != nil {
+			return nil, err
+		}
+		return &CombinedResult{
+			Plan:        plan,
+			Tile:        tile,
+			Original:    ev.estimate(origStats),
+			Padded:      ev.estimate(padStats),
+			Combined:    ev.estimate(combStats),
+			GA:          s.res,
+			Stopped:     s.res.Stopped,
+			Quarantined: s.guard.quarantined(),
+		}, nil
+	})
 }
 
 // ExhaustiveTiling enumerates every tile vector (the optimality reference

@@ -63,111 +63,80 @@ func OptimizeTilingMultiLevel(ctx context.Context, nest *ir.Nest, levels []Level
 		}
 	}
 	opt.Cache = levels[0].Cache // evaluator's cfg is unused per-level below
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if opt.Fidelity.Enabled() || opt.GA.Fidelity.Enabled() {
-		// The per-level one-off analyzers cannot resume partial prefix
-		// evaluations across rungs.
-		return nil, badOption("Fidelity", "multi-fidelity evaluation is not supported by the multi-level search")
-	}
-	opt = opt.withDefaults()
-	ctx, cancel := opt.searchContext(ctx)
-	defer cancel()
-	opt = opt.sharedScoped(ctx)
-	ev, err := newEvaluator(nest, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer ev.release()
-	started := opt.emitStart(nest, "multilevel")
-	uppers := make([]int64, nest.Depth())
-	for d := range uppers {
-		uppers[d] = ev.box.Extent(d)
-	}
-	spec := ga.NewTileSpec(uppers)
-	gaCfg := opt.gaRuntime(withMutationFloor(opt.GA, spec), "multilevel")
-	if gaCfg.SharedMemo == nil {
+	return runSearch(ctx, nest, opt, func(ev *evaluator) problem {
 		// The multi-level fitness depends on every level's geometry and
 		// penalty, not just the evaluator's level-0 geometry: widen the
-		// scope so hierarchies differing in any level never share values.
-		extra := make([]string, 0, 2*len(levels))
+		// memo scope so hierarchies differing in any level never share
+		// values.
+		scope := make([]string, 0, 2*len(levels))
 		for _, l := range levels {
-			extra = append(extra, evalcache.ConfigKey(l.Cache),
+			scope = append(scope, evalcache.ConfigKey(l.Cache),
 				strconv.FormatFloat(l.MissPenalty, 'g', -1, 64))
 		}
-		gaCfg.SharedMemo = ev.sharedFitnessMemo("multilevel", extra...)
-	}
-	if len(gaCfg.SeedValues) == 0 {
-		gaCfg.SeedValues = tileSeeds(nest, ev.box, levels[0].Cache)
-	}
-
-	cost := func(evalCtx context.Context, tile []int64) (float64, error) {
-		space := iterspace.NewTiled(ev.box, tile)
-		var c float64
+		return problem{
+			label:     "multilevel",
+			spec:      ev.tileSpec(),
+			seeds:     tileSeeds(nest, ev.box, levels[0].Cache),
+			memoScope: scope,
+			// The per-level one-off analyzers cannot resume partial prefix
+			// evaluations across rungs, so this search refuses fidelity.
+			cost: func(ctx context.Context, e *evaluator, v []int64) (float64, error) {
+				space := iterspace.NewTiled(e.box, tileFromGenome(e.box, v))
+				var c float64
+				for _, l := range levels {
+					an, err := cme.NewAnalyzer(nest, space, l.Cache)
+					if err != nil {
+						return 0, err
+					}
+					st, err := e.evalFresh(ctx, an)
+					if err != nil {
+						return 0, err
+					}
+					c += l.MissPenalty * float64(st.Replacement)
+				}
+				return c, nil
+			},
+		}
+	}, func(s *search) (*MultiLevelResult, error) {
+		ev := s.ev
+		best := tileFromGenome(ev.box, s.res.Best)
+		tiledNest, space, err := tiling.Apply(nest, best)
+		if err != nil {
+			return nil, err
+		}
+		out := &MultiLevelResult{
+			Tile: best, TiledNest: tiledNest, GA: s.res, Stopped: s.res.Stopped,
+			Quarantined: s.guard.quarantined(),
+		}
+		accesses := float64(len(ev.sample.Points) * len(nest.Refs))
+		fin := s.finalize()
 		for _, l := range levels {
-			an, err := cme.NewAnalyzer(nest, space, l.Cache)
+			anU, err := cme.NewAnalyzer(nest, ev.box, l.Cache)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			st, err := ev.evalFresh(evalCtx, an)
+			anT, err := cme.NewAnalyzer(nest, space, l.Cache)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			c += l.MissPenalty * float64(st.Replacement)
+			before, err := ev.evalFresh(fin, anU)
+			if err != nil {
+				return nil, err
+			}
+			after, err := ev.evalFresh(fin, anT)
+			if err != nil {
+				return nil, err
+			}
+			out.Levels = append(out.Levels, LevelEstimate{
+				Level:  l,
+				Before: ev.estimate(before),
+				After:  ev.estimate(after),
+			})
+			out.CostBefore += l.MissPenalty * float64(before.Replacement) / accesses
+			out.CostAfter += l.MissPenalty * float64(after.Replacement) / accesses
 		}
-		return c, nil
-	}
-	guard := opt.newGuard()
-	obj := guard.objective("multilevel", func(v []int64) (float64, error) {
-		return cost(ctx, tileFromGenome(ev.box, v))
+		return out, nil
 	})
-	res, err := ga.Run(ctx, spec, obj, gaCfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := guard.err(); err != nil {
-		return nil, err
-	}
-	best := tileFromGenome(ev.box, res.Best)
-	tiledNest, space, err := tiling.Apply(nest, best)
-	if err != nil {
-		return nil, err
-	}
-	out := &MultiLevelResult{
-		Tile: best, TiledNest: tiledNest, GA: res, Stopped: res.Stopped,
-		Quarantined: guard.quarantined(),
-	}
-	accesses := float64(len(ev.sample.Points) * len(nest.Refs))
-	opt.emitPhase("multilevel", "finalize")
-	fin := context.Background()
-	for _, l := range levels {
-		anU, err := cme.NewAnalyzer(nest, ev.box, l.Cache)
-		if err != nil {
-			return nil, err
-		}
-		anT, err := cme.NewAnalyzer(nest, space, l.Cache)
-		if err != nil {
-			return nil, err
-		}
-		before, err := ev.evalFresh(fin, anU)
-		if err != nil {
-			return nil, err
-		}
-		after, err := ev.evalFresh(fin, anT)
-		if err != nil {
-			return nil, err
-		}
-		out.Levels = append(out.Levels, LevelEstimate{
-			Level:  l,
-			Before: ev.estimate(before),
-			After:  ev.estimate(after),
-		})
-		out.CostBefore += l.MissPenalty * float64(before.Replacement) / accesses
-		out.CostAfter += l.MissPenalty * float64(after.Replacement) / accesses
-	}
-	opt.emitStop("multilevel", res, started)
-	return out, nil
 }
 
 // BestInterchange evaluates every loop order of the nest under the shared

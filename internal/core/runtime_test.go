@@ -12,6 +12,7 @@ import (
 	"repro/internal/ga"
 	"repro/internal/ir"
 	"repro/internal/kernels"
+	"repro/internal/telemetry"
 )
 
 // requireValidTiling asserts the best-so-far contract: whatever stopped the
@@ -92,21 +93,16 @@ func TestBudgetReturnsBestSoFar(t *testing.T) {
 	}
 }
 
-// TestProgressCancelMidSearch: cancelling from the per-generation progress
-// callback stops the search at the next generation boundary with
-// StopCancelled, and progress reports arrive in order.
+// TestProgressCancelMidSearch: cancelling from the observer's
+// per-generation event stops the search at the next generation boundary
+// with StopCancelled, and generation events arrive in order.
 func TestProgressCancelMidSearch(t *testing.T) {
 	nest := transpose(64)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opt := testOpt(5)
-	var gens []int
-	opt.Progress = func(p ga.Progress) {
-		gens = append(gens, p.Gen)
-		if p.Gen == 2 {
-			cancel()
-		}
-	}
+	obs := &cancelAtGen{gen: 2, cancel: cancel}
+	opt.Observer = obs
 	res, err := OptimizeTiling(ctx, nest, opt)
 	if err != nil {
 		t.Fatalf("cancel surfaced as error: %v", err)
@@ -115,13 +111,32 @@ func TestProgressCancelMidSearch(t *testing.T) {
 	if res.Stopped != ga.StopCancelled {
 		t.Fatalf("Stopped = %v, want %v", res.Stopped, ga.StopCancelled)
 	}
-	if len(gens) == 0 || gens[len(gens)-1] != 2 {
-		t.Fatalf("progress generations %v, want ... ending at 2", gens)
+	if len(obs.gens) == 0 || obs.gens[len(obs.gens)-1] != 2 {
+		t.Fatalf("generation events %v, want ... ending at 2", obs.gens)
 	}
 	if res.GA.Generations != 2 {
 		t.Fatalf("ran %d generations after cancelling at 2", res.GA.Generations)
 	}
 }
+
+// cancelAtGen records the GenerationDone sequence and calls cancel once
+// generation gen completes.
+type cancelAtGen struct {
+	gen    int
+	cancel context.CancelFunc
+	gens   []int
+}
+
+func (c *cancelAtGen) Event(e telemetry.Event) {
+	if g, ok := e.(telemetry.GenerationDone); ok {
+		c.gens = append(c.gens, g.Gen)
+		if g.Gen == c.gen {
+			c.cancel()
+		}
+	}
+}
+
+func (c *cancelAtGen) Add(telemetry.Counters) {}
 
 // TestWorkerPanicIsError: a corrupted sample point makes an evaluation
 // worker panic; the panic must surface as an error from the evaluation (and

@@ -27,6 +27,9 @@ func TestValidateBadOptions(t *testing.T) {
 		{"negative workers", Options{Cache: cache.DM8K, Workers: -2}},
 		{"negative deadline", Options{Cache: cache.DM8K, Deadline: -time.Second}},
 		{"negative budget", Options{Cache: cache.DM8K, MaxEvaluations: -1}},
+		// A GA block without PopSize used to be replaced wholesale by the
+		// paper's configuration, silently dropping every field set here.
+		{"partial GA block", Options{Cache: cache.DM8K, GA: ga.Config{MinGens: 1, MaxGens: 3, Crossover: ga.Uniform, Islands: 2}}},
 	}
 	k, _ := kernels.Get("T2D")
 	nest, err := k.Instance(40)
@@ -145,33 +148,5 @@ func TestNilObserverSafe(t *testing.T) {
 	}
 	if _, err := OptimizeTiling(context.Background(), nest, Options{Cache: cache.DM8K, Seed: 1, SamplePoints: 32}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestProgressAdapter: the deprecated Progress callback still fires once
-// per generation, driven by the telemetry stream underneath.
-func TestProgressAdapter(t *testing.T) {
-	k, _ := kernels.Get("T2D")
-	nest, err := k.Instance(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls int
-	lastGen := -1
-	opt := Options{Cache: cache.DM8K, Seed: 1, SamplePoints: 32, Workers: 1}
-	opt.Progress = func(p ga.Progress) {
-		calls++
-		if p.Gen <= lastGen {
-			t.Errorf("Progress out of order: gen %d after %d", p.Gen, lastGen)
-		}
-		lastGen = p.Gen
-	}
-	res, err := OptimizeTiling(context.Background(), nest, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Once for the initial population (gen 0) plus once per generation.
-	if calls != res.GA.Generations+1 {
-		t.Errorf("Progress fired %d times, result reports %d generations", calls, res.GA.Generations)
 	}
 }

@@ -1,9 +1,9 @@
 package ga
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"sort"
 
 	"repro/internal/telemetry"
@@ -17,9 +17,9 @@ import (
 // promoted candidate keeps its partial result and evaluates only the
 // points it has not seen, so no sample point is ever classified twice.
 //
-// The zero value disables the ladder entirely: Rungs <= 1 leaves the
-// classic one-candidate-at-a-time evaluation path byte-identical to
-// previous releases. With the ladder on, a run is still a pure function
+// The zero value disables the ladder entirely: Rungs <= 1 evaluates one
+// candidate at a time over the full sample. With the ladder on, a run is
+// still a pure function
 // of (spec, evaluator, config): the schedule is fixed up front, pruning
 // ranks ties by batch position, and nothing depends on goroutine
 // scheduling, so fixed seed + fixed schedule is bit-identical at any
@@ -137,49 +137,18 @@ type rungCand struct {
 	score   float64
 }
 
-// fidelityLadder binds the successive-halving machinery to one
-// population's run state. The single-population loop and each island
-// deme construct one with their own memo, counters and halt hooks; the
-// ladder itself is pure control flow, so both runtimes prune
-// identically.
-type fidelityLadder struct {
-	fe    FidelityEvaluator
-	sched []int
-	eta   float64
-	spec  Spec
-
-	label  string
-	island int // 1-based; 0 = single population
-
-	memo map[string]float64
-	// emit delivers one EvaluationRung event per completed rung (nil =
-	// unobserved). Demes buffer; the single-population loop sends direct.
-	emit func(telemetry.Event)
-
-	checkHalt func() (StopReason, bool)
-	onHalt    func(StopReason)
-	isHalted  func() bool
-	// charge spends sample points against the run's point budget; it is
-	// called before the points are classified, cache-warm or cold alike,
-	// so budget trajectories never depend on cache state.
-	charge   func(points int)
-	evals    *int
-	memoHits *int
-}
-
-// run evaluates one generation's batch through the ladder and assigns
-// every individual its fitness. It returns the count of assigned
-// individuals (always a prefix of the batch) and whether the whole
-// batch completed; false means the run halted mid-ladder — candidates
-// with partial results receive scaled fitness, untouched ones stay
-// unassigned, and the caller discards or truncates accordingly. force
-// skips the halt check for the first fresh candidate's coarsest rung,
-// so the very first individual of a run always gets a fitness and a
-// best-so-far exists.
-func (l *fidelityLadder) run(batch []*individual, force bool) (int, bool) {
+// ladder evaluates one generation's batch by successive halving and
+// assigns every individual its fitness. It returns the count of assigned
+// individuals (always a prefix of the batch) and whether the whole batch
+// completed; false means the deme halted mid-ladder — candidates with
+// partial results receive scaled fitness, untouched ones stay unassigned,
+// and the caller discards or truncates accordingly. force skips the halt
+// check for the first fresh candidate's coarsest rung, so the very first
+// individual of a run always gets a fitness and a best-so-far exists.
+func (d *deme) ladder(ctx context.Context, batch []individual, force bool) (int, bool) {
 	valued := make([]bool, len(batch))
 	assign := func(c *rungCand, v float64) {
-		l.memo[string(batch[c.first].bits)] = v
+		d.memo[string(batch[c.first].bits)] = v
 		for _, m := range c.members {
 			batch[m].value = v
 			valued[m] = true
@@ -188,12 +157,12 @@ func (l *fidelityLadder) run(batch []*individual, force bool) (int, bool) {
 	// Resolve memo hits and collapse duplicate genomes, in batch order.
 	fresh := make([]*rungCand, 0, len(batch))
 	byKey := make(map[string]*rungCand, len(batch))
-	for i, ind := range batch {
-		key := string(ind.bits)
-		if v, ok := l.memo[key]; ok {
-			ind.value = v
+	for i := range batch {
+		key := string(batch[i].bits)
+		if v, ok := d.memo[key]; ok {
+			batch[i].value = v
 			valued[i] = true
-			*l.memoHits++
+			d.memoHits++
 			continue
 		}
 		if c, ok := byKey[key]; ok {
@@ -208,42 +177,44 @@ func (l *fidelityLadder) run(batch []*individual, force bool) (int, bool) {
 	cohort := fresh
 	completed := true
 ladder:
-	for r, upTo := range l.sched {
+	for r, upTo := range d.sched {
 		for ci, c := range cohort {
 			if !(force && r == 0 && ci == 0) {
-				if l.isHalted() {
-					completed = false
-					break ladder
+				if !d.halted {
+					if reason, h := d.checkHalt(ctx); h {
+						d.halted, d.haltReason = true, reason
+					}
 				}
-				if reason, h := l.checkHalt(); h {
-					l.onHalt(reason)
+				if d.halted {
 					completed = false
 					break ladder
 				}
 			}
 			if c.pe == nil {
-				c.pe = l.fe.Open(l.spec.Decode(batch[c.first].bits))
-				*l.evals++
+				c.pe = d.fe.Open(d.spec.Decode(batch[c.first].bits))
+				d.evals++
 			}
-			l.charge(upTo - c.seen)
+			// Points are charged before they are classified, cache-warm or
+			// cold alike, so budget trajectories never depend on cache state.
+			d.evalPoints += int64(upTo - c.seen)
 			c.score = c.pe.Score(upTo, r+1)
 			c.seen = upTo
 		}
-		if r == len(l.sched)-1 {
+		if r == len(d.sched)-1 {
 			// Final rung: the accumulated score over the full sample is the
 			// exact single-fidelity objective.
 			for _, c := range cohort {
 				assign(c, c.pe.Fitness(c.seen))
 			}
-			l.emitRung(r+1, upTo, len(cohort), 0, 0)
+			d.emitRung(r+1, upTo, len(cohort), 0, 0)
 			break
 		}
-		keep := int(math.Ceil(float64(len(cohort)) / l.eta))
+		keep := int(math.Ceil(float64(len(cohort)) / d.cfg.Fidelity.eta()))
 		if keep < 1 {
 			keep = 1
 		}
 		if keep >= len(cohort) {
-			l.emitRung(r+1, upTo, len(cohort), len(cohort), 0)
+			d.emitRung(r+1, upTo, len(cohort), len(cohort), 0)
 			continue
 		}
 		// Rank ascending by partial score (the GA minimises), ties to the
@@ -271,7 +242,7 @@ ladder:
 				assign(c, c.pe.Fitness(c.seen))
 			}
 		}
-		l.emitRung(r+1, upTo, len(cohort), len(promoted), len(cohort)-len(promoted))
+		d.emitRung(r+1, upTo, len(cohort), len(promoted), len(cohort)-len(promoted))
 		cohort = promoted
 	}
 	if !completed {
@@ -291,50 +262,12 @@ ladder:
 }
 
 // emitRung reports one completed rung to the observer.
-func (l *fidelityLadder) emitRung(rung, points, candidates, promoted, pruned int) {
-	if l.emit == nil {
+func (d *deme) emitRung(rung, points, candidates, promoted, pruned int) {
+	if d.emit == nil {
 		return
 	}
-	l.emit(telemetry.EvaluationRung{
-		Search: l.label, Island: l.island, Rung: rung, Points: points,
+	d.emit(telemetry.EvaluationRung{
+		Search: d.cfg.Label, Island: d.island, Rung: rung, Points: points,
 		Candidates: candidates, Promoted: promoted, Pruned: pruned,
 	})
-}
-
-// nextGenerationFidelity is nextGeneration with evaluation batched
-// through the ladder: selection, crossover and mutation consume the RNG
-// in exactly the same order (evaluation consumes no randomness, so
-// moving it after the mutation loop preserves the genome sequence), and
-// the whole offspring batch is then ranked and pruned together. It
-// reports false when the ladder halted; the partial generation is then
-// abandoned by the caller exactly like the classic path.
-func nextGenerationFidelity(pop []individual, spec Spec, cfg Config, rng *rand.Rand, lad *fidelityLadder) ([]individual, bool) {
-	selected := selectRSS(pop, rng)
-	next := make([]individual, 0, len(pop))
-	for i := 0; i+1 < len(selected); i += 2 {
-		a := cloneBits(selected[i].bits)
-		b := cloneBits(selected[i+1].bits)
-		if rng.Float64() < cfg.CrossoverProb {
-			crossover(cfg.Crossover, a, b, rng)
-		}
-		next = append(next, individual{bits: a}, individual{bits: b})
-	}
-	if len(next) < len(pop) { // odd population: carry the last selection
-		next = append(next, individual{bits: cloneBits(selected[len(selected)-1].bits)})
-	}
-	for i := range next {
-		for b := range next[i].bits {
-			if rng.Float64() < cfg.MutationProb {
-				next[i].bits[b] ^= 1
-			}
-		}
-	}
-	batch := make([]*individual, len(next))
-	for i := range next {
-		batch[i] = &next[i]
-	}
-	if _, ok := lad.run(batch, false); !ok {
-		return nil, false
-	}
-	return next, true
 }

@@ -76,11 +76,12 @@ type Config struct {
 
 	// Islands splits the population into this many demes evolved
 	// concurrently (the island model), with ring-topology elite migration
-	// every MigrationInterval generations. 0 or 1 runs the classic single
-	// population, bit-identical to previous releases. Each island owns a
-	// PCG stream derived from Seed1/Seed2 and its island index alone, so
-	// a run is bit-reproducible for a fixed seed at any island count, and
-	// demes advance between barriers independent of goroutine scheduling.
+	// every MigrationInterval generations. 0 or 1 runs a single
+	// population: one deme on the (Seed1, Seed2) stream with no
+	// migration. Each island of a multi-island run owns a PCG stream
+	// derived from Seed1/Seed2 and its island index alone, so a run is
+	// bit-reproducible for a fixed seed at any island count, and demes
+	// advance between barriers independent of goroutine scheduling.
 	Islands int
 	// MigrationInterval is the number of generations each island evolves
 	// between migration barriers (0 = 5).
@@ -101,8 +102,8 @@ type Config struct {
 	// Fidelity enables deterministic successive-halving evaluation: each
 	// generation's fresh candidates are ranked on coarse sample prefixes
 	// and the bottom fraction pruned before anyone pays full fidelity.
-	// The zero value keeps the classic one-at-a-time path byte-identical
-	// to previous releases. Enabled fidelity requires FidelityEval and is
+	// The zero value (off) evaluates candidates one at a time at full
+	// fidelity. Enabled fidelity requires FidelityEval and is
 	// incompatible with SharedMemo (pruned candidates record
 	// cohort-dependent scaled fitness a cross-run tier must never serve).
 	// With the ladder on, MaxEvaluations is accounted in sample points:
@@ -145,8 +146,11 @@ type Config struct {
 	// A nil Observer costs a single pointer check per generation, keeping
 	// the unobserved search path allocation-free.
 	Observer telemetry.Recorder
-	// Checkpoint, when non-nil, receives a resumable snapshot at the
-	// same points OnProgress fires. A snapshot error aborts the run.
+	// Checkpoint, when non-nil, receives a resumable snapshot at every
+	// barrier where no deme has halted: after the initial population and
+	// after every completed generation of a single population, after
+	// every migration round of an island run. A snapshot error aborts the
+	// run.
 	Checkpoint func(*Checkpoint) error
 	// ResumeFrom restarts the search from a snapshot instead of a fresh
 	// random population. The resumed run replays the interrupted one
@@ -265,6 +269,14 @@ type individual struct {
 // values are memoised per decoded genome, so Evaluations counts distinct
 // candidate solutions examined.
 //
+// A single population (Islands <= 1) is one deme on the (Seed1, Seed2)
+// stream, run inline with a barrier after every generation and no
+// migration; Islands > 1 evolves that many demes concurrently between
+// migration barriers. At every barrier, serially and in island order, the
+// run flushes telemetry, migrates elites and writes a checkpoint, so the
+// result is a pure function of (spec, objective, config) at any goroutine
+// interleaving.
+//
 // The run is bounded and interruptible: it honours ctx cancellation and
 // deadlines plus cfg.MaxEvaluations, halting between objective calls and
 // returning the best-so-far Result tagged with the StopReason — never an
@@ -281,387 +293,440 @@ func Run(ctx context.Context, spec Spec, obj Objective, cfg Config) (Result, err
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Islands > 1 {
-		// The island-model runtime lives in islands.go; Islands <= 1 stays
-		// on this single-population path untouched, so existing seeds keep
-		// their exact historical results.
-		return runIslands(ctx, spec, obj, cfg)
+	n := max(cfg.Islands, 1)
+	interval := cfg.migrationInterval()
+	if n == 1 {
+		interval = 1
 	}
 	start := time.Now()
-	src := rand.NewPCG(cfg.Seed1, cfg.Seed2)
-	rng := rand.New(src)
-	nbits := spec.TotalBits()
+	sizes := islandSizes(cfg.PopSize, n)
+	budgets := islandBudgets(cfg.MaxEvaluations, n)
+	demes := make([]*deme, n)
+	for i := range demes {
+		d, err := newDeme(spec, obj, cfg, i, sizes[i], budgets[i], start)
+		if err != nil {
+			return Result{}, err
+		}
+		demes[i] = d
+	}
 
-	memo := map[string]float64{}
-	evals := 0
-	memoHits := 0
-	gen := 0
-	var res Result
-	res.BestValue = math.Inf(1)
-
-	// Multi-fidelity state: with the ladder on, the budget is accounted in
-	// sample points classified (MaxEvaluations × full sample size), so a
-	// pruned candidate spends only what it actually evaluated. lad stays
-	// nil on the classic path, which therefore runs byte-identically.
-	var lad *fidelityLadder
-	var evalPoints, pointBudget int64
-
-	// flush reports the evaluation/memo-hit counter deltas accumulated
-	// since the last flush. Deltas (not totals) compose across resumed
-	// runs and multi-phase searches sharing one recorder.
-	flushedEvals, flushedMemoHits := 0, 0
+	// flush forwards buffered per-island events and counter deltas to the
+	// observer, serially in island order. Deltas (not totals) compose
+	// across resumed runs and multi-phase searches sharing one recorder.
 	flush := func() {
 		if cfg.Observer == nil {
 			return
 		}
-		dE, dM := evals-flushedEvals, memoHits-flushedMemoHits
-		if dE == 0 && dM == 0 {
-			return
+		for _, d := range demes {
+			for _, e := range d.events {
+				cfg.Observer.Event(e)
+			}
+			d.events = d.events[:0]
+			dE, dM := d.evals-d.flushedEvals, d.memoHits-d.flushedMemoHits
+			if dE != 0 || dM != 0 {
+				cfg.Observer.Add(telemetry.Counters{Evaluations: uint64(dE), MemoHits: uint64(dM)})
+				d.flushedEvals, d.flushedMemoHits = d.evals, d.memoHits
+			}
 		}
-		cfg.Observer.Add(telemetry.Counters{Evaluations: uint64(dE), MemoHits: uint64(dM)})
-		flushedEvals, flushedMemoHits = evals, memoHits
 	}
 	defer flush()
 
-	// checkHalt reports whether the run must stop before spending another
-	// objective evaluation, and why.
-	checkHalt := func() (StopReason, bool) {
-		select {
-		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				return StopDeadline, true
-			}
-			return StopCancelled, true
-		default:
-		}
-		if lad != nil {
-			if pointBudget > 0 && evalPoints >= pointBudget {
-				return StopBudget, true
-			}
-		} else if cfg.MaxEvaluations > 0 && evals >= cfg.MaxEvaluations {
-			return StopBudget, true
-		}
-		return StopConverged, false
-	}
-	var halted bool
-	var haltReason StopReason
-	// eval computes (or recalls) one individual's objective. It returns
-	// false when the run must halt first; the individual is then left
-	// unevaluated. force skips the halt check so the very first candidate
-	// of a run is always evaluated and a best-so-far always exists.
-	//
-	// The shared tier sits strictly behind the local memo and the halt
-	// check: a shared hit replaces only the computation, spending the
-	// budget and filling the local memo exactly as the computation would,
-	// so the run's trajectory is identical cold or warm.
-	eval := func(ind *individual, force bool) bool {
-		key := string(ind.bits)
-		if v, ok := memo[key]; ok {
-			ind.value = v
-			memoHits++
-			return true
-		}
-		if !force && !halted {
-			if r, h := checkHalt(); h {
-				halted, haltReason = true, r
-				return false
-			}
-		}
-		if halted {
-			return false
-		}
-		if cfg.SharedMemo != nil {
-			if v, ok := cfg.SharedMemo.Get(key); ok {
-				ind.value = v
-				memo[key] = v
-				evals++
-				return true
-			}
-		}
-		ind.value = obj(spec.Decode(ind.bits))
-		memo[key] = ind.value
-		evals++
-		if cfg.SharedMemo != nil {
-			cfg.SharedMemo.Put(key, ind.value)
-		}
-		return true
-	}
-
-	if cfg.Fidelity.Enabled() {
-		fe := cfg.FidelityEval
-		if fe == nil {
-			return Result{}, fmt.Errorf("ga: fidelity enabled but no FidelityEval supplied")
-		}
-		npts := fe.Points()
-		if npts <= 0 {
-			return Result{}, fmt.Errorf("ga: fidelity evaluator reports %d sample points", npts)
-		}
-		if cfg.MaxEvaluations > 0 {
-			pointBudget = int64(cfg.MaxEvaluations) * int64(npts)
-		}
-		lad = &fidelityLadder{
-			fe: fe, sched: cfg.Fidelity.Schedule(npts), eta: cfg.Fidelity.eta(),
-			spec: spec, label: cfg.Label, memo: memo,
-			checkHalt: checkHalt,
-			onHalt:    func(r StopReason) { halted, haltReason = true, r },
-			isHalted:  func() bool { return halted },
-			charge:    func(points int) { evalPoints += int64(points) },
-			evals:     &evals, memoHits: &memoHits,
-		}
-		if cfg.Observer != nil {
-			lad.emit = cfg.Observer.Event
-		}
-	}
-
-	record := func(pop []individual) GenStats {
-		best, sum := math.Inf(1), 0.0
-		for i := range pop {
-			sum += pop[i].value
-			if pop[i].value < best {
-				best = pop[i].value
-			}
-			if pop[i].value < res.BestValue {
-				res.BestValue = pop[i].value
-				res.Best = spec.Decode(pop[i].bits)
-			}
-		}
-		if res.Best == nil && len(pop) > 0 {
-			// Every candidate evaluated to +Inf (e.g. the context expired
-			// before the first evaluation finished and the objective
-			// poisoned it): still expose the first least-bad individual so
-			// callers always receive a decodable best-so-far.
-			bi := 0
-			for i := range pop {
-				if pop[i].value < pop[bi].value {
-					bi = i
-				}
-			}
-			res.BestValue = pop[bi].value
-			res.Best = spec.Decode(pop[bi].bits)
-		}
-		avg := sum / float64(len(pop))
-		st := GenStats{Gen: gen, Best: best, Avg: avg, BestEver: res.BestValue}
-		// §3.3: converged when the best individual's objective differs
-		// from the population average by less than ConvergeFrac of the
-		// average.
-		if avg == 0 {
-			st.Converged = best == 0
-		} else {
-			st.Converged = (avg-best)/avg < cfg.ConvergeFrac
-		}
-		res.History = append(res.History, st)
-		if cfg.Observer != nil {
-			cfg.Observer.Event(telemetry.GenerationDone{
-				Search: cfg.Label, Gen: gen, Best: st.Best, Avg: st.Avg,
-				BestEver: res.BestValue, Evaluations: evals, MemoHits: memoHits,
-				Elapsed: time.Since(start),
-			})
-			flush()
-		}
-		return st
-	}
-	snapshot := func(pop []individual) error {
+	round := 0
+	snapshot := func() error {
 		if cfg.Checkpoint == nil {
 			return nil
 		}
-		rngState, err := src.MarshalBinary()
+		cp, err := checkpointOf(demes, cfg, spec.TotalBits(), round)
 		if err != nil {
-			return fmt.Errorf("ga: marshalling RNG state: %w", err)
-		}
-		cp := &Checkpoint{
-			Version:   checkpointVersion,
-			Label:     cfg.Label,
-			SpecBits:  nbits,
-			Gen:       gen,
-			Evals:     evals,
-			RNG:       rngState,
-			Pop:       make([][]byte, len(pop)),
-			Memo:      make([]MemoEntry, 0, len(memo)),
-			Best:      append([]int64(nil), res.Best...),
-			BestValue: res.BestValue,
-			History:   append([]GenStats(nil), res.History...),
-		}
-		for i := range pop {
-			cp.Pop[i] = cloneBits(pop[i].bits)
-		}
-		for k, v := range memo {
-			cp.Memo = append(cp.Memo, MemoEntry{Bits: []byte(k), Value: v})
-		}
-		if lad != nil {
-			// Version-3 extension: the ladder's point counter and resolved
-			// schedule knobs, so a resume rebuilds the exact rung trajectory.
-			cp.Version = checkpointVersionFidelity
-			cp.EvalPoints = evalPoints
-			cp.Fidelity = &FidelityState{
-				Rungs: cfg.Fidelity.Rungs, Eta: cfg.Fidelity.eta(),
-				MinPoints: cfg.Fidelity.minPoints(), Points: lad.fe.Points(),
-			}
+			return err
 		}
 		if err := cfg.Checkpoint(cp); err != nil {
 			return err
 		}
 		if cfg.Observer != nil {
+			individuals, memoEntries := 0, 0
+			for _, d := range demes {
+				individuals += len(d.pop)
+				memoEntries += len(d.memo)
+			}
 			cfg.Observer.Event(telemetry.CheckpointWritten{
-				Search: cfg.Label, Gen: gen,
-				Individuals: len(pop), MemoEntries: len(memo),
+				Search: cfg.Label, Gen: cp.Gen,
+				Individuals: individuals, MemoEntries: memoEntries,
 			})
 		}
 		return nil
 	}
 
-	var pop []individual
+	var warnings []string
 	if cp := cfg.ResumeFrom; cp != nil {
-		// Restore the generation-boundary state: population, RNG stream,
-		// memo, counters and history. Continuing from here replays the
-		// uninterrupted run exactly.
 		if err := cp.validate(spec, cfg); err != nil {
 			return Result{}, err
 		}
-		if err := src.UnmarshalBinary(cp.RNG); err != nil {
-			return Result{}, fmt.Errorf("ga: restoring RNG state: %w", err)
+		if cfg.Fidelity.Enabled() && cp.Fidelity != nil && cp.Fidelity.Points != demes[0].fe.Points() {
+			return Result{}, fmt.Errorf("ga: checkpoint records a %d-point sample, evaluator has %d", cp.Fidelity.Points, demes[0].fe.Points())
 		}
-		gen = cp.Gen
-		evals = cp.Evals
-		// The interrupted run already reported its evaluations; only work
-		// done after the resume point flows to this run's observer.
-		flushedEvals = cp.Evals
-		if lad != nil {
-			if cp.Fidelity != nil && cp.Fidelity.Points != lad.fe.Points() {
-				return Result{}, fmt.Errorf("ga: checkpoint records a %d-point sample, evaluator has %d", cp.Fidelity.Points, lad.fe.Points())
+		states, r := cp.demeStates()
+		for i, d := range demes {
+			if err := d.restore(states[i]); err != nil {
+				return Result{}, err
 			}
-			evalPoints = cp.EvalPoints
 		}
-		for _, e := range cp.Memo {
-			memo[string(e.Bits)] = e.Value
-		}
-		pop = make([]individual, len(cp.Pop))
-		for i, bits := range cp.Pop {
-			v, ok := memo[string(bits)]
-			if !ok {
-				return Result{}, fmt.Errorf("ga: checkpoint individual %d missing from memo", i)
-			}
-			pop[i] = individual{bits: cloneBits(bits), value: v}
-		}
-		res.Best = append([]int64(nil), cp.Best...)
-		res.BestValue = cp.BestValue
-		res.History = append([]GenStats(nil), cp.History...)
+		round = r
 	} else {
-		// Random initial population (Figure 4: "Supply a population P0"),
-		// with any heuristic seed individuals replacing the first slots.
-		res.Warnings = seedClampWarnings(len(cfg.SeedValues), cfg.PopSize, -1)
-		pop = make([]individual, 0, cfg.PopSize)
-		for i := 0; i < cfg.PopSize; i++ {
-			var ind individual
-			if i < len(cfg.SeedValues) && i < cfg.PopSize-1 {
-				ind.bits = spec.Encode(cfg.SeedValues[i])
-			} else {
-				ind.bits = make([]byte, nbits)
-				for b := range ind.bits {
-					ind.bits[b] = byte(rng.IntN(2))
-				}
-			}
-			if lad != nil {
-				// Fidelity: collect the whole initial batch first (same RNG
-				// consumption as the classic loop), then ladder it together.
-				pop = append(pop, ind)
-				continue
-			}
-			if !eval(&ind, i == 0) {
-				break
-			}
-			pop = append(pop, ind)
+		// Deal the seed individuals round-robin across the demes so every
+		// one gets a heuristic foothold, then build generation 0 and
+		// flush/checkpoint at the first barrier.
+		seeds := make([][][]int64, n)
+		for j, sv := range cfg.SeedValues {
+			seeds[j%n] = append(seeds[j%n], sv)
 		}
-		if lad != nil {
-			batch := make([]*individual, len(pop))
-			for i := range pop {
-				batch[i] = &pop[i]
-			}
-			assigned, _ := lad.run(batch, true)
-			// Like the classic path, a halt keeps the evaluated prefix.
-			pop = pop[:assigned]
+		for i, d := range demes {
+			warnings = append(warnings, seedClampWarnings(len(seeds[i]), sizes[i], d.island-1)...)
 		}
-		record(pop)
-		if !halted {
-			if err := snapshot(pop); err != nil {
+		parallelDemes(demes, func(d *deme) { d.initPopulation(ctx, seeds[d.idx]) })
+		flush()
+		if allComplete(demes) {
+			if err := snapshot(); err != nil {
 				return Result{}, err
 			}
 		}
 	}
 
-	// Figure 7 schedule, cut short by cancellation or budget exhaustion.
-	for !halted {
-		var stop bool
-		switch {
-		case gen < cfg.MinGens:
-		case gen < cfg.MaxGens:
-			stop = res.History[len(res.History)-1].Converged
-		default:
-			stop = true
+	for {
+		var active []*deme
+		for _, d := range demes {
+			if d.active() {
+				active = append(active, d)
+			}
 		}
-		if stop {
+		if len(active) == 0 {
 			break
 		}
-		if r, h := checkHalt(); h {
-			halted, haltReason = true, r
-			break
+		round++
+		target, lastGen := round*interval, demes[0].gen
+		parallelDemes(active, func(d *deme) { d.advance(ctx, target) })
+		flush()
+		if n > 1 {
+			// A ring of one deme would migrate its elites into itself.
+			for _, e := range migrate(demes, cfg.migrationCount(), cfg.Observer != nil) {
+				cfg.Observer.Event(e)
+			}
 		}
-		var next []individual
-		var ok bool
-		if lad != nil {
-			next, ok = nextGenerationFidelity(pop, spec, cfg, rng, lad)
-		} else {
-			next, ok = nextGeneration(pop, spec, cfg, rng, eval)
-		}
-		if !ok {
-			// The partial generation is discarded: pop stays on the last
-			// completed boundary, matching the last checkpoint.
-			break
-		}
-		gen++
-		pop = next
-		record(pop)
-		if err := snapshot(pop); err != nil {
-			return Result{}, err
+		// A lone deme snapshots only rounds that completed a generation;
+		// island runs snapshot every clean barrier.
+		if allComplete(demes) && (n > 1 || demes[0].gen > lastGen) {
+			if err := snapshot(); err != nil {
+				return Result{}, err
+			}
 		}
 	}
-	res.Generations = gen
-	res.Evaluations = evals
-	if halted {
-		res.Stopped = haltReason
-	}
-	return res, nil
+	return mergeResult(demes, warnings), nil
 }
 
-// nextGeneration applies selection, crossover and mutation (Figure 6). It
-// reports false when eval halted mid-generation; the partial population is
-// then abandoned by the caller.
-func nextGeneration(pop []individual, spec Spec, cfg Config, rng *rand.Rand, eval func(*individual, bool) bool) ([]individual, bool) {
-	selected := selectRSS(pop, rng)
-	next := make([]individual, 0, len(pop))
+// deme is one population evolving the Figure-4/6/7 algorithm: its own RNG
+// stream, memo table, evaluation-budget share and schedule state. A
+// single-population run is one deme; the island model runs several.
+type deme struct {
+	idx    int // 0-based island index
+	island int // telemetry tag: idx+1 in an island run, 0 for a lone deme
+	spec   Spec
+	cfg    Config
+	obj    Objective
+	size   int // target population size
+
+	src *rand.PCG
+	rng *rand.Rand
+	pop []individual
+
+	memo     map[string]float64
+	evals    int
+	memoHits int
+	budget   int // this deme's MaxEvaluations share (0 = unlimited)
+
+	// Multi-fidelity state (nil fe = one-at-a-time evaluation): the deme's
+	// ladder evaluator and rung schedule, its classified-point counter and
+	// its point-budget share (budget × the full sample size, 0 = unlimited).
+	fe          FidelityEvaluator
+	sched       []int
+	evalPoints  int64
+	pointBudget int64
+
+	gen       int
+	history   []GenStats
+	best      []int64
+	bestValue float64
+
+	halted     bool
+	haltReason StopReason
+	done       bool // the Figure-7 schedule stopped this deme
+
+	// emit delivers telemetry events (nil = unobserved): straight to the
+	// observer for a lone deme, into events for island demes, whose
+	// buffers the run flushes in island order at the barriers.
+	// flushedEvals/flushedMemoHits track the counters already reported.
+	emit            func(telemetry.Event)
+	events          []telemetry.Event
+	flushedEvals    int
+	flushedMemoHits int
+
+	start time.Time
+}
+
+// newDeme builds deme i of a run. A lone deme draws from the run's own
+// (Seed1, Seed2) stream and evaluates with obj and FidelityEval; island
+// demes take islandSeeds and the per-island objective and evaluator.
+func newDeme(spec Spec, obj Objective, cfg Config, i, size, budget int, start time.Time) (*deme, error) {
+	d := &deme{
+		idx: i, spec: spec, cfg: cfg, obj: obj, size: size,
+		memo: map[string]float64{}, budget: budget,
+		bestValue: math.Inf(1), start: start,
+	}
+	s1, s2 := cfg.Seed1, cfg.Seed2
+	if cfg.Islands > 1 {
+		d.island = i + 1
+		s1, s2 = islandSeeds(cfg, i)
+		if cfg.IslandObjective != nil {
+			d.obj = cfg.IslandObjective(i)
+		}
+	}
+	d.src = rand.NewPCG(s1, s2)
+	d.rng = rand.New(d.src)
+	if cfg.Observer != nil {
+		d.emit = cfg.Observer.Event
+		if cfg.Islands > 1 {
+			d.emit = func(e telemetry.Event) { d.events = append(d.events, e) }
+		}
+	}
+	if cfg.Fidelity.Enabled() {
+		fe := cfg.FidelityEval
+		if cfg.Islands > 1 && cfg.IslandFidelityEval != nil {
+			fe = cfg.IslandFidelityEval(i)
+		}
+		if fe == nil {
+			return nil, fmt.Errorf("ga: fidelity enabled but no FidelityEval supplied")
+		}
+		npts := fe.Points()
+		if npts <= 0 {
+			return nil, fmt.Errorf("ga: fidelity evaluator reports %d sample points", npts)
+		}
+		d.fe, d.sched = fe, cfg.Fidelity.Schedule(npts)
+		if budget > 0 {
+			d.pointBudget = int64(budget) * int64(npts)
+		}
+	}
+	return d, nil
+}
+
+// active reports whether the deme still evolves.
+func (d *deme) active() bool { return !d.halted && !d.done }
+
+// checkHalt reports whether the deme must stop before spending another
+// objective evaluation, and why: context first, then its budget share.
+func (d *deme) checkHalt(ctx context.Context) (StopReason, bool) {
+	select {
+	case <-ctx.Done():
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			return StopDeadline, true
+		}
+		return StopCancelled, true
+	default:
+	}
+	if d.fe != nil {
+		if d.pointBudget > 0 && d.evalPoints >= d.pointBudget {
+			return StopBudget, true
+		}
+	} else if d.budget > 0 && d.evals >= d.budget {
+		return StopBudget, true
+	}
+	return StopConverged, false
+}
+
+// initPopulation builds and evaluates generation 0 (Figure 4: "Supply a
+// population P0"): this deme's seed individuals first (clamped to size-1
+// so random diversity survives), random bits for the rest. The first
+// individual is force-evaluated so a best-so-far always exists; a halt
+// keeps the evaluated prefix.
+func (d *deme) initPopulation(ctx context.Context, seeds [][]int64) {
+	d.pop = make([]individual, d.size)
+	for i := range d.pop {
+		if i < len(seeds) && i < d.size-1 {
+			d.pop[i].bits = d.spec.Encode(seeds[i])
+			continue
+		}
+		bits := make([]byte, d.spec.TotalBits())
+		for b := range bits {
+			bits[b] = byte(d.rng.IntN(2))
+		}
+		d.pop[i].bits = bits
+	}
+	assigned, _ := d.evaluate(ctx, d.pop, true)
+	d.pop = d.pop[:assigned]
+	d.record()
+}
+
+// advance evolves the deme up to the target generation (the next
+// barrier), stopping early when its Figure-7 schedule fires or a halt
+// (context, budget share) lands. Each call makes progress: it either
+// completes generations, sets done, or sets halted.
+func (d *deme) advance(ctx context.Context, target int) {
+	for d.active() && d.gen < target {
+		switch {
+		case d.gen < d.cfg.MinGens:
+		case d.gen < d.cfg.MaxGens && !d.history[len(d.history)-1].Converged:
+		default:
+			d.done = true
+			return
+		}
+		if r, h := d.checkHalt(ctx); h {
+			d.halted, d.haltReason = true, r
+			return
+		}
+		next := d.breed()
+		if _, ok := d.evaluate(ctx, next, false); !ok {
+			// Halted mid-generation: the partial generation is discarded
+			// and the deme stays on its last completed boundary.
+			return
+		}
+		d.gen++
+		d.pop = next
+		d.record()
+	}
+}
+
+// breed applies selection, crossover and mutation (Figure 6) and returns
+// the unevaluated offspring. Evaluation consumes no randomness, so
+// breeding the whole generation before evaluating it draws the same
+// genome sequence as interleaving the two.
+func (d *deme) breed() []individual {
+	selected := selectRSS(d.pop, d.rng)
+	next := make([]individual, 0, len(d.pop))
 	// Pair consecutive selected individuals (Figure 5).
 	for i := 0; i+1 < len(selected); i += 2 {
 		a := cloneBits(selected[i].bits)
 		b := cloneBits(selected[i+1].bits)
-		if rng.Float64() < cfg.CrossoverProb {
-			crossover(cfg.Crossover, a, b, rng)
+		if d.rng.Float64() < d.cfg.CrossoverProb {
+			crossover(d.cfg.Crossover, a, b, d.rng)
 		}
 		next = append(next, individual{bits: a}, individual{bits: b})
 	}
-	if len(next) < len(pop) { // odd population: carry the last selection
+	if len(next) < len(d.pop) { // odd population: carry the last selection
 		next = append(next, individual{bits: cloneBits(selected[len(selected)-1].bits)})
 	}
 	// Mutation: flip each bit with probability MutationProb.
 	for i := range next {
 		for b := range next[i].bits {
-			if rng.Float64() < cfg.MutationProb {
+			if d.rng.Float64() < d.cfg.MutationProb {
 				next[i].bits[b] ^= 1
 			}
 		}
-		if !eval(&next[i], false) {
-			return nil, false
+	}
+	return next
+}
+
+// evaluate assigns every individual of batch its fitness, one memoised
+// evaluation at a time or, with fidelity on, through the ladder as one
+// cohort. It returns how many individuals were assigned (always a prefix
+// of batch) and whether that is all of them; false means the deme halted.
+// force exempts the batch's first evaluation from the halt check.
+func (d *deme) evaluate(ctx context.Context, batch []individual, force bool) (int, bool) {
+	if d.fe != nil {
+		return d.ladder(ctx, batch, force)
+	}
+	for i := range batch {
+		if !d.eval(ctx, &batch[i], force && i == 0) {
+			return i, false
 		}
 	}
-	return next, true
+	return len(batch), true
+}
+
+// eval computes (or recalls) one individual's objective. It returns false
+// when the deme must halt first; the individual is then left unevaluated.
+//
+// The shared tier sits strictly behind the local memo and the halt check:
+// a shared hit replaces only the computation, spending the budget and
+// filling the local memo exactly as the computation would, so the run's
+// trajectory is identical cold or warm. Demes also exchange finished
+// values through it, which is safe on the same grounds as migrated memo
+// entries: islands compute identical values for identical genomes.
+func (d *deme) eval(ctx context.Context, ind *individual, force bool) bool {
+	key := string(ind.bits)
+	if v, ok := d.memo[key]; ok {
+		ind.value = v
+		d.memoHits++
+		return true
+	}
+	if !force && !d.halted {
+		if r, h := d.checkHalt(ctx); h {
+			d.halted, d.haltReason = true, r
+		}
+	}
+	if d.halted {
+		return false
+	}
+	if d.cfg.SharedMemo != nil {
+		if v, ok := d.cfg.SharedMemo.Get(key); ok {
+			ind.value = v
+			d.memo[key] = v
+			d.evals++
+			return true
+		}
+	}
+	ind.value = d.obj(d.spec.Decode(ind.bits))
+	d.memo[key] = ind.value
+	d.evals++
+	if d.cfg.SharedMemo != nil {
+		d.cfg.SharedMemo.Put(key, ind.value)
+	}
+	return true
+}
+
+// record appends this generation's statistics to the deme history,
+// updates the deme best-ever and emits the GenerationDone event.
+func (d *deme) record() {
+	best, sum := math.Inf(1), 0.0
+	for i := range d.pop {
+		sum += d.pop[i].value
+		if d.pop[i].value < best {
+			best = d.pop[i].value
+		}
+		if d.pop[i].value < d.bestValue {
+			d.bestValue = d.pop[i].value
+			d.best = d.spec.Decode(d.pop[i].bits)
+		}
+	}
+	if d.best == nil && len(d.pop) > 0 {
+		// Every candidate evaluated to +Inf (e.g. the context expired
+		// before the first evaluation finished and the objective poisoned
+		// it): still expose the first least-bad individual so callers
+		// always receive a decodable best-so-far.
+		bi := 0
+		for i := range d.pop {
+			if d.pop[i].value < d.pop[bi].value {
+				bi = i
+			}
+		}
+		d.bestValue = d.pop[bi].value
+		d.best = d.spec.Decode(d.pop[bi].bits)
+	}
+	avg := sum / float64(len(d.pop))
+	st := GenStats{Gen: d.gen, Best: best, Avg: avg, BestEver: d.bestValue}
+	// §3.3: converged when the best individual's objective differs from
+	// the population average by less than ConvergeFrac of the average.
+	if avg == 0 {
+		st.Converged = best == 0
+	} else {
+		st.Converged = (avg-best)/avg < d.cfg.ConvergeFrac
+	}
+	d.history = append(d.history, st)
+	if d.emit != nil {
+		d.emit(telemetry.GenerationDone{
+			Search: d.cfg.Label, Island: d.island, Gen: d.gen,
+			Best: st.Best, Avg: st.Avg, BestEver: d.bestValue,
+			Evaluations: d.evals, MemoHits: d.memoHits,
+			Elapsed: time.Since(d.start),
+		})
+	}
 }
 
 // selectRSS implements remainder stochastic selection without replacement

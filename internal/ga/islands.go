@@ -1,22 +1,16 @@
 package ga
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"math"
-	"math/rand/v2"
 	"sync"
-	"time"
 
 	"repro/internal/telemetry"
 )
 
-// This file implements the island-model runtime behind Config.Islands:
-// the population is split into N demes, each evolving the classic
-// Figure-4/6/7 algorithm on its own PCG stream, with ring-topology elite
-// migration at fixed generation barriers and a deterministic merge of the
-// per-island results.
+// This file holds the island model behind Config.Islands: the population
+// is split into N demes, each evolving on its own PCG stream, with
+// ring-topology elite migration at fixed generation barriers and a
+// deterministic merge of the per-island results.
 //
 // Determinism is the design constraint everything bends around. Each
 // island's RNG stream is derived from Seed1/Seed2 and the island index
@@ -39,8 +33,8 @@ func splitmix64(z uint64) uint64 {
 // islandSeeds derives island i's PCG seed pair. The derivation depends
 // only on the run's seeds and the island index — not the island count —
 // and island 0's stream deliberately differs from the single-population
-// stream: the two runtimes are different algorithms and must not be
-// conflated by a seed collision.
+// (Seed1, Seed2) stream: a multi-island run is a different algorithm and
+// must not be conflated with one population by a seed collision.
 func islandSeeds(cfg Config, island int) (uint64, uint64) {
 	k := uint64(island) + 1
 	return splitmix64(cfg.Seed1 ^ (k * 0x9e3779b97f4a7c15)),
@@ -76,321 +70,15 @@ func islandBudgets(budget, n int) []int {
 	return out
 }
 
-// deme is one island: a sub-population with its own RNG stream, memo
-// table, evaluation-budget share and Figure-7 schedule state. Its methods
-// mirror the closures of the single-population Run loop.
-type deme struct {
-	idx  int // 0-based island index
-	spec Spec
-	cfg  Config
-	obj  Objective
-	size int // target population size
-
-	src *rand.PCG
-	rng *rand.Rand
-	pop []individual
-
-	memo     map[string]float64
-	evals    int
-	memoHits int
-	budget   int // this deme's MaxEvaluations share (0 = unlimited)
-
-	// Multi-fidelity state (nil fe = classic path): the deme's ladder
-	// evaluator, its classified-point counter and its point-budget share
-	// (budget × the full sample size, 0 = unlimited).
-	fe          FidelityEvaluator
-	evalPoints  int64
-	pointBudget int64
-
-	gen       int
-	history   []GenStats
-	best      []int64
-	bestValue float64
-
-	halted     bool
-	haltReason StopReason
-	done       bool // the Figure-7 schedule stopped this deme
-
-	// flushedEvals/flushedMemoHits track what the coordinator already
-	// reported to the observer; events buffers per-generation telemetry
-	// between barriers so the stream stays in deterministic island order.
-	flushedEvals    int
-	flushedMemoHits int
-	events          []telemetry.Event
-
-	start time.Time
-}
-
-// checkHalt is the per-deme halt predicate: context first, then this
-// deme's budget share.
-func (d *deme) checkHalt(ctx context.Context) (StopReason, bool) {
-	select {
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return StopDeadline, true
-		}
-		return StopCancelled, true
-	default:
-	}
-	if d.fe != nil {
-		if d.pointBudget > 0 && d.evalPoints >= d.pointBudget {
-			return StopBudget, true
-		}
-	} else if d.budget > 0 && d.evals >= d.budget {
-		return StopBudget, true
-	}
-	return StopConverged, false
-}
-
-// ladder builds this deme's successive-halving ladder, bound to its memo,
-// counters and halt state. Rung events are buffered like every other
-// per-island event and flushed in island order at the barriers.
-func (d *deme) ladder(ctx context.Context) *fidelityLadder {
-	l := &fidelityLadder{
-		fe: d.fe, sched: d.cfg.Fidelity.Schedule(d.fe.Points()), eta: d.cfg.Fidelity.eta(),
-		spec: d.spec, label: d.cfg.Label, island: d.idx + 1, memo: d.memo,
-		checkHalt: func() (StopReason, bool) { return d.checkHalt(ctx) },
-		onHalt:    func(r StopReason) { d.halted, d.haltReason = true, r },
-		isHalted:  func() bool { return d.halted },
-		charge:    func(points int) { d.evalPoints += int64(points) },
-		evals:     &d.evals, memoHits: &d.memoHits,
-	}
-	if d.cfg.Observer != nil {
-		l.emit = func(e telemetry.Event) { d.events = append(d.events, e) }
-	}
-	return l
-}
-
-// evalFn builds the memoised halt-aware evaluation closure nextGeneration
-// expects, bound to this deme's memo, budget and objective.
-func (d *deme) evalFn(ctx context.Context) func(*individual, bool) bool {
-	return func(ind *individual, force bool) bool {
-		key := string(ind.bits)
-		if v, ok := d.memo[key]; ok {
-			ind.value = v
-			d.memoHits++
-			return true
-		}
-		if !force && !d.halted {
-			if r, h := d.checkHalt(ctx); h {
-				d.halted, d.haltReason = true, r
-				return false
-			}
-		}
-		if d.halted {
-			return false
-		}
-		// Shared tier behind the local memo and halt check, exactly like
-		// the single-population eval: a hit spends this deme's budget and
-		// fills its memo as the computation would, so deme trajectories
-		// are identical cold or warm. Demes also exchange finished values
-		// through the shared tier, which is safe on the same grounds as
-		// migrated memo entries: islands must compute identical values for
-		// identical genomes.
-		if d.cfg.SharedMemo != nil {
-			if v, ok := d.cfg.SharedMemo.Get(key); ok {
-				ind.value = v
-				d.memo[key] = v
-				d.evals++
-				return true
-			}
-		}
-		ind.value = d.obj(d.spec.Decode(ind.bits))
-		d.memo[key] = ind.value
-		d.evals++
-		if d.cfg.SharedMemo != nil {
-			d.cfg.SharedMemo.Put(key, ind.value)
-		}
-		return true
-	}
-}
-
-// record appends this generation's statistics to the deme history,
-// updates the deme best-ever and buffers the island-tagged GenerationDone
-// event for the next barrier flush.
-func (d *deme) record() {
-	best, sum := math.Inf(1), 0.0
-	for i := range d.pop {
-		sum += d.pop[i].value
-		if d.pop[i].value < best {
-			best = d.pop[i].value
-		}
-		if d.pop[i].value < d.bestValue {
-			d.bestValue = d.pop[i].value
-			d.best = d.spec.Decode(d.pop[i].bits)
-		}
-	}
-	if d.best == nil && len(d.pop) > 0 {
-		// All +Inf (context died before the first evaluation finished):
-		// keep the least-bad individual so the merge always has a
-		// decodable candidate, exactly like the single-population path.
-		bi := 0
-		for i := range d.pop {
-			if d.pop[i].value < d.pop[bi].value {
-				bi = i
-			}
-		}
-		d.bestValue = d.pop[bi].value
-		d.best = d.spec.Decode(d.pop[bi].bits)
-	}
-	avg := sum / float64(len(d.pop))
-	st := GenStats{Gen: d.gen, Best: best, Avg: avg, BestEver: d.bestValue}
-	if avg == 0 {
-		st.Converged = best == 0
-	} else {
-		st.Converged = (avg-best)/avg < d.cfg.ConvergeFrac
-	}
-	d.history = append(d.history, st)
-	if d.cfg.Observer != nil {
-		d.events = append(d.events, telemetry.GenerationDone{
-			Search: d.cfg.Label, Island: d.idx + 1, Gen: d.gen,
-			Best: st.Best, Avg: st.Avg, BestEver: d.bestValue,
-			Evaluations: d.evals, MemoHits: d.memoHits,
-			Elapsed: time.Since(d.start),
-		})
-	}
-}
-
-// initPopulation builds and evaluates the deme's generation-0 population:
-// this island's share of the seed individuals first (clamped to size-1 so
-// random diversity survives), random bits for the rest. The first
-// individual is force-evaluated so every deme always has a best-so-far.
-func (d *deme) initPopulation(ctx context.Context, seeds [][]int64) {
-	eval := d.evalFn(ctx)
-	d.pop = make([]individual, 0, d.size)
-	for i := 0; i < d.size; i++ {
-		var ind individual
-		if i < len(seeds) && i < d.size-1 {
-			ind.bits = d.spec.Encode(seeds[i])
-		} else {
-			ind.bits = make([]byte, d.spec.TotalBits())
-			for b := range ind.bits {
-				ind.bits[b] = byte(d.rng.IntN(2))
-			}
-		}
-		if d.fe != nil {
-			// Fidelity: collect the whole batch first (same RNG
-			// consumption), then ladder it together below.
-			d.pop = append(d.pop, ind)
-			continue
-		}
-		if !eval(&ind, i == 0) {
-			break
-		}
-		d.pop = append(d.pop, ind)
-	}
-	if d.fe != nil {
-		batch := make([]*individual, len(d.pop))
-		for i := range d.pop {
-			batch[i] = &d.pop[i]
-		}
-		assigned, _ := d.ladder(ctx).run(batch, true)
-		d.pop = d.pop[:assigned]
-	}
-	d.record()
-}
-
-// advance evolves the deme up to the target generation (the next
-// migration barrier), stopping early when its Figure-7 schedule fires or
-// a halt (context, budget share) lands. Each call makes progress: it
-// either completes generations, sets done, or sets halted.
-func (d *deme) advance(ctx context.Context, target int) {
-	eval := d.evalFn(ctx)
-	for !d.halted && !d.done && d.gen < target {
-		var stop bool
-		switch {
-		case d.gen < d.cfg.MinGens:
-		case d.gen < d.cfg.MaxGens:
-			stop = d.history[len(d.history)-1].Converged
-		default:
-			stop = true
-		}
-		if stop {
-			d.done = true
-			return
-		}
-		if r, h := d.checkHalt(ctx); h {
-			d.halted, d.haltReason = true, r
-			return
-		}
-		var next []individual
-		var ok bool
-		if d.fe != nil {
-			next, ok = nextGenerationFidelity(d.pop, d.spec, d.cfg, d.rng, d.ladder(ctx))
-		} else {
-			next, ok = nextGeneration(d.pop, d.spec, d.cfg, d.rng, eval)
-		}
-		if !ok {
-			// Halted mid-generation: the partial generation is discarded
-			// and the deme stays on its last completed boundary.
-			return
-		}
-		d.gen++
-		d.pop = next
-		d.record()
-	}
-}
-
-// active reports whether the deme still evolves.
-func (d *deme) active() bool { return !d.halted && !d.done }
-
-// state snapshots the deme for a version-2 checkpoint.
-func (d *deme) state() (IslandState, error) {
-	rngState, err := d.src.MarshalBinary()
-	if err != nil {
-		return IslandState{}, fmt.Errorf("ga: marshalling island %d RNG state: %w", d.idx+1, err)
-	}
-	st := IslandState{
-		Gen:       d.gen,
-		Evals:     d.evals,
-		RNG:       rngState,
-		Pop:       make([][]byte, len(d.pop)),
-		Memo:      make([]MemoEntry, 0, len(d.memo)),
-		Best:      append([]int64(nil), d.best...),
-		BestValue: d.bestValue,
-		History:   append([]GenStats(nil), d.history...),
-	}
-	for i := range d.pop {
-		st.Pop[i] = cloneBits(d.pop[i].bits)
-	}
-	for k, v := range d.memo {
-		st.Memo = append(st.Memo, MemoEntry{Bits: []byte(k), Value: v})
-	}
-	st.EvalPoints = d.evalPoints
-	return st, nil
-}
-
-// restore rebuilds the deme from a version-2 checkpoint entry.
-func (d *deme) restore(st IslandState) error {
-	if err := d.src.UnmarshalBinary(st.RNG); err != nil {
-		return fmt.Errorf("ga: restoring island %d RNG state: %w", d.idx+1, err)
-	}
-	d.gen = st.Gen
-	d.evals = st.Evals
-	d.evalPoints = st.EvalPoints
-	// The interrupted run already reported this deme's work.
-	d.flushedEvals = st.Evals
-	for _, e := range st.Memo {
-		d.memo[string(e.Bits)] = e.Value
-	}
-	d.pop = make([]individual, len(st.Pop))
-	for i, bits := range st.Pop {
-		v, ok := d.memo[string(bits)]
-		if !ok {
-			return fmt.Errorf("ga: island %d checkpoint individual %d missing from memo", d.idx+1, i)
-		}
-		d.pop[i] = individual{bits: cloneBits(bits), value: v}
-	}
-	d.best = append([]int64(nil), st.Best...)
-	d.bestValue = st.BestValue
-	d.history = append([]GenStats(nil), st.History...)
-	return nil
-}
-
 // parallelDemes runs fn over the demes concurrently and waits for all of
 // them; the first captured panic is re-raised only after every goroutine
-// has drained, so a panicking objective cannot leak demes mid-barrier.
+// has drained, so a panicking objective cannot leak demes mid-barrier. A
+// lone deme runs inline.
 func parallelDemes(ds []*deme, fn func(*deme)) {
+	if len(ds) == 1 {
+		fn(ds[0])
+		return
+	}
 	var wg sync.WaitGroup
 	panics := make([]any, len(ds))
 	for i, d := range ds {
@@ -501,7 +189,8 @@ func stopRank(r StopReason) int {
 // mergeResult folds the per-island outcomes into one Result: best of the
 // bests (ties to the lower island), summed evaluations, the maximum
 // generation count, a size-weighted merged history and the most forceful
-// stop reason.
+// stop reason. A lone deme's history is returned as recorded: the merge
+// would rescale Avg by size/size, which float64 does not always undo.
 func mergeResult(demes []*deme, warnings []string) Result {
 	var res Result
 	res.BestValue = math.Inf(1)
@@ -518,6 +207,15 @@ func mergeResult(demes []*deme, warnings []string) Result {
 			res.BestValue = d.bestValue
 			res.Best = append([]int64(nil), d.best...)
 		}
+	}
+	for _, d := range demes {
+		if d.halted && stopRank(d.haltReason) > stopRank(res.Stopped) {
+			res.Stopped = d.haltReason
+		}
+	}
+	if len(demes) == 1 {
+		res.History = demes[0].history
+		return res
 	}
 	// Merge histories generation by generation: Best is the min across
 	// islands, Avg weights each island by its population share, BestEver
@@ -557,191 +255,7 @@ func mergeResult(demes []*deme, warnings []string) Result {
 		st.BestEver = bestEver
 		res.History = append(res.History, st)
 	}
-	for _, d := range demes {
-		if d.halted && stopRank(d.haltReason) > stopRank(res.Stopped) {
-			res.Stopped = d.haltReason
-		}
-	}
 	return res
-}
-
-// runIslands is the island-model coordinator. The demes evolve
-// concurrently between migration barriers; at every barrier the
-// coordinator — single-threaded, in island order — flushes buffered
-// telemetry, performs the ring migration and writes one version-2
-// checkpoint capturing every island, so ResumeFrom replays the run
-// bit-for-bit from any barrier.
-func runIslands(ctx context.Context, spec Spec, obj Objective, cfg Config) (Result, error) {
-	n := cfg.Islands
-	interval := cfg.migrationInterval()
-	count := cfg.migrationCount()
-	start := time.Now()
-	nbits := spec.TotalBits()
-
-	sizes := islandSizes(cfg.PopSize, n)
-	budgets := islandBudgets(cfg.MaxEvaluations, n)
-	demes := make([]*deme, n)
-	for i := range demes {
-		s1, s2 := islandSeeds(cfg, i)
-		src := rand.NewPCG(s1, s2)
-		d := &deme{
-			idx: i, spec: spec, cfg: cfg, obj: obj, size: sizes[i],
-			src: src, rng: rand.New(src),
-			memo: map[string]float64{}, budget: budgets[i],
-			bestValue: math.Inf(1), start: start,
-		}
-		if cfg.IslandObjective != nil {
-			d.obj = cfg.IslandObjective(i)
-		}
-		if cfg.Fidelity.Enabled() {
-			d.fe = cfg.FidelityEval
-			if cfg.IslandFidelityEval != nil {
-				d.fe = cfg.IslandFidelityEval(i)
-			}
-			if d.fe == nil {
-				return Result{}, fmt.Errorf("ga: fidelity enabled but no FidelityEval supplied")
-			}
-			npts := d.fe.Points()
-			if npts <= 0 {
-				return Result{}, fmt.Errorf("ga: fidelity evaluator reports %d sample points", npts)
-			}
-			if d.budget > 0 {
-				d.pointBudget = int64(d.budget) * int64(npts)
-			}
-		}
-		demes[i] = d
-	}
-
-	// flush forwards buffered per-island events and counter deltas to the
-	// observer, serially in island order.
-	flush := func() {
-		if cfg.Observer == nil {
-			return
-		}
-		for _, d := range demes {
-			for _, e := range d.events {
-				cfg.Observer.Event(e)
-			}
-			d.events = d.events[:0]
-			dE, dM := d.evals-d.flushedEvals, d.memoHits-d.flushedMemoHits
-			if dE != 0 || dM != 0 {
-				cfg.Observer.Add(telemetry.Counters{Evaluations: uint64(dE), MemoHits: uint64(dM)})
-				d.flushedEvals, d.flushedMemoHits = d.evals, d.memoHits
-			}
-		}
-	}
-	defer flush()
-
-	round := 0
-	snapshot := func() error {
-		if cfg.Checkpoint == nil {
-			return nil
-		}
-		cp := &Checkpoint{
-			Version:  checkpointVersionIslands,
-			Label:    cfg.Label,
-			SpecBits: nbits,
-			Round:    round,
-			Islands:  make([]IslandState, n),
-		}
-		if cfg.Fidelity.Enabled() {
-			cp.Version = checkpointVersionFidelity
-			cp.Fidelity = &FidelityState{
-				Rungs: cfg.Fidelity.Rungs, Eta: cfg.Fidelity.eta(),
-				MinPoints: cfg.Fidelity.minPoints(), Points: demes[0].fe.Points(),
-			}
-		}
-		individuals, memoEntries := 0, 0
-		for i, d := range demes {
-			st, err := d.state()
-			if err != nil {
-				return err
-			}
-			cp.Islands[i] = st
-			cp.Evals += d.evals
-			cp.EvalPoints += d.evalPoints
-			if d.gen > cp.Gen {
-				cp.Gen = d.gen
-			}
-			if d.best != nil && (cp.Best == nil || d.bestValue < cp.BestValue) {
-				cp.Best = append([]int64(nil), d.best...)
-				cp.BestValue = d.bestValue
-			}
-			individuals += len(d.pop)
-			memoEntries += len(d.memo)
-		}
-		if err := cfg.Checkpoint(cp); err != nil {
-			return err
-		}
-		if cfg.Observer != nil {
-			cfg.Observer.Event(telemetry.CheckpointWritten{
-				Search: cfg.Label, Gen: cp.Gen,
-				Individuals: individuals, MemoEntries: memoEntries,
-			})
-		}
-		return nil
-	}
-
-	var warnings []string
-	if cp := cfg.ResumeFrom; cp != nil {
-		if err := cp.validate(spec, cfg); err != nil {
-			return Result{}, err
-		}
-		if cfg.Fidelity.Enabled() && cp.Fidelity != nil && cp.Fidelity.Points != demes[0].fe.Points() {
-			return Result{}, fmt.Errorf("ga: checkpoint records a %d-point sample, evaluator has %d", cp.Fidelity.Points, demes[0].fe.Points())
-		}
-		for i, d := range demes {
-			if err := d.restore(cp.Islands[i]); err != nil {
-				return Result{}, err
-			}
-		}
-		round = cp.Round
-	} else {
-		// Deal the seed individuals round-robin across the islands so every
-		// deme gets a heuristic foothold, then build generation 0 in
-		// parallel and flush/checkpoint at the first barrier.
-		seeds := make([][][]int64, n)
-		for j, sv := range cfg.SeedValues {
-			seeds[j%n] = append(seeds[j%n], sv)
-		}
-		for i := range demes {
-			warnings = append(warnings, seedClampWarnings(len(seeds[i]), sizes[i], i)...)
-		}
-		parallelDemes(demes, func(d *deme) { d.initPopulation(ctx, seeds[d.idx]) })
-		flush()
-		if allComplete(demes) {
-			if err := snapshot(); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-
-	for {
-		var active []*deme
-		for _, d := range demes {
-			if d.active() {
-				active = append(active, d)
-			}
-		}
-		if len(active) == 0 {
-			break
-		}
-		round++
-		target := round * interval
-		parallelDemes(active, func(d *deme) { d.advance(ctx, target) })
-		flush()
-		events := migrate(demes, count, cfg.Observer != nil)
-		for _, e := range events {
-			cfg.Observer.Event(e)
-		}
-		if allComplete(demes) {
-			if err := snapshot(); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-
-	return mergeResult(demes, warnings), nil
 }
 
 // allComplete reports that every island sits on a clean boundary: full
@@ -752,9 +266,8 @@ func runIslands(ctx context.Context, spec Spec, obj Objective, cfg Config) (Resu
 // that state would poison the resume contract: a snapshot chain must
 // contain only states the same seed reaches under any bound, so that
 // resuming an interrupted run with a different (or no) budget replays
-// the uninterrupted search exactly, just like the single-population
-// runtime. Demes stopped by their schedule (done) are complete by
-// definition and budget-independent.
+// the uninterrupted search exactly. Demes stopped by their schedule
+// (done) are complete by definition and budget-independent.
 func allComplete(demes []*deme) bool {
 	for _, d := range demes {
 		if d.halted || len(d.pop) != d.size {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 )
 
 // ErrCheckpointCorrupt is wrapped by every ReadCheckpoint failure caused
@@ -50,26 +49,6 @@ func (r StopReason) String() string {
 	default:
 		return "converged"
 	}
-}
-
-// Progress is the per-generation report delivered to the deprecated
-// Options.Progress callback of the facade. It is derived from the
-// GenerationDone telemetry event by a compatibility adapter; new code
-// should observe the typed event stream through Config.Observer instead.
-type Progress struct {
-	// Gen is the generation just recorded (0 = initial population).
-	Gen int
-	// Best and Avg are the generation's best (lowest) and average
-	// objective values; BestEver is the best seen across the whole run.
-	Best, Avg, BestEver float64
-	// Evaluations is the number of distinct objective evaluations so far.
-	Evaluations int
-	// Island is the 1-based island the generation belongs to; 0 means the
-	// classic single-population runtime.
-	Island int
-	// Elapsed is the wall-clock time since Run started (resumed runs
-	// count from the resume, not the original start).
-	Elapsed time.Duration
 }
 
 // MemoEntry is one (genome, objective value) pair of the evaluation memo.
@@ -178,7 +157,7 @@ type IslandState struct {
 // validate checks a snapshot against the run configuration it is about to
 // restart. Island-model runs (cfg.Islands > 1) require a version-2
 // snapshot with one IslandState per configured deme; single-population
-// runs require the classic version-1 layout.
+// runs require the flat version-1 layout.
 func (c *Checkpoint) validate(spec Spec, cfg Config) error {
 	want := checkpointVersion
 	if cfg.Islands > 1 {
@@ -252,6 +231,125 @@ func (c *Checkpoint) validateIslands(spec Spec, cfg Config) error {
 		}
 	}
 	return nil
+}
+
+// checkpointOf snapshots a run at a barrier: the flat version-1 layout
+// for a lone deme, one IslandState per deme (version 2) otherwise, and
+// version 3 for either layout when the fidelity ladder is on. The
+// top-level Gen, Evals, EvalPoints and Best summarise every deme.
+func checkpointOf(demes []*deme, cfg Config, nbits, round int) (*Checkpoint, error) {
+	cp := &Checkpoint{Version: checkpointVersion, Label: cfg.Label, SpecBits: nbits}
+	if len(demes) > 1 {
+		cp.Version, cp.Round = checkpointVersionIslands, round
+	}
+	if cfg.Fidelity.Enabled() {
+		cp.Version = checkpointVersionFidelity
+		cp.Fidelity = &FidelityState{
+			Rungs: cfg.Fidelity.Rungs, Eta: cfg.Fidelity.eta(),
+			MinPoints: cfg.Fidelity.minPoints(), Points: demes[0].fe.Points(),
+		}
+	}
+	states := make([]IslandState, len(demes))
+	for i, d := range demes {
+		st, err := d.state()
+		if err != nil {
+			return nil, err
+		}
+		states[i] = st
+		cp.Evals += st.Evals
+		cp.EvalPoints += st.EvalPoints
+		cp.Gen = max(cp.Gen, st.Gen)
+		if st.Best != nil && (cp.Best == nil || st.BestValue < cp.BestValue) {
+			cp.Best, cp.BestValue = st.Best, st.BestValue
+		}
+	}
+	if len(demes) > 1 {
+		cp.Islands = states
+		return cp, nil
+	}
+	st := states[0]
+	cp.RNG, cp.Pop, cp.Memo, cp.History = st.RNG, st.Pop, st.Memo, st.History
+	cp.BestValue = st.BestValue
+	return cp, nil
+}
+
+// demeStates returns a validated snapshot's per-deme states and the
+// number of completed barrier rounds. A flat single-population snapshot
+// is one deme whose barrier follows every generation, so its round count
+// is Gen.
+func (c *Checkpoint) demeStates() ([]IslandState, int) {
+	if len(c.Islands) > 0 {
+		return c.Islands, c.Round
+	}
+	return []IslandState{{
+		Gen: c.Gen, Evals: c.Evals, RNG: c.RNG, Pop: c.Pop, Memo: c.Memo,
+		Best: c.Best, BestValue: c.BestValue, History: c.History,
+		EvalPoints: c.EvalPoints,
+	}}, c.Gen
+}
+
+// state captures the deme for a checkpoint.
+func (d *deme) state() (IslandState, error) {
+	rngState, err := d.src.MarshalBinary()
+	if err != nil {
+		return IslandState{}, d.errorf("marshalling RNG state: %w", err)
+	}
+	st := IslandState{
+		Gen:        d.gen,
+		Evals:      d.evals,
+		RNG:        rngState,
+		Pop:        make([][]byte, len(d.pop)),
+		Memo:       make([]MemoEntry, 0, len(d.memo)),
+		Best:       append([]int64(nil), d.best...),
+		BestValue:  d.bestValue,
+		History:    append([]GenStats(nil), d.history...),
+		EvalPoints: d.evalPoints,
+	}
+	for i := range d.pop {
+		st.Pop[i] = cloneBits(d.pop[i].bits)
+	}
+	for k, v := range d.memo {
+		st.Memo = append(st.Memo, MemoEntry{Bits: []byte(k), Value: v})
+	}
+	return st, nil
+}
+
+// restore rebuilds the deme's generation-boundary state — population, RNG
+// stream, memo, counters and history — from a checkpoint; continuing from
+// there replays the uninterrupted run exactly.
+func (d *deme) restore(st IslandState) error {
+	if err := d.src.UnmarshalBinary(st.RNG); err != nil {
+		return d.errorf("restoring RNG state: %w", err)
+	}
+	d.gen = st.Gen
+	d.evals = st.Evals
+	d.evalPoints = st.EvalPoints
+	// The interrupted run already reported its evaluations; only work
+	// done after the resume point flows to this run's observer.
+	d.flushedEvals = st.Evals
+	for _, e := range st.Memo {
+		d.memo[string(e.Bits)] = e.Value
+	}
+	d.pop = make([]individual, len(st.Pop))
+	for i, bits := range st.Pop {
+		v, ok := d.memo[string(bits)]
+		if !ok {
+			return d.errorf("checkpoint individual %d missing from memo", i)
+		}
+		d.pop[i] = individual{bits: cloneBits(bits), value: v}
+	}
+	d.best = append([]int64(nil), st.Best...)
+	d.bestValue = st.BestValue
+	d.history = append([]GenStats(nil), st.History...)
+	return nil
+}
+
+// errorf formats a deme error, naming the island in a multi-island run.
+func (d *deme) errorf(format string, args ...any) error {
+	if d.island > 0 {
+		format = fmt.Sprintf("island %d %s", d.island, format)
+	}
+	return fmt.Errorf("ga: "+format, args...)
 }
 
 // marshalCheckpoint is the one canonical encoding (indented JSON, fixed

@@ -35,8 +35,8 @@ func TestRangePrefixSumsToWhole(t *testing.T) {
 }
 
 // TestEvaluateObservedRungTagsBatch: the rung index rides the telemetry
-// batch (and only there — the statistics are rung-independent), and the
-// classic entry point keeps emitting untagged batches.
+// batch (and only there — the statistics are rung-independent), and a
+// full-fidelity evaluation (rung 0) emits an untagged batch.
 func TestEvaluateObservedRungTagsBatch(t *testing.T) {
 	an := transposeAnalyzer(t, 48, []int64{6, 10})
 	box := iterspace.NewBox([]int64{1, 1}, []int64{48, 48})
@@ -44,11 +44,11 @@ func TestEvaluateObservedRungTagsBatch(t *testing.T) {
 
 	var cap telemetry.Capture
 	ans := []*cme.Analyzer{an}
-	tagged, err := s.EvaluateObservedRung(context.Background(), ans, &cap, 2, 3)
+	tagged, err := s.EvaluateObserved(context.Background(), ans, &cap, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic, err := s.EvaluateObservedIsland(context.Background(), ans, &cap, 2)
+	classic, err := s.EvaluateObserved(context.Background(), ans, &cap, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

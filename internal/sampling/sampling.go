@@ -251,8 +251,12 @@ func Draw(box *iterspace.Box, n int, rng *rand.Rand) *Sample {
 // Range returns a view of the sample holding points [lo, hi) — the unit
 // the multi-fidelity ladder evaluates: rung r extends a candidate from
 // its previous prefix to the next, so no point is classified twice. The
-// view shares the backing points; it must not be mutated.
+// view shares the backing points (the full range is s itself); it must
+// not be mutated.
 func (s *Sample) Range(lo, hi int) *Sample {
+	if lo == 0 && hi == len(s.Points) {
+		return s
+	}
 	return &Sample{Points: s.Points[lo:hi]}
 }
 
@@ -384,7 +388,7 @@ func (sc *evalScratch) take(n int) {
 	}
 }
 
-// evaluateWith is the core of EvaluateWith; rung (1-based, 0 = classic
+// evaluateWith is the core of EvaluateWith; rung (1-based, 0 = a
 // full-fidelity evaluation) tags the workers' pprof labels so profiles
 // attribute time per fidelity rung.
 func (s *Sample) evaluateWith(ctx context.Context, ans []*cme.Analyzer, rung int) (st cachesim.Stats, err error) {
@@ -473,26 +477,14 @@ func (s *Sample) evaluateWith(ctx context.Context, ans []*cme.Analyzer, rung int
 // their counters) between batches. A nil obs is exactly EvaluateWith —
 // the hot path pays only a nil check. Failed or cancelled evaluations
 // record nothing: their partial counts are discarded by the caller too.
-func (s *Sample) EvaluateObserved(ctx context.Context, ans []*cme.Analyzer, obs telemetry.Recorder) (cachesim.Stats, error) {
-	return s.EvaluateObservedIsland(ctx, ans, obs, 0)
-}
-
-// EvaluateObservedIsland is EvaluateObserved with the batch tagged by its
-// 1-based island index (0 = single-population run): per-island evaluators
-// of the island-model GA report which deme each batch served, so a stream
-// consumer can attribute evaluation work per island.
-func (s *Sample) EvaluateObservedIsland(ctx context.Context, ans []*cme.Analyzer, obs telemetry.Recorder, island int) (cachesim.Stats, error) {
-	return s.EvaluateObservedRung(ctx, ans, obs, island, 0)
-}
-
-// EvaluateObservedRung is EvaluateObservedIsland with the batch tagged by
-// its 1-based fidelity rung (0 = classic full-fidelity evaluation): the
-// multi-fidelity ladder evaluates cumulative sample-prefix ranges, and
-// rung attribution in the event stream (and in pprof labels) is how a
-// consumer sees where the pruning spends its points. The emitted batch
-// covers exactly this sample view's points — for a ladder extension,
-// the newly classified range, not the cumulative prefix.
-func (s *Sample) EvaluateObservedRung(ctx context.Context, ans []*cme.Analyzer, obs telemetry.Recorder, island, rung int) (cachesim.Stats, error) {
+//
+// The batch is tagged with its 1-based island index (0 = single
+// population), so a stream consumer can attribute evaluation work per
+// deme, and with its 1-based fidelity rung (0 = full-fidelity
+// evaluation), which also labels the workers' pprof samples. The emitted
+// batch covers exactly this sample view's points — for a ladder
+// extension, the newly classified range, not the cumulative prefix.
+func (s *Sample) EvaluateObserved(ctx context.Context, ans []*cme.Analyzer, obs telemetry.Recorder, island, rung int) (cachesim.Stats, error) {
 	if obs == nil {
 		return s.evaluateWith(ctx, ans, rung)
 	}

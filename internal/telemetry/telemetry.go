@@ -116,9 +116,7 @@ type PhaseChange struct {
 func (PhaseChange) Kind() Kind { return KindPhaseChange }
 
 // GenerationDone reports one completed GA generation (generation 0 is the
-// initial population). It carries exactly the information the legacy
-// per-generation Progress callback received; that callback is now an
-// adapter over this event.
+// initial population).
 type GenerationDone struct {
 	// Search is the GA phase label.
 	Search string
