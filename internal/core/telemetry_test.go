@@ -27,8 +27,8 @@ func TestValidateBadOptions(t *testing.T) {
 		{"negative workers", Options{Cache: cache.DM8K, Workers: -2}},
 		{"negative deadline", Options{Cache: cache.DM8K, Deadline: -time.Second}},
 		{"negative budget", Options{Cache: cache.DM8K, MaxEvaluations: -1}},
-		// A GA block without PopSize used to be replaced wholesale by the
-		// paper's configuration, silently dropping every field set here.
+		// Without PopSize, withDefaults would replace the block with the
+		// paper's configuration and silently drop every field set here.
 		{"partial GA block", Options{Cache: cache.DM8K, GA: ga.Config{MinGens: 1, MaxGens: 3, Crossover: ga.Uniform, Islands: 2}}},
 	}
 	k, _ := kernels.Get("T2D")
