@@ -15,11 +15,29 @@ import (
 	cmetiling "repro"
 )
 
-// facadeGoldenDigests were generated before the five GA searches were
-// folded into one search skeleton. Each pins a search's result, every
-// checkpoint it wrote and — at Islands <= 1, where the stream is
-// deterministic — its full JSONL event stream.
+// facadeGoldenDigests pin a search's result, every checkpoint it wrote
+// and — at Islands <= 1, where the stream is deterministic — its full
+// JSONL event stream. The MM and ADD entries were generated before the
+// five GA searches were folded into one search skeleton; the catalog/*
+// entries before the point solver took its innermost-run fast step.
 var facadeGoldenDigests = map[string]string{
+	"catalog/ADD":                "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
+	"catalog/ADI":                "1ad9b16a460d396a7281041159e45fe3ad6ea06115eb2610e5b16a6c247b9638",
+	"catalog/BTRIX":              "e1c7ff965e7d8744126650cd024d173d2b5eb0889cf8782485489e04dbc801f5",
+	"catalog/DPSSB":              "c6884cc842bf15fbd1e51eb2ff6c8cd9e8e8ecb1c5463f76262cadff6dc23fa2",
+	"catalog/DPSSF":              "7ea5f1449747fc0165f49b74d925bf81089730635a43e2934c49b7932b30f83e",
+	"catalog/DRADBG1":            "cd8ed7b188995fa4e2d3a63387f59cb5f6edf1ddf78928aabb7a1e50ef71c0d7",
+	"catalog/DRADBG2":            "32c0d0c0f539dc7d5a249245b6a3984d9b32646bd1d7262b472f7035b69ac963",
+	"catalog/DRADFG1":            "60bbac32b210b8fea1c7e43312991a8fb7d112adff70fde76ba31f62faf64abb",
+	"catalog/DRADFG2":            "31a88692ac42237a085d82abacb796162839a5ee0148dffedb57b96c2e33127f",
+	"catalog/JACOBI3D":           "e860b56ef126f06ad90492bea5e50975f5470abe9ea6878f4a3f9476d027b0ff",
+	"catalog/MATMUL":             "0c5360be4faea7b3abfa3b4ba7f083ec82b249a4e27bab342ab1847116c9cd0e",
+	"catalog/MM":                 "131deba511b07db5d69b48a502f74074a8a0acde2150684fa106e56bd2e29290",
+	"catalog/T2D":                "137cd94aaff14f656159edda182eb0d854d80f8c43f9599613509abea5982d9a",
+	"catalog/T3DIKJ":             "048bf553cd91908d9cd8e9920b36fa954fb1500fd4450f7db86a69ac90f961d7",
+	"catalog/T3DJIK":             "0ba8fede0bf1ecb33ff063c2c3a18b2ef24859fefb14dcd8c6811a39bf895d67",
+	"catalog/VPENTA1":            "78a36307cf848bc2c8843a9ae634d97a952388cd6a3cd9771ba8094bd1ae8117",
+	"catalog/VPENTA2":            "39967205d531a1a0dbaec1e3555c3f0f3df4c05e4ffa472185f574f775ade528",
 	"joint/base":                 "6dd540dc4453f60cee876bf740bf8aa2c6df47feed3d156575a475a4e8923088",
 	"joint/budget41":             "b478cae87c2d01140246522a3c09510219fc05ea7831c25774c6a50ffbfab5ee",
 	"joint/fidelity3":            "4414545f01e7664123bb8e344c359ec4bb2f987e933ba3275ccb3be12f8ea942",
@@ -66,14 +84,15 @@ var facadeGoldenDigests = map[string]string{
 var raceEnabled bool
 
 // TestFacadeGolden runs every GA search of the facade under each runtime
-// knob and compares digests of everything it produced against values
-// recorded from an earlier implementation.
+// knob, and one search per catalog kernel, and compares digests of
+// everything they produced against values recorded from an earlier
+// implementation.
 func TestFacadeGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests are amd64-specific: other architectures may fuse a*x+b in the GA's fitness scaling")
 	}
 	if raceEnabled {
-		// The race detector slows the 40 searches to minutes and cannot
+		// The race detector slows the 57 searches to minutes and cannot
 		// change a value; the island suites cover the concurrent paths.
 		t.Skip("values are checked by the non-race run")
 	}
@@ -124,47 +143,67 @@ func TestFacadeGolden(t *testing.T) {
 		{"sharedcache", func(o *cmetiling.Options) { o.SharedCache = cmetiling.NewEvalCache(cmetiling.EvalCacheConfig{}) }},
 	}
 	got := map[string]string{}
+	digest := func(name string, opt cmetiling.Options, run func(cmetiling.Options) (any, error)) {
+		var stream bytes.Buffer
+		sink := cmetiling.NewJSONLSink(&stream)
+		opt.Observer = sink
+		var snaps [][]byte
+		opt.Checkpoint = func(c *cmetiling.Checkpoint) error {
+			var buf bytes.Buffer
+			if err := cmetiling.WriteCheckpoint(&buf, c); err != nil {
+				return err
+			}
+			snaps = append(snaps, buf.Bytes())
+			return nil
+		}
+		res, err := run(opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatalf("%s: closing sink: %v", name, err)
+		}
+		resJSON, err := json.Marshal(res)
+		if err != nil {
+			t.Fatalf("%s: marshalling result: %v", name, err)
+		}
+		h := sha256.New()
+		fmt.Fprintf(h, "result %s\n", resJSON)
+		for _, snap := range snaps {
+			fmt.Fprintf(h, "checkpoint %s\n", snap)
+		}
+		if opt.Islands <= 1 {
+			fmt.Fprintf(h, "events\n%s", stream.Bytes())
+		}
+		got[name] = hex.EncodeToString(h.Sum(nil))
+	}
+	baseOptions := cmetiling.Options{Cache: cmetiling.DM8K, Seed: 7, SamplePoints: 64, Workers: 1}
 	for _, s := range searches {
 		for _, v := range variants {
-			opt := cmetiling.Options{Cache: cmetiling.DM8K, Seed: 7, SamplePoints: 64, Workers: 1}
+			opt := baseOptions
 			v.mut(&opt)
 			if s.multiLevel && opt.Fidelity.Enabled() {
 				continue // the multi-level search rejects fidelity
 			}
-			name := s.name + "/" + v.name
-			var stream bytes.Buffer
-			sink := cmetiling.NewJSONLSink(&stream)
-			opt.Observer = sink
-			var snaps [][]byte
-			opt.Checkpoint = func(c *cmetiling.Checkpoint) error {
-				var buf bytes.Buffer
-				if err := cmetiling.WriteCheckpoint(&buf, c); err != nil {
-					return err
-				}
-				snaps = append(snaps, buf.Bytes())
-				return nil
-			}
-			res, err := s.run(opt)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if err := sink.Close(); err != nil {
-				t.Fatalf("%s: closing sink: %v", name, err)
-			}
-			resJSON, err := json.Marshal(res)
-			if err != nil {
-				t.Fatalf("%s: marshalling result: %v", name, err)
-			}
-			h := sha256.New()
-			fmt.Fprintf(h, "result %s\n", resJSON)
-			for _, snap := range snaps {
-				fmt.Fprintf(h, "checkpoint %s\n", snap)
-			}
-			if opt.Islands <= 1 {
-				fmt.Fprintf(h, "events\n%s", stream.Bytes())
-			}
-			got[name] = hex.EncodeToString(h.Sum(nil))
+			digest(s.name+"/"+v.name, opt, s.run)
 		}
+	}
+	// The catalog work gate: one base search per Table-1 kernel at its
+	// smallest size, with the treatment perfbench gives it. The event
+	// stream carries evaluations, sampled points, walk steps and
+	// classified accesses, so a change that alters the work a search does
+	// on any kernel changes its digest.
+	for _, k := range cmetiling.Kernels() {
+		size := k.DefaultSize
+		for _, n := range k.Sizes {
+			size = min(size, n)
+		}
+		nest := instance(k.Name, size)
+		run := func(o cmetiling.Options) (any, error) { return cmetiling.OptimizeTiling(ctx, nest, o) }
+		if k.ConflictBound {
+			run = func(o cmetiling.Options) (any, error) { return cmetiling.OptimizePaddingThenTiling(ctx, nest, o) }
+		}
+		digest("catalog/"+k.Name, baseOptions, run)
 	}
 	var diff []string
 	for name, d := range got {
