@@ -141,6 +141,11 @@ func (t *PermutedTiled) Prev(p []int64) bool {
 	return false
 }
 
+// InnerFloor implements Space: the innermost element loop (original
+// dimension k-1) runs down to its tile start, wherever the tile order put
+// that tile coordinate.
+func (t *PermutedTiled) InnerFloor(p []int64) int64 { return p[t.inv[t.k()-1]] }
+
 // Contains implements Space.
 func (t *PermutedTiled) Contains(p []int64) bool {
 	k := t.k()

@@ -74,6 +74,10 @@ func (b *PermutedBox) Prev(p []int64) bool {
 	return false
 }
 
+// InnerFloor implements Space: the innermost position iterates original
+// dimension Order[last].
+func (b *PermutedBox) InnerFloor([]int64) int64 { return b.Box.Lo[b.Order[len(b.Order)-1]] }
+
 // Contains implements Space.
 func (b *PermutedBox) Contains(p []int64) bool {
 	for pos, d := range b.Order {

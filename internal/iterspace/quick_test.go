@@ -95,3 +95,48 @@ func TestQuickOrigMapConsistent(t *testing.T) {
 		}
 	}
 }
+
+// Property: InnerFloor is where Prev stops being a decrement of the last
+// coordinate. Above the floor Prev changes p[last] alone, by -1; at the
+// floor it changes another coordinate or reports the start of the space.
+func TestQuickInnerFloor(t *testing.T) {
+	box := NewBox([]int64{3, -2, 5}, []int64{9, 4, 11})
+	spaces := []Space{
+		box,
+		NewTiled(box, []int64{4, 3, 3}), // last dimension: tiles 5-7, 8-10 and 11
+		NewPermutedTiled(box, []int64{2, 5, 3}, []int{2, 0, 1}),
+		NewPermutedBox(box, []int{2, 0, 1}),
+	}
+	r := rand.New(rand.NewPCG(7, 77))
+	for si, sp := range spaces {
+		last := sp.NumCoords() - 1
+		p := make([]int64, last+1)
+		q := make([]int64, last+1)
+		check := func() {
+			floor := sp.InnerFloor(p)
+			copy(q, p)
+			ok := sp.Prev(q)
+			switch {
+			case p[last] < floor:
+				t.Fatalf("space %d: %v lies below its floor %d", si, p, floor)
+			case p[last] > floor:
+				if !ok || q[last] != p[last]-1 || Compare(q[:last], p[:last]) != 0 {
+					t.Fatalf("space %d: above floor %d, Prev(%v) = %v, %v", si, floor, p, q, ok)
+				}
+			case ok && Compare(q[:last], p[:last]) == 0:
+				t.Fatalf("space %d: at floor %d, Prev(%v) = %v moved only the last coordinate", si, floor, p, q)
+			}
+		}
+		for iter := 0; iter < 500; iter++ {
+			sp.Sample(r, p)
+			check()
+			p[last] = sp.InnerFloor(p)
+			if !sp.Contains(p) {
+				t.Fatalf("space %d: floor point %v is not in the space", si, p)
+			}
+			check()
+		}
+		sp.First(p)
+		check()
+	}
+}

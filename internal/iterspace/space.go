@@ -31,6 +31,11 @@ type Space interface {
 	Next(p []int64) bool
 	// Prev moves p to the previous point; false at the beginning.
 	Prev(p []int64) bool
+	// InnerFloor returns the lowest value the last coordinate takes while
+	// every other coordinate of p stays fixed: Prev only decrements
+	// p[last] while p[last] > InnerFloor(p), and changes another
+	// coordinate (or reports false) once p[last] reaches it.
+	InnerFloor(p []int64) int64
 	// Contains reports whether p is a valid point of the space.
 	Contains(p []int64) bool
 	// Count returns the total number of points.
@@ -114,6 +119,9 @@ func (b *Box) Prev(p []int64) bool {
 	}
 	return false
 }
+
+// InnerFloor implements Space.
+func (b *Box) InnerFloor([]int64) int64 { return b.Lo[len(b.Lo)-1] }
 
 // Contains implements Space.
 func (b *Box) Contains(p []int64) bool {

@@ -124,6 +124,10 @@ func (t *Tiled) Prev(p []int64) bool {
 	return false
 }
 
+// InnerFloor implements Space: the innermost element loop runs down to
+// the start of its tile, the innermost tile coordinate.
+func (t *Tiled) InnerFloor(p []int64) int64 { return p[t.k()-1] }
+
 // Contains implements Space.
 func (t *Tiled) Contains(p []int64) bool {
 	k := t.k()
