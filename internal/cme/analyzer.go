@@ -43,8 +43,10 @@ type refInfo struct {
 	base      int64
 	coef      []int64
 	coefCoord []int64
-	// inv[d] describes how to recover original variable values from array
-	// subscripts (see firstaccess.go).
+	// arr is the layout of the referenced array and inv[d] describes how
+	// to recover original variable values from its subscripts (see
+	// firstaccess.go).
+	arr *arrInfo
 	inv []subInv
 }
 
@@ -88,8 +90,7 @@ type Analyzer struct {
 	lineShift uint
 	setMask   int64
 
-	refs   []refInfo
-	arrays map[*ir.Array]*arrInfo
+	refs []refInfo
 	// coordRefs[c] lists the references whose address depends on space
 	// coordinate c (rebuilt on every Rebind).
 	coordRefs [][]coordRef
@@ -98,6 +99,9 @@ type Analyzer struct {
 	walkPoint []int64
 	prevPoint []int64
 	liveAddr  []int64 // per-reference address at walkPoint
+	// walkFloor is space.InnerFloor(walkPoint): while the last coordinate
+	// lies above it, one backward step only decrements that coordinate.
+	walkFloor int64
 	conflicts []int64
 	pinned    []int64
 	minPoint  []int64
@@ -147,18 +151,19 @@ func NewAnalyzer(nest *ir.Nest, space iterspace.Space, cfg cache.Config) (*Analy
 		pinned:    make([]int64, nest.Depth()),
 		walkCap:   DefaultWalkCap,
 	}
-	a.arrays = make(map[*ir.Array]*arrInfo)
+	arrays := make(map[*ir.Array]*arrInfo)
 	maxRank := 0
 	for i := range nest.Refs {
 		ri, err := buildRefInfo(&nest.Refs[i], nest.Depth())
 		if err != nil {
 			return nil, fmt.Errorf("cme: ref %d (%s): %w", i, nest.Refs[i].String(), err)
 		}
-		a.refs[i] = ri
 		arr := nest.Refs[i].Array
-		if _, ok := a.arrays[arr]; !ok {
-			a.arrays[arr] = newArrInfo(arr)
+		if arrays[arr] == nil {
+			arrays[arr] = newArrInfo(arr)
 		}
+		ri.arr = arrays[arr]
+		a.refs[i] = ri
 		if r := arr.Rank(); r > maxRank {
 			maxRank = r
 		}
@@ -242,7 +247,7 @@ func (a *Analyzer) Rebind(space iterspace.Space) error {
 // aggregate without double-counting the parent's history.
 func (a *Analyzer) Clone() *Analyzer {
 	out := *a
-	// Space-independent immutable state (nest, arrays, each ref's coef and
+	// Space-independent immutable state (nest, each ref's coef, arr and
 	// inv) is shared; every mutable buffer is re-created so the clone is
 	// fully independent of the parent, including under a later Rebind of
 	// either.
@@ -390,35 +395,74 @@ func (a *Analyzer) addrAt(point []int64, refIdx int) int64 {
 // at space point p. It is exact for LRU caches of the configured geometry.
 func (a *Analyzer) Classify(p []int64, refIdx int) cachesim.Outcome {
 	a.classified++
-	addr := a.addrAt(p, refIdx)
-	line := a.cfg.LineOf(addr)
+	a.startWalk(p)
+	line := a.lineOf(a.liveAddr[refIdx])
 
-	if a.isFirstAccess(p, refIdx, line) {
+	if !a.touchedJustBefore(refIdx, line) && a.isFirstAccess(p, refIdx, line) {
 		return cachesim.CompulsoryMiss
 	}
 	if a.cfg.Assoc == 1 {
-		return a.walkDirect(p, refIdx, line)
+		return a.walkDirect(refIdx, line)
 	}
-	return a.walkAssoc(p, refIdx, line)
+	return a.walkAssoc(refIdx, line)
+}
+
+// lineOf is cfg.LineOf, by a shift for non-negative addresses.
+func (a *Analyzer) lineOf(addr int64) int64 {
+	if addr >= 0 {
+		return addr >> a.lineShift
+	}
+	return addr / a.cfg.LineSize
+}
+
+// touchedJustBefore is the O(1) witness that spares most accesses the
+// exact first-access test: it reports whether an earlier reference at the
+// walk's start point, or reference refIdx itself one innermost step back,
+// touched the line. Either access precedes the one being classified, so
+// true proves the access is no compulsory miss; false proves nothing.
+func (a *Analyzer) touchedJustBefore(refIdx int, line int64) bool {
+	last := len(a.walkPoint) - 1
+	if a.walkPoint[last] > a.walkFloor &&
+		a.lineOf(a.liveAddr[refIdx]-a.refs[refIdx].coefCoord[last]) == line {
+		return true
+	}
+	for r := 0; r < refIdx; r++ {
+		if a.lineOf(a.liveAddr[r]) == line {
+			return true
+		}
+	}
+	return false
 }
 
 // startWalk primes the backward interference walk at p: walkPoint holds
-// the current point and liveAddr the address every reference touches
-// there. From here stepBack maintains the addresses incrementally.
+// the current point, liveAddr the address every reference touches there
+// and walkFloor where the point's innermost run ends. From here stepBack
+// maintains all three incrementally.
 func (a *Analyzer) startWalk(p []int64) {
 	copy(a.walkPoint, p)
 	for r := range a.refs {
 		a.liveAddr[r] = a.addrAt(p, r)
 	}
+	a.walkFloor = a.space.InnerFloor(p)
 }
 
 // stepBack moves the walk one iteration point earlier and updates the live
-// addresses incrementally: space.Prev typically changes one or two
-// coordinates, and only the references depending on a changed coordinate
-// are touched — O(changed coords) work instead of recomputing every
-// reference's full affine address.
+// addresses incrementally. Inside an innermost run the step is one
+// decrement of the last coordinate and touches only the references that
+// depend on it. At the end of a run space.Prev moves the point, typically
+// changing two or three coordinates, and only the references depending
+// on a changed coordinate are touched — O(changed coords) work instead of
+// recomputing every reference's full affine address.
 func (a *Analyzer) stepBack() bool {
 	cur := a.walkPoint
+	last := len(cur) - 1
+	if cur[last] > a.walkFloor {
+		cur[last]--
+		for _, cr := range a.coordRefs[last] {
+			a.liveAddr[cr.ref] -= cr.coef
+		}
+		return true
+	}
 	copy(a.prevPoint, cur)
 	if !a.space.Prev(cur) {
 		return false
@@ -430,16 +474,17 @@ func (a *Analyzer) stepBack() bool {
 			}
 		}
 	}
+	a.walkFloor = a.space.InnerFloor(cur)
 	return true
 }
 
 // walkDirect is the direct-mapped (assoc = 1) fast path of the backward
 // interference walk: with a single way per set, the first other line
 // landing in the target set evicts the reuse source, so no conflict list
-// is kept at all — the walk is a pure scan over live addresses.
-func (a *Analyzer) walkDirect(p []int64, refIdx int, line int64) cachesim.Outcome {
-	set := a.cfg.SetOfLine(line)
-	a.startWalk(p)
+// is kept at all — the walk is a pure scan over live addresses. Like
+// walkAssoc, it continues from the state startWalk primed.
+func (a *Analyzer) walkDirect(refIdx int, line int64) cachesim.Outcome {
+	set := line % a.nsets
 	lineSize, nsets := a.cfg.LineSize, a.nsets
 	lineShift, setMask := a.lineShift, a.setMask
 	live := a.liveAddr
@@ -491,9 +536,8 @@ func (a *Analyzer) walkDirect(p []int64, refIdx int, line int64) cachesim.Outcom
 // resident iff fewer than `assoc` distinct other lines mapping to the same
 // set were touched in between (the LRU stack property). Addresses come
 // from the incrementally maintained liveAddr.
-func (a *Analyzer) walkAssoc(p []int64, refIdx int, line int64) cachesim.Outcome {
-	set := a.cfg.SetOfLine(line)
-	a.startWalk(p)
+func (a *Analyzer) walkAssoc(refIdx int, line int64) cachesim.Outcome {
+	set := line % a.nsets
 	conflicts := a.conflicts[:0]
 	lineSize, nsets := a.cfg.LineSize, a.nsets
 	lineShift, setMask := a.lineShift, a.setMask

@@ -1,6 +1,7 @@
 package cme
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -10,34 +11,69 @@ import (
 )
 
 // randomSpace wraps a nest's bounding box in a random traversal order:
-// the box itself, a random tiling, or a random permuted tiling.
+// the box itself, a random tiling, a random permuted tiling or a random
+// loop interchange — every space the solver walks.
 func randomSpace(r *rand.Rand, depth int, lo, hi []int64) iterspace.Space {
 	box := iterspace.NewBox(lo, hi)
-	switch r.Int64N(3) {
+	tile := func() []int64 {
+		tile := make([]int64, depth)
+		for d := range tile {
+			tile[d] = 1 + r.Int64N(box.Extent(d))
+		}
+		return tile
+	}
+	switch r.Int64N(4) {
 	case 0:
 		return box
 	case 1:
-		tile := make([]int64, depth)
-		for d := range tile {
-			tile[d] = 1 + r.Int64N(box.Extent(d))
-		}
-		return iterspace.NewTiled(box, tile)
+		return iterspace.NewTiled(box, tile())
+	case 2:
+		return iterspace.NewPermutedTiled(box, tile(), r.Perm(depth))
 	default:
-		tile := make([]int64, depth)
-		for d := range tile {
-			tile[d] = 1 + r.Int64N(box.Extent(d))
+		return iterspace.NewPermutedBox(box, r.Perm(depth))
+	}
+}
+
+// checkWalksAgree classifies every access of space with the optimized
+// walk (Classify) and the retained reference walk (ClassifyReference) and
+// fails unless they agree on EVERY access and — because both count a step
+// at exactly the same probes — on the cumulative walk statistics and cap
+// hits. Two analyzer instances are used so neither implementation can
+// lean on scratch state the other left behind.
+func checkWalksAgree(t *testing.T, label string, nest *ir.Nest, space iterspace.Space, cfg cache.Config) {
+	t.Helper()
+	fast, err := NewAnalyzer(nest, space, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	ref, err := NewAnalyzer(nest, space, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	p := make([]int64, space.NumCoords())
+	if !space.First(p) {
+		return
+	}
+	for {
+		for ri := range nest.Refs {
+			got := fast.Classify(p, ri)
+			want := ref.ClassifyReference(p, ri)
+			if got != want {
+				t.Fatalf("%s (cache %v, space %T): point %v ref %d: Classify=%v ClassifyReference=%v\nnest:\n%s",
+					label, cfg, space, p, ri, got, want, nest)
+			}
 		}
-		return iterspace.NewPermutedTiled(box, tile, r.Perm(depth))
+		if !space.Next(p) {
+			break
+		}
+	}
+	if got, want := fast.WalkCounts(), ref.WalkCounts(); got != want {
+		t.Fatalf("%s (space %T): walk accounting diverges: incremental %+v vs reference %+v", label, space, got, want)
 	}
 }
 
 // TestDifferentialRandomKernels is the equivalence guarantee of the
-// optimized walk: for random kernels, caches and traversal spaces, the
-// incremental walk (Classify) and the retained reference walk
-// (ClassifyReference) must agree on EVERY access — and, because both count
-// a step at exactly the same probes, on the cumulative walk statistics.
-// Two analyzer instances are used so neither implementation can lean on
-// scratch state the other left behind.
+// optimized walk over random kernels, caches and traversal spaces.
 func TestDifferentialRandomKernels(t *testing.T) {
 	r := rand.New(rand.NewPCG(424242, 17))
 	iters := 200
@@ -58,85 +94,38 @@ func TestDifferentialRandomKernels(t *testing.T) {
 			hi[d] = l.Upper.Eval(nil)
 		}
 		space := randomSpace(r, nest.Depth(), lo, hi)
-
-		fast, err := NewAnalyzer(nest, space, cfg)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		ref, err := NewAnalyzer(nest, space, cfg)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-
-		p := make([]int64, space.NumCoords())
-		if !space.First(p) {
-			continue
-		}
-		for {
-			for ri := range nest.Refs {
-				got := fast.Classify(p, ri)
-				want := ref.ClassifyReference(p, ri)
-				if got != want {
-					t.Fatalf("iter %d (cache %v, space %T): point %v ref %d: Classify=%v ClassifyReference=%v\nnest:\n%s",
-						iter, cfg, space, p, ri, got, want, nest)
-				}
-			}
-			if !space.Next(p) {
-				break
-			}
-		}
-		fs, fa := fast.WalkStats()
-		rs, ra := ref.WalkStats()
-		if fs != rs || fa != ra {
-			t.Fatalf("iter %d: walk stats diverge: incremental (%d steps, %d accesses) vs reference (%d, %d)",
-				iter, fs, fa, rs, ra)
-		}
-		if fast.CapHits() != ref.CapHits() {
-			t.Fatalf("iter %d: cap hits diverge: %d vs %d", iter, fast.CapHits(), ref.CapHits())
-		}
+		checkWalksAgree(t, fmt.Sprintf("iter %d", iter), nest, space, cfg)
 	}
 }
 
 // TestDifferentialAssociativitySweep pins the equivalence on the suite's
 // named kernels across associativities 1..8 (1 exercises walkDirect, the
-// rest walkAssoc) and a tiled traversal, complementing the random sweep.
+// rest walkAssoc) and every traversal space type, complementing the
+// random sweep.
 func TestDifferentialAssociativitySweep(t *testing.T) {
 	cases := []struct {
-		name string
-		nest *ir.Nest
-		lo   []int64
-		hi   []int64
-		tile []int64
+		name  string
+		nest  *ir.Nest
+		lo    []int64
+		hi    []int64
+		tile  []int64
+		order []int
 	}{
-		{"mm", mmNest(10), []int64{1, 1, 1}, []int64{10, 10, 10}, []int64{4, 5, 3}},
-		{"stencil", stencilNest(10), []int64{2, 2}, []int64{11, 11}, []int64{3, 6}},
+		{"mm", mmNest(10), []int64{1, 1, 1}, []int64{10, 10, 10}, []int64{4, 5, 3}, []int{2, 0, 1}},
+		{"stencil", stencilNest(10), []int64{2, 2}, []int64{11, 11}, []int64{3, 6}, []int{1, 0}},
 	}
 	for _, tc := range cases {
+		box := iterspace.NewBox(tc.lo, tc.hi)
+		spaces := []iterspace.Space{
+			box,
+			iterspace.NewTiled(box, tc.tile),
+			iterspace.NewPermutedTiled(box, tc.tile, tc.order),
+			iterspace.NewPermutedBox(box, tc.order),
+		}
 		for _, assoc := range []int{1, 2, 4, 8} {
-			space := iterspace.NewTiled(iterspace.NewBox(tc.lo, tc.hi), tc.tile)
 			cfg := cache.Config{Size: int64(assoc) * 512, LineSize: 32, Assoc: assoc}
-			fast, err := NewAnalyzer(tc.nest, space, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := NewAnalyzer(tc.nest, space, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := make([]int64, space.NumCoords())
-			space.First(p)
-			for {
-				for ri := range tc.nest.Refs {
-					got := fast.Classify(p, ri)
-					want := ref.ClassifyReference(p, ri)
-					if got != want {
-						t.Fatalf("%s assoc=%d point %v ref %d: Classify=%v ClassifyReference=%v",
-							tc.name, assoc, p, ri, got, want)
-					}
-				}
-				if !space.Next(p) {
-					break
-				}
+			for _, space := range spaces {
+				checkWalksAgree(t, fmt.Sprintf("%s assoc=%d", tc.name, assoc), tc.nest, space, cfg)
 			}
 		}
 	}

@@ -8,6 +8,8 @@ import (
 // arrInfo caches the layout data needed for allocation-free subscript
 // inversion of one array.
 type arrInfo struct {
+	base    int64 // byte address of element 0, padding included
+	elem    int64 // element size in bytes
 	strides []int64
 	order   []int // dimension indices by descending stride
 	dims    []int64
@@ -28,7 +30,7 @@ func newArrInfo(a *ir.Array) *arrInfo {
 		}
 	}
 	total := a.SizeBytes() / a.Elem
-	return &arrInfo{strides: strides, order: order, dims: a.Dims, total: total}
+	return &arrInfo{base: a.Base + a.BasePad, elem: a.Elem, strides: strides, order: order, dims: a.Dims, total: total}
 }
 
 // delinearize inverts the element index into 1-based subscripts without
@@ -63,11 +65,8 @@ func (a *Analyzer) isFirstAccess(p []int64, refIdx int, line int64) bool {
 	lineEnd := lineStart + a.cfg.LineSize - 1
 
 	for rj := range a.refs {
-		ref := &a.nest.Refs[rj]
-		arr := ref.Array
-		ai := a.arrays[arr]
-		b := arr.Base + arr.BasePad
-		elem := arr.Elem
+		ai := a.refs[rj].arr
+		b, elem := ai.base, ai.elem
 
 		// Element-index range of this array whose start byte lies in the
 		// line.
@@ -79,7 +78,7 @@ func (a *Analyzer) isFirstAccess(p []int64, refIdx int, line int64) bool {
 			k0 = (lineStart - b + elem - 1) / elem
 		}
 		k1 := (lineEnd - b) / elem
-		subs := a.subsBuf[:len(arr.Dims)]
+		subs := a.subsBuf[:len(ai.dims)]
 		for k := k0; k <= k1; k++ {
 			if !ai.delinearize(k, subs) {
 				continue // index in padding or past the array
