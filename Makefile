@@ -5,9 +5,23 @@
 
 GO ?= go
 
-.PHONY: verify build test vet race fuzz bench-json bench-regress depcheck chaos lint serve-smoke islands crash-chaos perfbench
+.PHONY: verify build test vet fmt race fuzz bench-json bench-regress depcheck chaos lint serve-smoke islands crash-chaos perfbench
 
-verify: vet build perfbench depcheck lint bench-regress race chaos islands crash-chaos
+verify: fmt vet build perfbench depcheck lint bench-regress race chaos islands crash-chaos
+
+# Formatting gate: fails when gofmt would rewrite any tracked Go file.
+# Listing tracked files keeps the benchmark's build directory
+# (.bench_build/, which holds a Go module cache) out; outside a git
+# checkout the same tree is found with find. gofmt reads stdin when given
+# no file, hence the </dev/null.
+fmt:
+	@files=$$(git ls-files '*.go' 2>/dev/null) || files=$$(find . -path ./.bench_build -prune -o -name '*.go' -print); \
+	bad=$$(gofmt -l $$files </dev/null); \
+	if [ -n "$$bad" ]; then \
+		echo "fmt: gofmt would reformat:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "fmt: ok"
 
 # Static analysis beyond vet. Both tools are optional: they are skipped
 # with a note when not installed (the container image does not bake them
