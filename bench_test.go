@@ -245,17 +245,23 @@ func BenchmarkClassify(b *testing.B) {
 }
 
 // BenchmarkEvaluateParallel times one common-random-numbers objective
-// evaluation (the paper's 164-point sample over tiled MM) across worker
-// counts, plus the pooled EvaluateWith path the search evaluator uses —
-// clone churn eliminated by Rebind-reusing a fixed analyzer pool.
+// evaluation (the paper's 164-point sample over tiled MM) with EvaluateWith
+// over N analyzers, plus the per-candidate Rebind of a fixed analyzer pool
+// that the search evaluator pays on top.
 func BenchmarkEvaluateParallel(b *testing.B) {
 	sample := mmSample(b, 500, sampling.PaperSampleSize)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			an := mmAnalyzer(b, 500, []int64{32, 16, 16}, cache.DM8K)
+			pool := []*cme.Analyzer{an}
+			for len(pool) < workers {
+				pool = append(pool, an.Clone())
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sample.EvaluateParallel(an, workers)
+				if _, err := sample.EvaluateWith(context.Background(), pool); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -88,6 +88,9 @@ func TestCLIEndToEnd(t *testing.T) {
 	if !strings.Contains(out, "convex region") {
 		t.Fatalf("cmereport tiled output:\n%s", out)
 	}
+	runExpectError(t, tools["cmereport"], "-kernel", "MM", "-size", "64", "-points", "-5")
+	runExpectError(t, tools["cmereport"], "-kernel", "MM", "-size", "64", "-points", "0")
+	runExpectError(t, tools["cmereport"], "-kernel", "MM", "-size", "64", "-workers", "-3")
 
 	// experiments: quick Table 2 regeneration.
 	out = run(t, tools["experiments"], "-table2", "-quick", "-quickcap", "64", "-points", "64")
@@ -174,6 +177,16 @@ func TestCLITelemetryFlags(t *testing.T) {
 	parallel := run(t, tools["cmereport"], "-kernel", "MM", "-size", "20", "-points", "64", "-workers", "8")
 	if serial != parallel {
 		t.Errorf("cmereport output differs across -workers:\n--- 1 ---\n%s--- 8 ---\n%s", serial, parallel)
+	}
+	// Drawing the sample from the box must consume the seed's random
+	// stream as sampling the tiled space does: this estimate pins the
+	// result on a tiled space, above the 64-point serial threshold.
+	const pinned = "miss 12.50% ±3.31% (repl 12.35%) from 164 points"
+	for _, w := range []string{"1", "3"} {
+		out := run(t, tools["cmereport"], "-kernel", "MM", "-size", "64", "-tile", "16,8,4", "-workers", w)
+		if !strings.Contains(out, "sampled estimate (164 points, 90% confidence): "+pinned) {
+			t.Errorf("cmereport -workers %s estimate is not %q:\n%s", w, pinned, out)
+		}
 	}
 	serial = run(t, tools["cachesim"], "-kernel", "T2D", "-size", "64", "-workers", "1")
 	parallel = run(t, tools["cachesim"], "-kernel", "T2D", "-size", "64", "-workers", "4")

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand/v2"
@@ -42,6 +43,12 @@ func main() {
 	)
 	flag.Parse()
 	cliutil.HandleVersion("cmereport", version)
+	if *points < 1 {
+		fatal(fmt.Errorf("-points %d: need at least one sample point", *points))
+	}
+	if *workers < 0 {
+		fatal(fmt.Errorf("-workers %d is negative", *workers))
+	}
 
 	cfg, err := cliutil.ParseCache(*cacheF)
 	if err != nil {
@@ -114,7 +121,18 @@ func main() {
 	if *workers == 0 {
 		*workers = core.DefaultWorkers()
 	}
-	est := sampling.EstimateMissRatioWorkers(an, *points, 0.90, rand.New(rand.NewPCG(*seed, *seed^0xabcd)), *workers)
+	// Draw consumes the random stream as Box.Sample and Tiled.Sample do,
+	// so a seed gives the estimate EstimateMissRatio gives on the space.
+	sample := sampling.Draw(box, *points, rand.New(rand.NewPCG(*seed, *seed^0xabcd)))
+	ans := []*cme.Analyzer{an}
+	for len(ans) < min(*workers, *points) {
+		ans = append(ans, an.Clone())
+	}
+	st, err := sample.EvaluateWith(context.Background(), ans)
+	if err != nil {
+		fatal(err)
+	}
+	est := sampling.FromStats(st, *points, 0.90)
 	fmt.Printf("\nsampled estimate (%d points, 90%% confidence): %v\n", *points, est)
 
 	fmt.Println("per-reference estimates:")

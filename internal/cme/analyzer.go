@@ -114,12 +114,8 @@ type Analyzer struct {
 	walkSteps  uint64
 	classified uint64
 
-	// workers caches the per-goroutine clones WorkerPool hands out, so a
-	// search's repeated parallel evaluations reuse the same clones
-	// (rebound per space) instead of re-cloning every call. pointBuf is
-	// the caller-side point scratch PointScratch returns. Neither is
-	// inherited by clones.
-	workers  []*Analyzer
+	// pointBuf is the caller-side point scratch PointScratch returns; it
+	// is not inherited by clones.
 	pointBuf []int64
 }
 
@@ -260,43 +256,13 @@ func (a *Analyzer) Clone() *Analyzer {
 	out.pinned = make([]int64, len(a.pinned))
 	out.subsBuf = make([]int64, len(a.subsBuf))
 	out.walkPoint, out.prevPoint, out.minPoint, out.liveAddr, out.coordRefs = nil, nil, nil, nil, nil
-	out.workers, out.pointBuf = nil, nil
+	out.pointBuf = nil
 	if err := out.bindSpace(a.space); err != nil {
 		// a.space was accepted when the parent bound it.
 		panic("cme: clone rebind failed: " + err.Error())
 	}
 	out.walkSteps, out.classified, out.capHits = 0, 0, 0
 	return &out
-}
-
-// WorkerPool returns n analyzers over a's nest and space — a itself plus
-// n-1 cached clones — for one parallel evaluation (one analyzer per
-// goroutine). The clones persist on a across calls: the first call pays
-// Clone, later calls only Rebind clones whose space drifted from a's
-// (Rebind after a pool call repoints only a, not the cached clones), so
-// a search's steady state evaluates with zero clone allocations. The
-// returned slice is valid until the next WorkerPool call.
-func (a *Analyzer) WorkerPool(n int) []*Analyzer {
-	if n < 1 {
-		n = 1
-	}
-	if a.workers == nil {
-		a.workers = make([]*Analyzer, 1, n)
-		a.workers[0] = a
-	}
-	for len(a.workers) < n {
-		a.workers = append(a.workers, a.Clone())
-	}
-	pool := a.workers[:n]
-	for _, w := range pool[1:] {
-		if w.space != a.space {
-			if err := w.Rebind(a.space); err != nil {
-				// a.space was accepted when a bound it.
-				panic("cme: worker rebind failed: " + err.Error())
-			}
-		}
-	}
-	return pool
 }
 
 // PointScratch returns a caller-owned scratch point sized to the bound

@@ -261,6 +261,31 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestPointScratch: the reusable coordinate buffer survives rebinds to
+// spaces of different coordinate counts and never aliases a fresh call's
+// expectation of zeroed-by-overwrite semantics.
+func TestPointScratch(t *testing.T) {
+	nest := transposeNest(16)
+	box := iterspace.NewBox([]int64{1, 1}, []int64{16, 16})
+	an, err := NewAnalyzer(nest, box, cache.Config{Size: 256, LineSize: 32, Assoc: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := an.PointScratch()
+	if len(buf) != an.Space().NumCoords() {
+		t.Fatalf("scratch len %d != coords %d", len(buf), an.Space().NumCoords())
+	}
+	if &buf[0] != &an.PointScratch()[0] {
+		t.Fatal("scratch reallocated between calls")
+	}
+	if err := an.Rebind(iterspace.NewTiled(box, []int64{4, 8})); err != nil {
+		t.Fatal(err)
+	}
+	if got := an.PointScratch(); len(got) != an.Space().NumCoords() {
+		t.Fatalf("scratch not resized after rebind: %d != %d", len(got), an.Space().NumCoords())
+	}
+}
+
 // TestConstantSubscript covers refs like x(3,j).
 func TestConstantSubscript(t *testing.T) {
 	n := int64(16)

@@ -19,20 +19,21 @@ func TestEvaluateWithInjectedPanicBecomesError(t *testing.T) {
 	box := iterspace.NewBox([]int64{1, 1}, []int64{64, 64})
 	s := Draw(box, 300, rand.New(rand.NewPCG(7, 9)))
 	for _, workers := range []int{1, 4} {
+		ans := analyzers(an, workers)
 		plan := faultinject.New(1, faultinject.Rule{Point: faultinject.EvalPanic, After: 2, Times: 1})
 		ctx := faultinject.With(context.Background(), plan)
 		// Batch 1 passes.
-		if _, err := s.EvaluateContext(ctx, an, workers); err != nil {
+		if _, err := s.EvaluateWith(ctx, ans); err != nil {
 			t.Fatalf("workers=%d batch 1: %v", workers, err)
 		}
 		// Batch 2 trips the injected panic, recovered to an error.
-		_, err := s.EvaluateContext(ctx, an, workers)
+		_, err := s.EvaluateWith(ctx, ans)
 		if err == nil || !strings.Contains(err.Error(), "panic") {
 			t.Fatalf("workers=%d batch 2: err = %v, want recovered panic", workers, err)
 		}
 		// Batch 3 passes again (times=1) and is complete.
 		want := s.Evaluate(an)
-		got, err := s.EvaluateContext(ctx, an, workers)
+		got, err := s.EvaluateWith(ctx, ans)
 		if err != nil || got != want {
 			t.Fatalf("workers=%d batch 3: %+v, %v (want %+v)", workers, got, err, want)
 		}
@@ -53,7 +54,7 @@ func TestEvaluateWithInjectedStallHonoursContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(faultinject.With(context.Background(), plan))
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.EvaluateContext(ctx, an, 4)
+		_, err := s.EvaluateWith(ctx, analyzers(an, 4))
 		done <- err
 	}()
 	select {
@@ -83,7 +84,7 @@ func TestEvaluateWithBoundedStallCompletes(t *testing.T) {
 	})
 	ctx := faultinject.With(context.Background(), plan)
 	want := s.Evaluate(an)
-	got, err := s.EvaluateContext(ctx, an, 4)
+	got, err := s.EvaluateWith(ctx, analyzers(an, 4))
 	if err != nil || got != want {
 		t.Fatalf("bounded stall: %+v, %v (want %+v)", got, err, want)
 	}
@@ -97,7 +98,7 @@ func TestEvaluateWithNoPlanUnchanged(t *testing.T) {
 	s := Draw(box, 300, rand.New(rand.NewPCG(7, 9)))
 	want := s.Evaluate(an)
 	for _, workers := range []int{1, 4} {
-		got, err := s.EvaluateContext(context.Background(), an, workers)
+		got, err := s.EvaluateWith(context.Background(), analyzers(an, workers))
 		if err != nil || got != want {
 			t.Fatalf("workers=%d: %+v, %v (want %+v)", workers, got, err, want)
 		}

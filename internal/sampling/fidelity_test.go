@@ -79,7 +79,7 @@ func TestSetProfileLabelsEvaluates(t *testing.T) {
 
 	SetProfileLabels(true)
 	defer SetProfileLabels(false)
-	got, err := s.EvaluateContext(context.Background(), an, 4)
+	got, err := s.EvaluateWith(context.Background(), analyzers(an, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,28 +6,36 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cme"
 	"repro/internal/iterspace"
 )
 
-// TestEvaluateWorkerCountsMatchSerial: for every worker count 1..8, the
-// parallel evaluation paths return Stats exactly equal (all six fields) to
-// serial Evaluate — worker count must never perturb a search result.
+// TestEvaluateWorkerCountsMatchSerial: on three samples and tilings, at
+// every analyzer count 1..8, 64 and 1000 (more analyzers than points),
+// EvaluateWith returns Stats exactly equal (all six fields) to serial
+// Evaluate — the analyzer count must never perturb a search result.
 func TestEvaluateWorkerCountsMatchSerial(t *testing.T) {
-	an := transposeAnalyzer(t, 48, []int64{6, 10})
-	box := iterspace.NewBox([]int64{1, 1}, []int64{48, 48})
-	s := Draw(box, 257, rand.New(rand.NewPCG(11, 13)))
-	want := s.Evaluate(an)
-	for workers := 1; workers <= 8; workers++ {
-		got, err := s.EvaluateContext(context.Background(), an, workers)
-		if err != nil {
-			t.Fatalf("EvaluateContext workers=%d: %v", workers, err)
-		}
-		if got != want {
-			t.Fatalf("EvaluateContext workers=%d: %+v != serial %+v", workers, got, want)
-		}
-		if got := s.EvaluateParallel(an, workers); got != want {
-			t.Fatalf("EvaluateParallel workers=%d: %+v != serial %+v", workers, got, want)
+	for _, c := range []struct {
+		n      int64
+		tile   []int64
+		points int
+		seed   [2]uint64
+	}{
+		{48, []int64{6, 10}, 257, [2]uint64{11, 13}},
+		{64, []int64{8, 8}, 300, [2]uint64{7, 9}},
+		{128, []int64{16, 8}, 500, [2]uint64{21, 22}},
+	} {
+		an := transposeAnalyzer(t, c.n, c.tile)
+		box := iterspace.NewBox([]int64{1, 1}, []int64{c.n, c.n})
+		s := Draw(box, c.points, rand.New(rand.NewPCG(c.seed[0], c.seed[1])))
+		want := s.Evaluate(an)
+		for _, workers := range []int{1, 2, 3, 4, 5, 6, 7, 8, 64, 1000} {
+			got, err := s.EvaluateWith(context.Background(), analyzers(an, workers))
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", c.n, workers, err)
+			}
+			if got != want {
+				t.Fatalf("n=%d workers=%d: %+v != serial %+v", c.n, workers, got, want)
+			}
 		}
 	}
 }
@@ -41,7 +49,7 @@ func TestEvaluateWithPooledAnalyzers(t *testing.T) {
 	box := iterspace.NewBox([]int64{1, 1}, []int64{48, 48})
 	s := Draw(box, 300, rand.New(rand.NewPCG(3, 5)))
 
-	pool := []*cme.Analyzer{an, an.Clone(), an.Clone(), an.Clone()}
+	pool := analyzers(an, 4)
 	want := s.Evaluate(transposeAnalyzer(t, 48, []int64{6, 10}))
 	got, err := s.EvaluateWith(context.Background(), pool)
 	if err != nil {
@@ -93,7 +101,7 @@ func TestEvaluateCompleteResultNotDiscarded(t *testing.T) {
 	s := Draw(box, 300, rand.New(rand.NewPCG(21, 23)))
 	want := s.Evaluate(an)
 	for _, workers := range []int{2, 4} {
-		got, err := s.EvaluateContext(expiredAfterCtx{}, an, workers)
+		got, err := s.EvaluateWith(expiredAfterCtx{}, analyzers(an, workers))
 		if err != nil {
 			t.Fatalf("workers=%d: complete run discarded with error %v", workers, err)
 		}

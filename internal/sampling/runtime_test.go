@@ -9,7 +9,7 @@ import (
 	"repro/internal/iterspace"
 )
 
-// TestEvaluateContextCancel: a cancelled context stops the evaluation with
+// TestEvaluateContextCancel: a cancelled context stops EvaluateWith with
 // the context's error, in both the serial and the parallel path.
 func TestEvaluateContextCancel(t *testing.T) {
 	an := transposeAnalyzer(t, 64, []int64{8, 8})
@@ -18,7 +18,7 @@ func TestEvaluateContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		if _, err := s.EvaluateContext(ctx, an, workers); err != context.Canceled {
+		if _, err := s.EvaluateWith(ctx, analyzers(an, workers)); err != context.Canceled {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 	}
@@ -34,34 +34,12 @@ func TestEvaluateContextPanicRecovery(t *testing.T) {
 	s := Draw(box, 300, rand.New(rand.NewPCG(7, 9)))
 	s.Points[150] = []int64{} // too short for the tiled space: index panic
 	for _, workers := range []int{1, 4} {
-		_, err := s.EvaluateContext(context.Background(), an, workers)
+		_, err := s.EvaluateWith(context.Background(), analyzers(an, workers))
 		if err == nil {
 			t.Fatalf("workers=%d: panic was swallowed", workers)
 		}
 		if !strings.Contains(err.Error(), "panic") {
 			t.Fatalf("workers=%d: error %q does not report the panic", workers, err)
 		}
-	}
-}
-
-// TestEvaluateContextMatchesSerial: the parallel path sums the same
-// per-point outcomes as serial evaluation — identical Stats, any worker
-// count.
-func TestEvaluateContextMatchesSerial(t *testing.T) {
-	an := transposeAnalyzer(t, 64, []int64{8, 8})
-	box := iterspace.NewBox([]int64{1, 1}, []int64{64, 64})
-	s := Draw(box, 300, rand.New(rand.NewPCG(7, 9)))
-	want := s.Evaluate(an)
-	for _, workers := range []int{0, 1, 2, 5, 64} {
-		got, err := s.EvaluateContext(context.Background(), an, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got != want {
-			t.Fatalf("workers=%d: %+v != serial %+v", workers, got, want)
-		}
-	}
-	if got := s.EvaluateParallel(an, 4); got != want {
-		t.Fatalf("EvaluateParallel: %+v != serial %+v", got, want)
 	}
 }

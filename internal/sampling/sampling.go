@@ -160,56 +160,6 @@ func EstimatePerRef(an *cme.Analyzer, n int, confidence float64, rng *rand.Rand)
 	return out
 }
 
-// EstimateMissRatioWorkers is EstimateMissRatio fanned out over workers
-// analyzer clones. All n points are drawn from rng first — consuming the
-// identical random sequence as the serial estimator — and only then
-// classified in parallel chunks, so the returned Estimate is equal to the
-// serial one for the same rng state (the counts are sums over the same
-// points). workers < 2 (or a small n) falls back to the serial path.
-func EstimateMissRatioWorkers(an *cme.Analyzer, n int, confidence float64, rng *rand.Rand, workers int) Estimate {
-	if workers > n {
-		workers = n
-	}
-	if workers < 2 || n < 64 {
-		return EstimateMissRatio(an, n, confidence, rng)
-	}
-	sp := an.Space()
-	pts := make([][]int64, n)
-	for i := range pts {
-		p := make([]int64, sp.NumCoords())
-		sp.Sample(rng, p)
-		pts[i] = p
-	}
-	ans := make([]*cme.Analyzer, workers)
-	ans[0] = an
-	for w := 1; w < workers; w++ {
-		ans[w] = an.Clone()
-	}
-	partial := make([]cachesim.Stats, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for _, p := range pts[lo:hi] {
-				ans[w].ClassifyAll(p, &partial[w])
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var st cachesim.Stats
-	for _, ps := range partial {
-		st.Add(ps)
-	}
-	return finish(st, n, confidence)
-}
-
 // CompareSampleSizes estimates the untiled miss ratio of a nest twice —
 // with small and with large samples — used to validate the §2.3 claim
 // that 164 points suffice.
@@ -297,61 +247,21 @@ func (s *Sample) Evaluate(an *cme.Analyzer) cachesim.Stats {
 	return st
 }
 
-// EvaluateEstimate is Evaluate wrapped into an Estimate at the given
-// confidence.
-func (s *Sample) EvaluateEstimate(an *cme.Analyzer, confidence float64) Estimate {
-	return finish(s.Evaluate(an), len(s.Points), confidence)
-}
-
-// EvaluateParallel is Evaluate fanned out over workers goroutines, each
-// classifying a contiguous slice of the sample on its own analyzer clone.
-// The result is identical to Evaluate (the counts are sums over the same
-// points), so parallelism never perturbs search results.
+// EvaluateWith is Evaluate fanned out over the caller's analyzers (all
+// observing the same nest, space and cache), one goroutine per analyzer,
+// each classifying a contiguous slice of the sample; it is the package's
+// one parallel evaluation path. The counts are sums over the same points,
+// so the result equals Evaluate at every analyzer count and parallelism
+// never perturbs a search result. A single analyzer, or a sample under 64
+// points, is classified serially on ans[0]. Callers that Rebind and reuse
+// a fixed analyzer pool across candidates pay no per-call Clone.
 //
-// It is EvaluateContext without cancellation; an analyzer panic, converted
-// to an error there, re-panics here to preserve this signature's contract.
-func (s *Sample) EvaluateParallel(an *cme.Analyzer, workers int) cachesim.Stats {
-	st, err := s.EvaluateContext(context.Background(), an, workers)
-	if err != nil {
-		panic(err)
-	}
-	return st
-}
-
-// EvaluateContext is the fault-tolerant evaluation entry: like
-// EvaluateParallel it fans the sample out over workers analyzer clones
-// (workers < 2 evaluates serially on an itself), but it honours ctx
-// cancellation between points and converts a panic in any worker into an
-// error instead of crashing the process. Every worker drains cleanly —
-// the WaitGroup is always released — and the first failure is reported.
-// On error the returned counts are partial and must be discarded. A run
-// that classified every point before the context expired returns its
-// complete result with a nil error.
-func (s *Sample) EvaluateContext(ctx context.Context, an *cme.Analyzer, workers int) (cachesim.Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	n := len(s.Points)
-	if workers > n {
-		workers = n
-	}
-	if workers < 2 || n < 64 {
-		// Serial runs still route through EvaluateWith so fault injection
-		// and panic recovery behave identically at every worker count.
-		return s.EvaluateWith(ctx, []*cme.Analyzer{an})
-	}
-	// WorkerPool caches the clones on the analyzer, so repeated parallel
-	// evaluations over one analyzer reuse them instead of re-cloning
-	// (2 KiB of scratch per clone) every call.
-	return s.EvaluateWith(ctx, an.WorkerPool(workers))
-}
-
-// EvaluateWith is the pooling-friendly core of EvaluateContext: the caller
-// supplies the per-worker analyzers (all observing the same nest, space
-// and cache), one goroutine per analyzer. Search evaluators that Rebind
-// and reuse a fixed analyzer pool across candidates skip the per-call
-// Clone allocation churn entirely. Cancellation, panic recovery and the
-// complete-result guarantee match EvaluateContext.
+// It honours ctx cancellation between points and converts a panic in any
+// worker into an error instead of crashing the process. Every worker
+// drains before it returns, and the first failure is reported; on error
+// the returned counts are partial and must be discarded. A run that
+// classified every point before ctx expired returns its complete result
+// with a nil error.
 //
 // A fault-injection plan threaded through ctx (faultinject.With) is
 // consulted once at entry, before any worker starts: the eval.stall and

@@ -80,6 +80,16 @@ func transposeAnalyzer(t *testing.T, n int64, tile []int64) *cme.Analyzer {
 	return an
 }
 
+// analyzers returns an plus n-1 clones of it: one analyzer per
+// EvaluateWith worker.
+func analyzers(an *cme.Analyzer, n int) []*cme.Analyzer {
+	ans := []*cme.Analyzer{an}
+	for len(ans) < n {
+		ans = append(ans, an.Clone())
+	}
+	return ans
+}
+
 // TestEstimateWithinInterval: the sampled estimate brackets the exact
 // exhaustive ratio for a kernel small enough to enumerate.
 func TestEstimateWithinInterval(t *testing.T) {
@@ -132,10 +142,6 @@ func TestFixedSampleDeterministic(t *testing.T) {
 	if (exactT.Replacement < exactU.Replacement) != (sampT.Replacement < sampU.Replacement) {
 		t.Fatalf("sampled ranking disagrees with exact: sampled %d vs %d, exact %d vs %d",
 			sampT.Replacement, sampU.Replacement, exactT.Replacement, exactU.Replacement)
-	}
-	est := s.EvaluateEstimate(anT, 0.9)
-	if est.Points != 300 {
-		t.Fatalf("EvaluateEstimate points = %d", est.Points)
 	}
 }
 
@@ -201,25 +207,5 @@ func TestCompareSampleSizes(t *testing.T) {
 	}
 	if large.Half >= small.Half {
 		t.Fatal("larger sample should have tighter interval")
-	}
-}
-
-// TestEvaluateParallelMatchesSerial: parallel evaluation returns identical
-// counts (bit-for-bit determinism of searches is preserved).
-func TestEvaluateParallelMatchesSerial(t *testing.T) {
-	n := int64(128)
-	box := iterspace.NewBox([]int64{1, 1}, []int64{n, n})
-	s := Draw(box, 500, rand.New(rand.NewPCG(21, 22)))
-	an := transposeAnalyzer(t, n, []int64{16, 8})
-	serial := s.Evaluate(an)
-	for _, workers := range []int{2, 3, 8, 1000} {
-		got := s.EvaluateParallel(an, workers)
-		if got != serial {
-			t.Fatalf("workers=%d: %+v != serial %+v", workers, got, serial)
-		}
-	}
-	// Degenerate worker counts fall back to serial.
-	if got := s.EvaluateParallel(an, 1); got != serial {
-		t.Fatal("workers=1 mismatch")
 	}
 }
