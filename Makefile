@@ -1,13 +1,13 @@
 # Development targets. `make verify` is the tier-1 gate every change must
-# keep green: vet, full build, and the test suite under the race detector
-# (the search runtime fans evaluation out across goroutines, so races are
-# first-class failures here).
+# keep green: vet, full build, the golden work digests, and the test suite
+# under the race detector (the search runtime fans evaluation out across
+# goroutines, so races are first-class failures here).
 
 GO ?= go
 
-.PHONY: verify build test vet fmt race fuzz bench-json bench-regress depcheck chaos lint serve-smoke islands crash-chaos perfbench
+.PHONY: verify build test vet fmt race golden fuzz bench-json depcheck chaos lint serve-smoke islands crash-chaos perfbench
 
-verify: fmt vet build perfbench depcheck lint bench-regress race chaos islands crash-chaos
+verify: fmt vet build perfbench depcheck lint golden race chaos islands crash-chaos
 
 # Formatting gate: fails when gofmt would rewrite any tracked Go file.
 # Listing tracked files keeps the benchmark's build directory
@@ -75,6 +75,14 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Work gate: the golden digests pin each search's results, checkpoint
+# bytes and hashed event stream (evaluations, sampled points, walk steps,
+# classified accesses), so a change that alters the work a search does
+# fails here deterministically, on any host. The golden tests skip under
+# the race detector, which is why they run here without it.
+golden:
+	$(GO) test -run Golden . ./internal/ga
+
 # Fault-tolerance suite: full searches under scripted fault plans
 # (evaluation panics/stalls, checkpoint-write failures, sink I/O errors)
 # plus checkpoint corruption and recovery, run normally and under the
@@ -102,16 +110,12 @@ islands:
 	$(GO) test -race -run 'Island' . ./internal/ga ./internal/core
 
 # Point-solver, evaluation and search microbenchmarks, recorded as a
-# JSON trajectory file so perf changes are tracked PR over PR.
-BENCH_OUT ?= BENCH_pr10.json
+# JSON file. The default output lies in the ignored build directory, so a
+# run never overwrites a checked-in BENCH_pr*.json record.
+BENCH_OUT ?= .bench_build/bench.json
 bench-json:
+	@mkdir -p $(dir $(BENCH_OUT))
 	$(GO) test -run '^$$' -bench 'Classify$$|EvaluateParallel|IslandSearch|EvalCacheSearch|FidelitySearch' -benchmem . | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
-
-# Benchmark regression gate: diff the two newest BENCH_pr*.json files and
-# fail on a >20% ns/op slowdown in the core micro-benchmarks. Skips with a
-# note when fewer than two trajectory files exist.
-bench-regress:
-	./scripts/bench_compare.sh
 
 # Short fuzz sweeps over the structured-input entry points.
 fuzz:

@@ -1,18 +1,11 @@
-// Command benchjson converts `go test -bench` output into a JSON
-// trajectory file, so benchmark results (including custom ReportMetric
-// values) can be checked in and compared across PRs.
+// Command benchjson converts `go test -bench` output into a JSON file,
+// keeping custom ReportMetric values alongside ns/op, B/op and allocs/op.
 //
 // It reads the benchmark output on stdin. With -out the input is echoed to
 // stdout unchanged (so the run stays visible in the terminal) and the JSON
 // is written to the file; without -out the JSON goes to stdout.
 //
 //	go test -run '^$' -bench 'Classify' -benchmem . | benchjson -out BENCH.json
-//
-// With -compare OLD.json NEW.json it instead diffs two previously emitted
-// reports: every benchmark present in both files whose name matches -match
-// has its ns/op checked, and the command exits non-zero when NEW is more
-// than -threshold percent slower than OLD. This is the `make bench-regress`
-// gate that keeps checked-in trajectory files honest across PRs.
 package main
 
 import (
@@ -21,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -80,90 +72,11 @@ func parseLine(line string) (Benchmark, bool) {
 	return b, true
 }
 
-// loadReport reads one emitted Report back from disk.
-func loadReport(path string) (Report, error) {
-	var rep Report
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, fmt.Errorf("%s: %v", path, err)
-	}
-	return rep, nil
-}
-
-// compare diffs the ns/op of benchmarks matching re between two reports and
-// returns the names that regressed beyond threshold percent. Benchmarks
-// missing from either side are skipped: the gate only judges trajectories
-// both files measured.
-func compare(oldRep, newRep Report, re *regexp.Regexp, threshold float64) (regressed []string) {
-	old := make(map[string]float64, len(oldRep.Benchmarks))
-	for _, b := range oldRep.Benchmarks {
-		if v, ok := b.Metrics["ns/op"]; ok {
-			old[b.Name] = v
-		}
-	}
-	for _, b := range newRep.Benchmarks {
-		if !re.MatchString(b.Name) {
-			continue
-		}
-		newNs, ok := b.Metrics["ns/op"]
-		if !ok {
-			continue
-		}
-		oldNs, ok := old[b.Name]
-		if !ok || oldNs <= 0 {
-			continue
-		}
-		delta := 100 * (newNs - oldNs) / oldNs
-		verdict := "ok"
-		if delta > threshold {
-			verdict = "REGRESSION"
-			regressed = append(regressed, b.Name)
-		}
-		fmt.Printf("%-50s %14.0f -> %14.0f ns/op  %+7.1f%%  %s\n",
-			b.Name, oldNs, newNs, delta, verdict)
-	}
-	return regressed
-}
-
 func main() {
 	out := flag.String("out", "", "write JSON to this file and echo stdin to stdout; empty = JSON to stdout")
-	comp := flag.Bool("compare", false, "compare two report files (OLD NEW args) instead of parsing stdin")
-	match := flag.String("match", ".", "regexp of benchmark names to judge in -compare mode")
-	threshold := flag.Float64("threshold", 20, "percent ns/op slowdown tolerated in -compare mode")
 	version := cliutil.VersionFlag()
 	flag.Parse()
 	cliutil.HandleVersion("benchjson", version)
-
-	if *comp {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two report files: OLD NEW")
-			os.Exit(2)
-		}
-		re, err := regexp.Compile(*match)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: bad -match:", err)
-			os.Exit(2)
-		}
-		oldRep, err := loadReport(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
-		}
-		newRep, err := loadReport(flag.Arg(1))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
-		}
-		if regressed := compare(oldRep, newRep, re, *threshold); len(regressed) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed beyond %.0f%%: %s\n",
-				len(regressed), *threshold, strings.Join(regressed, ", "))
-			os.Exit(1)
-		}
-		return
-	}
 
 	rep := Report{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
