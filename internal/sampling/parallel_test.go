@@ -9,35 +9,40 @@ import (
 	"repro/internal/iterspace"
 )
 
-// TestEvaluateWorkerCountsMatchSerial: on three samples and tilings, at
-// every analyzer count 1..8, 64 and 1000 (more analyzers than points),
-// EvaluateWith returns Stats exactly equal (all six fields) to serial
-// Evaluate — the analyzer count must never perturb a search result.
-func TestEvaluateWorkerCountsMatchSerial(t *testing.T) {
-	for _, c := range []struct {
-		n      int64
-		tile   []int64
-		points int
-		seed   [2]uint64
-	}{
-		{48, []int64{6, 10}, 257, [2]uint64{11, 13}},
-		{64, []int64{8, 8}, 300, [2]uint64{7, 9}},
-		{128, []int64{16, 8}, 500, [2]uint64{21, 22}},
-	} {
-		an := transposeAnalyzer(t, c.n, c.tile)
-		box := iterspace.NewBox([]int64{1, 1}, []int64{c.n, c.n})
-		s := Draw(box, c.points, rand.New(rand.NewPCG(c.seed[0], c.seed[1])))
-		want := s.Evaluate(an)
-		for _, workers := range []int{1, 2, 3, 4, 5, 6, 7, 8, 64, 1000} {
-			got, err := s.EvaluateWith(context.Background(), analyzers(an, workers))
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", c.n, workers, err)
-			}
-			if got != want {
-				t.Fatalf("n=%d workers=%d: %+v != serial %+v", c.n, workers, got, want)
-			}
+// checkWorkerCountsMatchSerial: on an n×n transpose with the given tile
+// and a sample drawn from seed, at every analyzer count 1..8, 64 and 1000
+// (more analyzers than points), EvaluateWith returns Stats exactly equal
+// (all six fields) to serial Evaluate — the analyzer count must never
+// perturb a search result.
+func checkWorkerCountsMatchSerial(t *testing.T, n int64, tile []int64, points int, seed [2]uint64) {
+	t.Helper()
+	an := transposeAnalyzer(t, n, tile)
+	box := iterspace.NewBox([]int64{1, 1}, []int64{n, n})
+	s := Draw(box, points, rand.New(rand.NewPCG(seed[0], seed[1])))
+	want := s.Evaluate(an)
+	for _, workers := range []int{1, 2, 3, 4, 5, 6, 7, 8, 64, 1000} {
+		got, err := s.EvaluateWith(context.Background(), analyzers(an, workers))
+		if err != nil {
+			t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+		}
+		if got != want {
+			t.Fatalf("n=%d workers=%d: %+v != serial %+v", n, workers, got, want)
 		}
 	}
+}
+
+// The three samples of checkWorkerCountsMatchSerial: 257 points on a 48×48
+// transpose, 300 on 64×64 and 500 on 128×128.
+func TestEvaluateWorkerCountsMatchSerial(t *testing.T) {
+	checkWorkerCountsMatchSerial(t, 48, []int64{6, 10}, 257, [2]uint64{11, 13})
+}
+
+func TestEvaluateContextMatchesSerial(t *testing.T) {
+	checkWorkerCountsMatchSerial(t, 64, []int64{8, 8}, 300, [2]uint64{7, 9})
+}
+
+func TestEvaluateParallelMatchesSerial(t *testing.T) {
+	checkWorkerCountsMatchSerial(t, 128, []int64{16, 8}, 500, [2]uint64{21, 22})
 }
 
 // TestEvaluateWithPooledAnalyzers: EvaluateWith over a caller-supplied
