@@ -110,12 +110,14 @@ islands:
 	$(GO) test -race -run 'Island' . ./internal/ga ./internal/core
 
 # Point-solver, evaluation and search microbenchmarks, recorded as a
-# JSON file. The default output lies in the ignored build directory, so a
-# run never overwrites a checked-in BENCH_pr*.json record.
+# JSON file: classification over a tiled space, Next/Prev at the identity
+# and at a permuted tile-loop order, sample evaluation and whole searches.
+# The default output lies in the ignored build directory, so a run never
+# overwrites a checked-in BENCH_pr*.json record.
 BENCH_OUT ?= .bench_build/bench.json
 bench-json:
 	@mkdir -p $(dir $(BENCH_OUT))
-	$(GO) test -run '^$$' -bench 'Classify$$|EvaluateParallel|IslandSearch|EvalCacheSearch|FidelitySearch' -benchmem . | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench 'Classify$$|PointSolverTiled$$|IterspaceTraversal|EvaluateParallel|IslandSearch|EvalCacheSearch|FidelitySearch' -benchmem . | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
 # Short fuzz sweeps over the structured-input entry points.
 fuzz:

@@ -191,6 +191,9 @@ func (o Options) Validate() error {
 		if pop < 2*o.Islands {
 			return badOption("Islands", "population %d cannot fill %d islands with at least 2 individuals each", pop, o.Islands)
 		}
+		if o.MaxEvaluations > 0 && o.MaxEvaluations < o.Islands {
+			return badOption("MaxEvaluations", "budget %d is below the island count %d (every island evaluates at least one individual)", o.MaxEvaluations, o.Islands)
+		}
 	}
 	if o.FailurePolicy != FailAbort && o.FailurePolicy != FailQuarantine {
 		return badOption("FailurePolicy", "unknown policy %d", int(o.FailurePolicy))
@@ -699,28 +702,24 @@ func (e *evaluator) statsKey(nest *ir.Nest, space iterspace.Space) string {
 }
 
 // spaceKey canonically encodes the iteration-space shapes the searches
-// evaluate. Unknown implementations are not cacheable.
+// evaluate: a tiled space by its tile vector and tile-loop order, since
+// two orders of one tile traverse differently. Unknown implementations
+// are not cacheable.
 func spaceKey(space iterspace.Space) (string, bool) {
 	switch s := space.(type) {
 	case *iterspace.Box:
 		return "box", true
 	case *iterspace.Tiled:
-		return "tiled|" + intsKey(s.Tile), true
-	case *iterspace.PermutedTiled:
-		order := make([]int64, len(s.Order))
-		for i, d := range s.Order {
-			order[i] = int64(d)
-		}
-		return "ptiled|" + intsKey(s.Tile) + "|" + intsKey(order), true
+		return "tiled|" + intsKey(s.Tile) + "|" + intsKey(s.Order()), true
 	default:
 		return "", false
 	}
 }
 
-func intsKey(vs []int64) string {
+func intsKey[T int | int64](vs []T) string {
 	b := make([]byte, 0, 16*len(vs))
 	for _, v := range vs {
-		b = strconv.AppendInt(b, v, 10)
+		b = strconv.AppendInt(b, int64(v), 10)
 		b = append(b, ',')
 	}
 	return string(b)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/evalcache"
+	"repro/internal/iterspace"
 )
 
 // sharedOpt is islandOpt plus a shared evaluation cache.
@@ -138,5 +139,35 @@ func TestSharedCacheIslandValidate(t *testing.T) {
 	opt.GA.SharedMemo = &sharedMemo{c: opt.SharedCache, scope: "x"}
 	if err := opt.Validate(); err == nil {
 		t.Fatal("Validate accepted SharedCache + GA.SharedMemo")
+	}
+}
+
+// TestSpaceKeyEncodesTileAndOrder pins the shared stats tier's key for
+// tiled spaces: the identity order keys alike however the space was
+// built, and a change of order or of one tile size keys apart, so one
+// loop order's miss counts are never served for another.
+func TestSpaceKeyEncodesTileAndOrder(t *testing.T) {
+	box := iterspace.NewBox([]int64{1, 1, 1}, []int64{40, 40, 40})
+	tile := []int64{8, 4, 40}
+	key := func(s iterspace.Space) string {
+		t.Helper()
+		k, ok := spaceKey(s)
+		if !ok {
+			t.Fatalf("%T has no space key", s)
+		}
+		return k
+	}
+	base := key(iterspace.NewTiled(box, tile))
+	if got := key(iterspace.NewPermutedTiled(box, tile, []int{0, 1, 2})); got != base {
+		t.Fatalf("identity order keys %q, NewTiled keys %q", got, base)
+	}
+	for name, s := range map[string]iterspace.Space{
+		"order": iterspace.NewPermutedTiled(box, tile, []int{1, 0, 2}),
+		"tile":  iterspace.NewTiled(box, []int64{8, 5, 40}),
+		"box":   box,
+	} {
+		if got := key(s); got == base {
+			t.Errorf("%s change kept the key %q", name, got)
+		}
 	}
 }

@@ -27,6 +27,7 @@ func TestValidateBadOptions(t *testing.T) {
 		{"negative workers", Options{Cache: cache.DM8K, Workers: -2}},
 		{"negative deadline", Options{Cache: cache.DM8K, Deadline: -time.Second}},
 		{"negative budget", Options{Cache: cache.DM8K, MaxEvaluations: -1}},
+		{"budget below island count", Options{Cache: cache.DM8K, Islands: 4, MaxEvaluations: 3}},
 		// Without PopSize, withDefaults would replace the block with the
 		// paper's configuration and silently drop every field set here.
 		{"partial GA block", Options{Cache: cache.DM8K, GA: ga.Config{MinGens: 1, MaxGens: 3, Crossover: ga.Uniform, Islands: 2}}},

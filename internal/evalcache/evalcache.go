@@ -22,9 +22,8 @@
 // (quarantine sentinels, poisoned +Inf results); the cache itself only
 // stores and recalls.
 //
-// Eviction is per-shard LRU with a hard total bound; one insert performs
-// at most evictBatch removals under the shard mutex, so no caller stalls
-// behind an O(cache) sweep.
+// Eviction is per-shard LRU with a fixed bound, so one insert evicts at
+// most one entry under the shard mutex.
 package evalcache
 
 import (
@@ -43,28 +42,22 @@ type Config struct {
 	// MaxEntries bounds the total fitness + stats entry count across all
 	// shards; 0 means DefaultMaxEntries.
 	MaxEntries int
-	// Shards is the shard count (rounded up to a power of two); 0 means
-	// DefaultShards. More shards reduce mutex contention between
-	// concurrent searches.
-	Shards int
 	// Observer receives evalcache_hit/miss/evict events and counter
 	// deltas; nil disables telemetry at zero cost.
 	Observer telemetry.Recorder
 }
 
-// Defaults for Config zero values.
 const (
+	// DefaultMaxEntries is the bound a zero Config.MaxEntries means.
 	DefaultMaxEntries = 1 << 15
-	DefaultShards     = 16
+	// numShards is the fixed shard count, a power of two: enough to keep
+	// concurrent searches off each other's mutex.
+	numShards = 16
 	// maxPools bounds how many (nest, geometry) keys retain a parked
 	// analyzer pool. Pools are heavyweight (per-worker solver state), so
 	// the bound is small: enough for a service's hot kernels.
 	maxPools = 8
 )
-
-// evictBatch bounds evictions per insert under the shard mutex (same
-// rationale as the server's response cache).
-const evictBatch = 8
 
 type entry struct {
 	key string
@@ -83,7 +76,6 @@ type shard struct {
 // is what Options.SharedCache left unset means.
 type Cache struct {
 	shards []*shard
-	mask   uint64
 	seed   maphash.Seed
 	obs    telemetry.Recorder
 
@@ -107,21 +99,9 @@ func New(cfg Config) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	shards := 1
-	for shards < n {
-		shards <<= 1
-	}
-	perShard := (maxEntries + shards - 1) / shards
-	if perShard < 1 {
-		perShard = 1
-	}
+	perShard := (maxEntries + numShards - 1) / numShards
 	c := &Cache{
-		shards:    make([]*shard, shards),
-		mask:      uint64(shards - 1),
+		shards:    make([]*shard, numShards),
 		seed:      maphash.MakeSeed(),
 		obs:       cfg.Observer,
 		pools:     make(map[string]*list.Element),
@@ -134,7 +114,7 @@ func New(cfg Config) *Cache {
 }
 
 func (c *Cache) shardOf(key string) *shard {
-	return c.shards[maphash.String(c.seed, key)&c.mask]
+	return c.shards[maphash.String(c.seed, key)&(numShards-1)]
 }
 
 // get looks key up in its shard and refreshes recency on a hit.
@@ -164,9 +144,9 @@ func (c *Cache) get(key, tier string) (any, bool) {
 	return nil, false
 }
 
-// put stores val under key; an existing key is updated in place. At most
-// evictBatch least-recently-used entries are dropped while the shard is
-// over its bound.
+// put stores val under key; an existing key is updated in place. A new
+// key that puts the shard over its bound evicts the least-recently-used
+// entry.
 func (c *Cache) put(key string, val any) {
 	s := c.shardOf(key)
 	s.mu.Lock()
@@ -177,19 +157,18 @@ func (c *Cache) put(key string, val any) {
 		return
 	}
 	s.items[key] = s.order.PushFront(&entry{key: key, val: val})
-	evicted := 0
-	for evicted < evictBatch && s.order.Len() > s.max {
+	evicted := s.order.Len() > s.max
+	if evicted {
 		oldest := s.order.Back()
 		s.order.Remove(oldest)
 		delete(s.items, oldest.Value.(*entry).key)
-		evicted++
 	}
 	s.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(uint64(evicted))
+	if evicted {
+		c.evictions.Add(1)
 		if c.obs != nil {
-			c.obs.Event(telemetry.EvalCacheEvict{Evicted: evicted})
-			c.obs.Add(telemetry.Counters{EvalCacheEvictions: uint64(evicted)})
+			c.obs.Event(telemetry.EvalCacheEvict{Evicted: 1})
+			c.obs.Add(telemetry.Counters{EvalCacheEvictions: 1})
 		}
 	}
 }

@@ -54,7 +54,7 @@ func TestFitnessRoundTrip(t *testing.T) {
 
 func TestEvictionBound(t *testing.T) {
 	const max = 128
-	c := New(Config{MaxEntries: max, Shards: 4})
+	c := New(Config{MaxEntries: max})
 	for i := 0; i < 10*max; i++ {
 		c.PutFitness(fmt.Sprintf("key-%d", i), float64(i))
 	}
@@ -191,7 +191,7 @@ func TestPoolBound(t *testing.T) {
 }
 
 func TestConcurrentUse(t *testing.T) {
-	c := New(Config{MaxEntries: 256, Shards: 8})
+	c := New(Config{MaxEntries: 256})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -93,7 +93,7 @@ func (t *Tiled) RegionOf(p []int64) int {
 		tile := t.Tile[d]
 		rem := extent % tile
 		full := extent / tile
-		inRemainder := rem != 0 && p[d] == t.Box.Lo[d]+full*tile
+		inRemainder := rem != 0 && p[t.inv[d]] == t.Box.Lo[d]+full*tile
 		// Region enumeration order: full branch before remainder branch
 		// per dimension, so the index is a mixed-radix number over ragged
 		// dimensions.

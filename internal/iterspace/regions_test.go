@@ -73,31 +73,37 @@ func TestRegionPointsSumToTotal(t *testing.T) {
 }
 
 // TestRegionOfPartitions checks that RegionOf assigns every point to
-// exactly one region and that per-region point counts match.
+// exactly one region and that per-region point counts match, at the
+// identity tile-loop order and with the tile loops interchanged.
 func TestRegionOfPartitions(t *testing.T) {
-	s := NewTiled(NewBox([]int64{1, 1}, []int64{7, 5}), []int64{3, 2})
-	regs := s.Regions()
-	counts := make([]uint64, len(regs))
-	for _, p := range enumerate(s) {
-		idx := s.RegionOf(p)
-		if idx < 0 || idx >= len(regs) {
-			t.Fatalf("RegionOf(%v) = %d", p, idx)
-		}
-		counts[idx]++
-		// The point's tile coordinates must be within the region bounds.
-		for d := 0; d < 2; d++ {
-			if p[d] < regs[idx].TileLo[d] || p[d] > regs[idx].TileHi[d] {
-				t.Fatalf("point %v assigned region %d with tile bounds [%d,%d] in dim %d",
-					p, idx, regs[idx].TileLo[d], regs[idx].TileHi[d], d)
+	box := NewBox([]int64{1, 1}, []int64{7, 5})
+	for _, s := range []*Tiled{
+		NewTiled(box, []int64{3, 2}),
+		NewPermutedTiled(box, []int64{3, 2}, []int{1, 0}),
+	} {
+		regs := s.Regions()
+		counts := make([]uint64, len(regs))
+		for _, p := range enumerate(s) {
+			idx := s.RegionOf(p)
+			if idx < 0 || idx >= len(regs) {
+				t.Fatalf("order %v: RegionOf(%v) = %d", s.Order(), p, idx)
+			}
+			counts[idx]++
+			// The point's tile coordinates must be within the region bounds.
+			for pos, d := range s.Order() {
+				if p[pos] < regs[idx].TileLo[d] || p[pos] > regs[idx].TileHi[d] {
+					t.Fatalf("order %v: point %v assigned region %d with tile bounds [%d,%d] in dim %d",
+						s.Order(), p, idx, regs[idx].TileLo[d], regs[idx].TileHi[d], d)
+				}
 			}
 		}
-	}
-	for i, reg := range regs {
-		if counts[i] != reg.Points {
-			t.Fatalf("region %d observed %d points, declared %d", i, counts[i], reg.Points)
+		for i, reg := range regs {
+			if counts[i] != reg.Points {
+				t.Fatalf("order %v: region %d observed %d points, declared %d", s.Order(), i, counts[i], reg.Points)
+			}
 		}
-	}
-	if s.RegionOf([]int64{2, 1, 2, 1}) != -1 {
-		t.Fatal("invalid point assigned a region")
+		if s.RegionOf([]int64{2, 1, 2, 1}) != -1 {
+			t.Fatalf("order %v: invalid point assigned a region", s.Order())
+		}
 	}
 }

@@ -4,8 +4,9 @@
 // a tiled space into the 2ⁿ convex regions described in §2.4 of the paper.
 //
 // A point is a []int64 of coordinates in loop order, outermost first. For a
-// tiled space over k original loops the coordinates are
-// (ii_1..ii_k, i_1..i_k): the k tile loops followed by the k element loops.
+// tiled space over k original loops the coordinates are the k tile loops,
+// in the space's tile-loop order, followed by the k element loops
+// (i_1..i_k).
 // Tiling permutes execution order but preserves the set of original points,
 // which is what makes uniform sampling over tiled spaces cheap.
 package iterspace

@@ -240,3 +240,174 @@ func TestTiledPermutationProperty(t *testing.T) {
 		}
 	}
 }
+
+func identityOrder(k int) []int {
+	o := make([]int, k)
+	for i := range o {
+		o[i] = i
+	}
+	return o
+}
+
+// TestPermutedIdentityMatchesTiled: NewTiled is NewPermutedTiled at the
+// identity order, and the two traverse alike.
+func TestPermutedIdentityMatchesTiled(t *testing.T) {
+	box := NewBox([]int64{1, 1}, []int64{7, 5})
+	tile := []int64{3, 2}
+	s := NewTiled(box, tile)
+	if got := s.Order(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("NewTiled order = %v, want the identity", got)
+	}
+	a := enumerate(s)
+	b := enumerate(NewPermutedTiled(box, tile, identityOrder(2)))
+	if len(a) != len(b) {
+		t.Fatalf("lengths %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if Compare(a[i], b[i]) != 0 {
+			t.Fatalf("point %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestPermutedOrderChangesTraversal: swapping the tile loops visits tiles
+// column-of-tiles first.
+func TestPermutedOrderChangesTraversal(t *testing.T) {
+	box := NewBox([]int64{1, 1}, []int64{4, 4})
+	tile := []int64{2, 2}
+	s := NewPermutedTiled(box, tile, []int{1, 0}) // jj outermost
+	pts := enumerate(s)
+	if len(pts) != 16 {
+		t.Fatalf("points = %d", len(pts))
+	}
+	// First tile is (ii=1, jj=1); the SECOND tile must advance ii (the
+	// inner tile loop), i.e. original dim 0, keeping jj fixed.
+	// Coordinates: p[0]=jj, p[1]=ii, p[2]=i, p[3]=j.
+	second := pts[4]
+	if second[0] != 1 || second[1] != 3 {
+		t.Fatalf("second tile at jj=%d ii=%d, want jj=1 ii=3", second[0], second[1])
+	}
+	orig := make([]int64, 2)
+	s.ToOriginal(second, orig)
+	if orig[0] != 3 || orig[1] != 1 {
+		t.Fatalf("second tile original start %v, want (3,1)", orig)
+	}
+}
+
+func permutedCases() []*Tiled {
+	return []*Tiled{
+		NewPermutedTiled(NewBox([]int64{1}, []int64{7}), []int64{3}, []int{0}),
+		NewPermutedTiled(NewBox([]int64{1, 1}, []int64{4, 4}), []int64{2, 3}, []int{1, 0}),
+		NewPermutedTiled(NewBox([]int64{0, 2, 1}, []int64{4, 7, 3}), []int64{2, 3, 3}, []int{2, 0, 1}),
+		NewPermutedTiled(NewBox([]int64{1, 1, 1}, []int64{5, 6, 4}), []int64{5, 1, 2}, []int{1, 2, 0}),
+	}
+}
+
+func TestPermutedPrevInvertsNext(t *testing.T) {
+	for ci, s := range permutedCases() {
+		seq := enumerate(s)
+		if uint64(len(seq)) != s.Count() {
+			t.Fatalf("case %d: %d points, Count %d", ci, len(seq), s.Count())
+		}
+		p := append([]int64(nil), seq[len(seq)-1]...)
+		for i := len(seq) - 2; i >= 0; i-- {
+			if !s.Prev(p) {
+				t.Fatalf("case %d: Prev ended early at %d", ci, i)
+			}
+			if Compare(p, seq[i]) != 0 {
+				t.Fatalf("case %d: Prev mismatch at %d: %v vs %v", ci, i, p, seq[i])
+			}
+		}
+		if s.Prev(p) {
+			t.Fatalf("case %d: Prev past first", ci)
+		}
+	}
+}
+
+func TestPermutedPermutationProperty(t *testing.T) {
+	r := rand.New(rand.NewPCG(61, 67))
+	for iter := 0; iter < 60; iter++ {
+		k := 1 + int(r.Int64N(3))
+		lo := make([]int64, k)
+		hi := make([]int64, k)
+		tile := make([]int64, k)
+		for d := 0; d < k; d++ {
+			lo[d] = r.Int64N(3)
+			hi[d] = lo[d] + r.Int64N(6)
+			tile[d] = 1 + r.Int64N(hi[d]-lo[d]+1)
+		}
+		order := r.Perm(k)
+		box := NewBox(lo, hi)
+		s := NewPermutedTiled(box, tile, order)
+		pts := enumerate(s)
+		if uint64(len(pts)) != box.Count() {
+			t.Fatalf("iter %d: %d points, want %d", iter, len(pts), box.Count())
+		}
+		seen := map[[3]int64]bool{}
+		orig := make([]int64, k)
+		lifted := make([]int64, 2*k)
+		for _, p := range pts {
+			if !s.Contains(p) {
+				t.Fatalf("iter %d: enumerated %v not contained", iter, p)
+			}
+			s.ToOriginal(p, orig)
+			var key [3]int64
+			copy(key[:], orig)
+			if seen[key] {
+				t.Fatalf("iter %d: original %v repeated", iter, orig)
+			}
+			seen[key] = true
+			s.FromOriginal(orig, lifted)
+			if Compare(lifted, p) != 0 {
+				t.Fatalf("iter %d: FromOriginal(%v)=%v want %v", iter, orig, lifted, p)
+			}
+		}
+	}
+}
+
+func TestPermutedSampleAndMinPinned(t *testing.T) {
+	box := NewBox([]int64{1, 1}, []int64{6, 6})
+	s := NewPermutedTiled(box, []int64{2, 3}, []int{1, 0})
+	r := rand.New(rand.NewPCG(71, 73))
+	p := make([]int64, 4)
+	for i := 0; i < 2000; i++ {
+		s.Sample(r, p)
+		if !s.Contains(p) {
+			t.Fatalf("sampled %v not contained", p)
+		}
+	}
+	// MinWithPinned agrees with brute-force first match.
+	if !s.MinWithPinned([]int64{Free, 5}, p) {
+		t.Fatal("MinWithPinned failed")
+	}
+	for _, q := range enumerate(s) {
+		if q[3] == 5 {
+			if Compare(p, q) != 0 {
+				t.Fatalf("MinWithPinned %v != first match %v", p, q)
+			}
+			break
+		}
+	}
+	if s.MinWithPinned([]int64{9, Free}, p) {
+		t.Fatal("out-of-range pin accepted")
+	}
+}
+
+func TestNewPermutedTiledPanics(t *testing.T) {
+	box := NewBox([]int64{1, 1}, []int64{4, 4})
+	for name, f := range map[string]func(){
+		"rank":      func() { NewPermutedTiled(box, []int64{2}, []int{0, 1}) },
+		"not perm":  func() { NewPermutedTiled(box, []int64{2, 2}, []int{0, 0}) },
+		"oob order": func() { NewPermutedTiled(box, []int64{2, 2}, []int{0, 2}) },
+		"bad tile":  func() { NewPermutedTiled(box, []int64{0, 2}, []int{0, 1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

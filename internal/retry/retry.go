@@ -8,13 +8,12 @@ package retry
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"time"
 )
 
 // Policy bounds a retried operation. The zero value is usable: it means
 // DefaultAttempts tries with DefaultBase backoff doubling up to
-// DefaultMax, no jitter, sleeping on the real clock.
+// DefaultMax, sleeping on the real clock.
 type Policy struct {
 	// Attempts is the total number of tries, including the first
 	// (0 = DefaultAttempts). 1 disables retries.
@@ -24,15 +23,6 @@ type Policy struct {
 	Base time.Duration
 	// Max caps the per-retry delay (0 = DefaultMax).
 	Max time.Duration
-	// Jitter in (0, 1] spreads each backoff delay downward by up to that
-	// fraction: the slept delay is d·(1 − Jitter·u) for a uniform
-	// u ∈ [0, 1), so concurrent retriers failing together do not all come
-	// back in lockstep. 0 disables jitter (the historical behaviour); out
-	// of range is clamped into [0, 1].
-	Jitter float64
-	// Rand supplies the uniform [0, 1) draws behind Jitter. Nil means the
-	// shared math/rand/v2 source; tests inject a deterministic sequence.
-	Rand func() float64
 	// Sleep waits out one backoff delay. Nil means a context-aware
 	// real-clock sleep that aborts promptly — and returns the context's
 	// error — the moment the context is cancelled mid-sleep; tests inject
@@ -60,27 +50,10 @@ func (p Policy) withDefaults() Policy {
 	if p.Max <= 0 {
 		p.Max = DefaultMax
 	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
-	}
-	if p.Jitter > 1 {
-		p.Jitter = 1
-	}
-	if p.Rand == nil {
-		p.Rand = rand.Float64
-	}
 	if p.Sleep == nil {
 		p.Sleep = sleep
 	}
 	return p
-}
-
-// jittered returns the delay actually slept for a nominal backoff d.
-func (p Policy) jittered(d time.Duration) time.Duration {
-	if p.Jitter <= 0 {
-		return d
-	}
-	return d - time.Duration(p.Jitter*p.Rand()*float64(d))
 }
 
 // sleep is the default context-aware clock.
@@ -121,7 +94,7 @@ func (p Policy) Do(ctx context.Context, fn func() error) error {
 			}
 			return err
 		}
-		if serr := p.Sleep(ctx, p.jittered(delay)); serr != nil {
+		if serr := p.Sleep(ctx, delay); serr != nil {
 			// The context expired mid-backoff; the operation's own error
 			// is the interesting one.
 			return fmt.Errorf("retry: %d attempts (backoff interrupted): %w", attempt, err)

@@ -116,70 +116,6 @@ func TestContextCancelDuringBackoff(t *testing.T) {
 	}
 }
 
-func TestJitterSpreadsBackoff(t *testing.T) {
-	var slept []time.Duration
-	draws := []float64{0, 0.5, 1 - 1e-12}
-	i := 0
-	p := Policy{
-		Attempts: 4, Base: 8 * time.Millisecond, Max: 100 * time.Millisecond,
-		Jitter: 0.5,
-		Rand:   func() float64 { d := draws[i]; i++; return d },
-		Sleep:  fakeSleep(&slept),
-	}
-	fail := errors.New("always")
-	if err := p.Do(context.Background(), func() error { return fail }); !errors.Is(err, fail) {
-		t.Fatalf("err = %v", err)
-	}
-	// Nominal backoff 8ms, 16ms, 32ms; jitter 0.5 with draws 0, 0.5, ~1
-	// sleeps d, 0.75d, ~0.5d.
-	if len(slept) != 3 {
-		t.Fatalf("slept %v", slept)
-	}
-	if slept[0] != 8*time.Millisecond {
-		t.Fatalf("draw 0 must leave the delay untouched, slept %v", slept[0])
-	}
-	if slept[1] != 12*time.Millisecond {
-		t.Fatalf("draw 0.5 with jitter 0.5 must sleep 0.75·16ms, slept %v", slept[1])
-	}
-	if lo, hi := 16*time.Millisecond, 17*time.Millisecond; slept[2] < lo || slept[2] > hi {
-		t.Fatalf("draw ~1 with jitter 0.5 must sleep ~0.5·32ms, slept %v", slept[2])
-	}
-	// Every jittered delay stays within (0, nominal].
-	for _, d := range slept {
-		if d <= 0 {
-			t.Fatalf("jitter produced a non-positive delay %v", d)
-		}
-	}
-}
-
-func TestJitterClampedAndDefaultRand(t *testing.T) {
-	var slept []time.Duration
-	p := Policy{Attempts: 2, Base: 10 * time.Millisecond, Jitter: 7, Sleep: fakeSleep(&slept)}
-	fail := errors.New("always")
-	if err := p.Do(context.Background(), func() error { return fail }); !errors.Is(err, fail) {
-		t.Fatalf("err = %v", err)
-	}
-	if len(slept) != 1 || slept[0] < 0 || slept[0] > 10*time.Millisecond {
-		t.Fatalf("clamped jitter slept %v, want within [0, 10ms]", slept)
-	}
-}
-
-func TestZeroJitterExactBackoff(t *testing.T) {
-	var slept []time.Duration
-	p := Policy{
-		Attempts: 3, Base: 5 * time.Millisecond, Max: 50 * time.Millisecond,
-		Rand:  func() float64 { t.Fatal("Rand consulted with Jitter 0"); return 0 },
-		Sleep: fakeSleep(&slept),
-	}
-	fail := errors.New("always")
-	if err := p.Do(context.Background(), func() error { return fail }); !errors.Is(err, fail) {
-		t.Fatalf("err = %v", err)
-	}
-	if len(slept) != 2 || slept[0] != 5*time.Millisecond || slept[1] != 10*time.Millisecond {
-		t.Fatalf("backoff sequence = %v", slept)
-	}
-}
-
 // TestCancelMidSleepAbortsPromptly cancels the context in the middle of a
 // real-clock backoff sleep and requires Do to return well before the
 // nominal delay elapses — the property the server's drain path depends on.

@@ -36,26 +36,11 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 	return el.Value.(*cacheEntry).body, true
 }
 
-// evictBatch bounds how many evictions one operation performs under the
-// mutex. A put only ever needs one eviction to stay bounded; after a
-// setMax shrink the backlog is worked off a batch at a time, so no single
-// request stalls behind an O(cache) eviction sweep holding the lock.
-const evictBatch = 8
-
-// evictLocked removes up to limit least-recently-used entries while the
-// cache is over its bound. Callers hold c.mu.
-func (c *resultCache) evictLocked(limit int) {
-	for i := 0; i < limit && c.order.Len() > c.max; i++ {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-// put stores body under key, evicting least-recently-used entries (at most
-// evictBatch per call) when the cache is over its bound. Storing an
-// existing key updates the body and recency in place — it never inserts a
-// duplicate. The caller must not mutate body afterwards.
+// put stores body under key, evicting the least-recently-used entry when
+// the cache is over its bound; the bound never changes, so one eviction
+// per put keeps it. Storing an existing key updates the body and recency
+// in place — it never inserts a duplicate. The caller must not mutate
+// body afterwards.
 func (c *resultCache) put(key string, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -65,20 +50,11 @@ func (c *resultCache) put(key string, body []byte) {
 		return
 	}
 	c.items[key] = c.order.PushFront(&cacheEntry{key: key, body: body})
-	c.evictLocked(evictBatch)
-}
-
-// setMax rebounds the cache (minimum 1). A shrink trims amortized: one
-// batch now, the rest as subsequent puts land, so resizing never holds
-// the mutex for an O(cache) sweep.
-func (c *resultCache) setMax(m int) {
-	if m < 1 {
-		m = 1
+	if c.order.Len() > c.max {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.items, oldest.Value.(*cacheEntry).key)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.max = m
-	c.evictLocked(evictBatch)
 }
 
 // len reports the live entry count.

@@ -218,6 +218,12 @@ func (s *Server) normalize(req TileRequest) (*normRequest, error) {
 		fidelity:   req.Fidelity,
 		nest:       nest,
 	}
+	// The search would refuse these options only after admission, as a
+	// failure counted against the breaker; refuse them here as a bad
+	// request instead.
+	if err := n.options(s).Validate(); err != nil {
+		return nil, err
+	}
 	sum := sha256.Sum256(mustJSON(hashedRequest{
 		Kernel: req.Kernel, Size: req.Size, Source: req.Source,
 		Cache: cfg, Mode: mode, Seed: req.Seed, Points: req.SamplePoints,

@@ -157,6 +157,44 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBudgetBelowIslandsIsBadRequest: a budget below the island count is
+// refused as a 400 before admission. It must not reach the search, fail
+// there with a 500 and count against the breaker, or five of them would
+// open it and degrade the next healthy request to the fallback tile.
+func TestBudgetBelowIslandsIsBadRequest(t *testing.T) {
+	_, ts, _ := testServer(t, Config{})
+	const bad = `{"kernel":"MM","size":40,"cache":"8k","islands":4,"maxEvaluations":3}`
+	for i := 0; i < 5; i++ {
+		st, body, _ := post(t, ts.URL, bad)
+		if st != http.StatusBadRequest {
+			t.Fatalf("request %d: status %d body %s, want 400", i, st, body)
+		}
+	}
+	st, body, _ := post(t, ts.URL, fastRequest)
+	if st != http.StatusOK {
+		t.Fatalf("healthy request: status %d body %s", st, body)
+	}
+	var r TileResponse
+	if err := json.Unmarshal(body, &r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Fallback || r.Stopped == "fallback" {
+		t.Fatalf("healthy request got the fallback tile: %s", body)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h health
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Breaker != "closed" {
+		t.Fatalf("breaker = %q after bad requests, want closed", h.Breaker)
+	}
+}
+
 func TestTimeoutNormalization(t *testing.T) {
 	s, err := New(Config{DefaultTimeout: 7 * time.Second, MaxTimeout: 20 * time.Second})
 	if err != nil {

@@ -59,37 +59,6 @@ func TestCacheEvictionStaysBounded(t *testing.T) {
 	}
 }
 
-// TestCacheSetMaxShrinkAmortized: shrinking the bound trims one batch
-// immediately and works the backlog off on subsequent puts, so no single
-// operation sweeps the whole cache under the mutex.
-func TestCacheSetMaxShrinkAmortized(t *testing.T) {
-	c := newResultCache(32)
-	for i := 0; i < 32; i++ {
-		c.put(fmt.Sprintf("k%d", i), []byte("v"))
-	}
-	c.setMax(2)
-	if got := c.len(); got != 32-evictBatch {
-		t.Fatalf("len after shrink = %d, want %d (one batch trimmed)", got, 32-evictBatch)
-	}
-	// Each put drains at most one more batch; the backlog shrinks
-	// monotonically until the cache sits at its new bound.
-	prev := c.len()
-	for i := 0; c.len() > 2 && i < 32; i++ {
-		c.put(fmt.Sprintf("n%d", i), []byte("v"))
-		if got := c.len(); got > prev+1 {
-			t.Fatalf("len grew from %d to %d during backlog drain", prev, got)
-		}
-		prev = c.len()
-	}
-	if got := c.len(); got != 2 {
-		t.Fatalf("len after drain = %d, want 2", got)
-	}
-	c.setMax(0) // clamps to 1
-	if got := c.len(); got != 1 {
-		t.Fatalf("len after setMax(0) = %d, want 1", got)
-	}
-}
-
 // retryAfterSeconds parses the Retry-After header and requires a positive
 // integer number of seconds — the contract for every shed response.
 func retryAfterSeconds(t *testing.T, h http.Header) int {

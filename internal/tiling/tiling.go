@@ -35,10 +35,24 @@ func Box(nest *ir.Nest) (*iterspace.Box, error) {
 	return iterspace.NewBox(lo, hi), nil
 }
 
-// Apply tiles the nest with the given tile vector, returning the
-// transformed nest (2k loops: tile loops then element loops) and the tiled
-// iteration space describing its execution order.
+// Apply tiles the nest with the given tile vector and the tile loops in
+// original order, returning the transformed nest (2k loops: tile loops
+// then element loops) and the tiled iteration space describing its
+// execution order.
 func Apply(nest *ir.Nest, tile []int64) (*ir.Nest, *iterspace.Tiled, error) {
+	order := make([]int, nest.Depth())
+	for d := range order {
+		order[d] = d
+	}
+	return ApplyPermuted(nest, tile, order)
+}
+
+// ApplyPermuted tiles the nest and interchanges the tile loops into the
+// given order (order[p] = original loop at tile position p) — the general
+// strip-mine + interchange form of §3. Element loops keep the original
+// order innermost, which is legal for the fully permutable rectangular
+// nests the analysis targets.
+func ApplyPermuted(nest *ir.Nest, tile []int64, order []int) (*ir.Nest, *iterspace.Tiled, error) {
 	box, err := Box(nest)
 	if err != nil {
 		return nil, nil, err
@@ -47,20 +61,25 @@ func Apply(nest *ir.Nest, tile []int64) (*ir.Nest, *iterspace.Tiled, error) {
 	if len(tile) != k {
 		return nil, nil, fmt.Errorf("tiling: %d tile sizes for depth-%d nest", len(tile), k)
 	}
+	pos, err := positions(order, k)
+	if err != nil {
+		return nil, nil, err
+	}
 	for d, t := range tile {
 		if t < 1 || t > box.Extent(d) {
 			return nil, nil, fmt.Errorf("tiling: tile size %d out of [1,%d] for loop %s",
 				t, box.Extent(d), nest.Loops[d].Var)
 		}
 	}
-
 	out := &ir.Nest{
 		Name:  nest.Name + "_tiled",
 		Loops: make([]ir.Loop, 0, 2*k),
 		Refs:  make([]ir.Ref, len(nest.Refs)),
 	}
-	// Tile loops: do ii_d = lo_d, hi_d, T_d.
-	for d := 0; d < k; d++ {
+	// Tile loops in interchange order: do ii_d = lo_d, hi_d, T_d at tile
+	// position p, which holds original dimension d = order[p] and is
+	// variable p of the new nest.
+	for _, d := range order {
 		out.Loops = append(out.Loops, ir.Loop{
 			Var:   "ii_" + nest.Loops[d].Var,
 			Lower: expr.Const(box.Lo[d]),
@@ -68,12 +87,13 @@ func Apply(nest *ir.Nest, tile []int64) (*ir.Nest, *iterspace.Tiled, error) {
 			Step:  tile[d],
 		})
 	}
-	// Element loops: do i_d = ii_d, min(ii_d+T_d-1, hi_d).
+	// Element loops in original order: do i_d = ii_d, min(ii_d+T_d-1, hi_d),
+	// with ii_d the variable at the tile position of d.
 	for d := 0; d < k; d++ {
 		out.Loops = append(out.Loops, ir.Loop{
 			Var:   nest.Loops[d].Var,
-			Lower: expr.Var(d),
-			Upper: ir.MinBound(expr.VarPlus(d, tile[d]-1), expr.Const(box.Hi[d])),
+			Lower: expr.Var(pos[d]),
+			Upper: ir.MinBound(expr.VarPlus(pos[d], tile[d]-1), expr.Const(box.Hi[d])),
 			Step:  1,
 		})
 	}
@@ -90,79 +110,26 @@ func Apply(nest *ir.Nest, tile []int64) (*ir.Nest, *iterspace.Tiled, error) {
 	if err := out.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("tiling: produced invalid nest: %w", err)
 	}
-	return out, iterspace.NewTiled(box, tile), nil
+	return out, iterspace.NewPermutedTiled(box, tile, order), nil
 }
 
-// ApplyPermuted tiles the nest and interchanges the tile loops into the
-// given order (order[p] = original loop at tile position p) — the general
-// strip-mine + interchange form of §3. Element loops keep the original
-// order innermost, which is legal for the fully permutable rectangular
-// nests the analysis targets.
-func ApplyPermuted(nest *ir.Nest, tile []int64, order []int) (*ir.Nest, *iterspace.PermutedTiled, error) {
-	box, err := Box(nest)
-	if err != nil {
-		return nil, nil, err
+// positions inverts a loop order of a depth-k nest: pos[d] is the position
+// of original loop d. It rejects an order that is not a permutation of
+// 0..k-1.
+func positions(order []int, k int) ([]int, error) {
+	if len(order) != k {
+		return nil, fmt.Errorf("tiling: order rank %d for depth-%d nest", len(order), k)
 	}
-	k := nest.Depth()
-	if len(tile) != k || len(order) != k {
-		return nil, nil, fmt.Errorf("tiling: rank mismatch (tile %d, order %d, depth %d)",
-			len(tile), len(order), k)
-	}
+	pos := make([]int, k)
 	seen := make([]bool, k)
-	for _, d := range order {
+	for p, d := range order {
 		if d < 0 || d >= k || seen[d] {
-			return nil, nil, fmt.Errorf("tiling: order %v is not a permutation", order)
+			return nil, fmt.Errorf("tiling: order %v is not a permutation", order)
 		}
 		seen[d] = true
-	}
-	for d, t := range tile {
-		if t < 1 || t > box.Extent(d) {
-			return nil, nil, fmt.Errorf("tiling: tile size %d out of [1,%d] for loop %s",
-				t, box.Extent(d), nest.Loops[d].Var)
-		}
-	}
-	out := &ir.Nest{
-		Name:  nest.Name + "_tiled",
-		Loops: make([]ir.Loop, 0, 2*k),
-		Refs:  make([]ir.Ref, len(nest.Refs)),
-	}
-	// Tile loops in interchange order; tile position p holds original
-	// dimension order[p] and is genome variable p.
-	for p := 0; p < k; p++ {
-		d := order[p]
-		out.Loops = append(out.Loops, ir.Loop{
-			Var:   "ii_" + nest.Loops[d].Var,
-			Lower: expr.Const(box.Lo[d]),
-			Upper: ir.BoundOf(expr.Const(box.Hi[d])),
-			Step:  tile[d],
-		})
-	}
-	// Element loops in original order: i_d from ii_d (variable at the
-	// tile position of d) to min(ii_d+T_d-1, hi_d).
-	pos := make([]int, k)
-	for p, d := range order {
 		pos[d] = p
 	}
-	for d := 0; d < k; d++ {
-		out.Loops = append(out.Loops, ir.Loop{
-			Var:   nest.Loops[d].Var,
-			Lower: expr.Var(pos[d]),
-			Upper: ir.MinBound(expr.VarPlus(pos[d], tile[d]-1), expr.Const(box.Hi[d])),
-			Step:  1,
-		})
-	}
-	for i := range nest.Refs {
-		r := nest.Refs[i]
-		subs := make([]expr.Affine, len(r.Subs))
-		for s := range r.Subs {
-			subs[s] = r.Subs[s].ShiftVars(k)
-		}
-		out.Refs[i] = ir.Ref{Array: r.Array, Subs: subs, Write: r.Write}
-	}
-	if err := out.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("tiling: produced invalid nest: %w", err)
-	}
-	return out, iterspace.NewPermutedTiled(box, tile, order), nil
+	return pos, nil
 }
 
 // Untile returns the trivial tile vector that leaves the nest order
@@ -188,15 +155,9 @@ func Interchange(nest *ir.Nest, order []int) (*ir.Nest, *iterspace.PermutedBox, 
 		return nil, nil, err
 	}
 	k := nest.Depth()
-	if len(order) != k {
-		return nil, nil, fmt.Errorf("tiling: order rank %d for depth-%d nest", len(order), k)
-	}
-	seen := make([]bool, k)
-	for _, d := range order {
-		if d < 0 || d >= k || seen[d] {
-			return nil, nil, fmt.Errorf("tiling: order %v is not a permutation", order)
-		}
-		seen[d] = true
+	pos, err := positions(order, k)
+	if err != nil {
+		return nil, nil, err
 	}
 	out := &ir.Nest{
 		Name:  nest.Name + "_interchanged",
@@ -206,9 +167,7 @@ func Interchange(nest *ir.Nest, order []int) (*ir.Nest, *iterspace.PermutedBox, 
 	// Loop at position p is original loop order[p]; variable index p in
 	// the new nest carries original variable order[p], so subscripts remap
 	// original variable d to new index pos[d].
-	pos := make([]int, k)
 	for p, d := range order {
-		pos[d] = p
 		l := nest.Loops[d]
 		out.Loops[p] = ir.Loop{Var: l.Var, Lower: l.Lower, Upper: l.Upper, Step: l.Step}
 	}

@@ -190,9 +190,8 @@ func TestNonUnitLowerBound(t *testing.T) {
 	var _ iterspace.Space = space
 }
 
-// TestApplyPermutedMatchesSpace: the permuted tiled IR nest and the
-// PermutedTiled space traverse identically, and the access multiset is
-// preserved.
+// TestApplyPermutedMatchesSpace: the permuted tiled IR nest and its
+// tiled space traverse identically, and the access multiset is preserved.
 func TestApplyPermutedMatchesSpace(t *testing.T) {
 	r := rand.New(rand.NewPCG(81, 83))
 	nest := t2d(8)
