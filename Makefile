@@ -78,10 +78,12 @@ race:
 # Work gate: the golden digests pin each search's results, checkpoint
 # bytes and hashed event stream (evaluations, sampled points, walk steps,
 # classified accesses), so a change that alters the work a search does
-# fails here deterministically, on any host. The golden tests skip under
-# the race detector, which is why they run here without it.
+# fails here deterministically, on any host. The catalog oracle then
+# simulates every catalog search's returned tile exactly and requires it
+# inside the reported interval. Both skip under the race detector, which
+# is why they run here without it.
 golden:
-	$(GO) test -run Golden . ./internal/ga
+	$(GO) test -run 'Golden|Oracle' . ./internal/ga
 
 # Fault-tolerance suite: full searches under scripted fault plans
 # (evaluation panics/stalls, checkpoint-write failures, sink I/O errors)
@@ -119,8 +121,10 @@ bench-json:
 	@mkdir -p $(dir $(BENCH_OUT))
 	$(GO) test -run '^$$' -bench 'Classify$$|PointSolverTiled$$|IterspaceTraversal|EvaluateParallel|IslandSearch|EvalCacheSearch|FidelitySearch' -benchmem . | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
-# Short fuzz sweeps over the structured-input entry points.
+# Short fuzz sweeps over the structured-input entry points, tilingd's
+# request decoder included.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAffine -fuzztime=30s ./internal/expr/
 	$(GO) test -run=^$$ -fuzz=FuzzNestValidate -fuzztime=30s ./internal/ir/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=30s ./internal/parser/
+	$(GO) test -run=^$$ -fuzz=FuzzNormalize -fuzztime=30s ./internal/server/

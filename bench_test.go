@@ -474,9 +474,8 @@ func BenchmarkAblationPopulation(b *testing.B) {
 		b.Run(map[int]string{10: "pop10", 30: "pop30", 60: "pop60"}[pop], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := core.Options{Cache: cache.DM8K, Seed: 5}
-				gaCfg := ga.PaperConfig(5)
-				gaCfg.PopSize = pop
-				opt.GA = gaCfg
+				opt.GA = ga.PaperParams(5)
+				opt.GA.PopSize = pop
 				res, err := core.OptimizeTiling(context.Background(), nest, opt)
 				if err != nil {
 					b.Fatal(err)
@@ -676,9 +675,8 @@ func BenchmarkAblationCrossover(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := core.Options{Cache: cache.DM8K, Seed: 5}
-				gaCfg := ga.PaperConfig(5)
-				gaCfg.Crossover = kind
-				opt.GA = gaCfg
+				opt.GA = ga.PaperParams(5)
+				opt.GA.Crossover = kind
 				res, err := core.OptimizeTiling(context.Background(), nest, opt)
 				if err != nil {
 					b.Fatal(err)

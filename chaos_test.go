@@ -53,9 +53,6 @@ func runChaos(t *testing.T, dir string) chaosRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmetiling.InstallCheckpointFaults(plan)
-	t.Cleanup(func() { cmetiling.InstallCheckpointFaults(nil) })
-
 	k, ok := cmetiling.GetKernel("MM")
 	if !ok {
 		t.Fatal("MM missing from catalog")
@@ -67,15 +64,15 @@ func runChaos(t *testing.T, dir string) chaosRun {
 	var trace bytes.Buffer
 	sink := cmetiling.NewJSONLSink(cmetiling.FaultWriter(&trace, plan, cmetiling.FaultSinkWrite))
 	path := filepath.Join(dir, "chaos.ckpt")
+	ctx := cmetiling.WithFaults(context.Background(), plan)
 	opt := cmetiling.Options{
 		Cache: cmetiling.DM8K, Seed: 3, SamplePoints: 64, Workers: 1,
 		FailurePolicy: cmetiling.FailQuarantine,
 		Observer:      sink,
 		Checkpoint: func(c *cmetiling.Checkpoint) error {
-			return cmetiling.SaveCheckpointFile(path, c)
+			return cmetiling.SaveCheckpointFile(ctx, path, c)
 		},
 	}
-	ctx := cmetiling.WithFaults(context.Background(), plan)
 	res, err := cmetiling.OptimizeTiling(ctx, nest, opt)
 	if err != nil {
 		t.Fatalf("chaos run failed instead of degrading: %v", err)

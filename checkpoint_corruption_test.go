@@ -266,10 +266,10 @@ func TestCorruptionFallbackToRotatedAndResume(t *testing.T) {
 	older := *c
 	older.Gen-- // pretend the rotated copy is one generation behind
 	older.Sum = ""
-	if err := cmetiling.SaveCheckpointFile(path, &older); err != nil {
+	if err := cmetiling.SaveCheckpointFile(context.Background(), path, &older); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmetiling.SaveCheckpointFile(path, c); err != nil {
+	if err := cmetiling.SaveCheckpointFile(context.Background(), path, c); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the primary the way a torn write would: truncate it.

@@ -38,7 +38,7 @@ func main() {
 		points  = flag.Int("points", sampling.PaperSampleSize, "sample points for the estimate")
 		dump    = flag.Bool("dump", false, "dump every equation polyhedron")
 		seed    = flag.Uint64("seed", 1, "sampling seed")
-		workers = flag.Int("workers", 0, "classification goroutines for the sampled estimate (0 = CMETILING_WORKERS or min(8, NumCPU)); never changes the output")
+		workers = flag.Int("workers", 0, "classification goroutines for the sampled estimate (0 = min(8, NumCPU)); never changes the output")
 		version = cliutil.VersionFlag()
 	)
 	flag.Parse()
@@ -132,11 +132,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	est := sampling.FromStats(st, *points, 0.90)
+	est := sampling.FromStats(st, *points, sampling.PaperConfidence)
 	fmt.Printf("\nsampled estimate (%d points, 90%% confidence): %v\n", *points, est)
 
 	fmt.Println("per-reference estimates:")
-	perRef := sampling.EstimatePerRef(an, *points, 0.90, rand.New(rand.NewPCG(*seed^0x77, *seed)))
+	perRef := sampling.EstimatePerRef(an, *points, sampling.PaperConfidence, rand.New(rand.NewPCG(*seed^0x77, *seed)))
 	for i, e := range perRef {
 		fmt.Printf("  %-14s %v\n", nest.Refs[i].StringVars(names), e)
 	}

@@ -49,7 +49,7 @@ func main() {
 		bars     = flag.Bool("bars", false, "also render figures as ASCII bar charts")
 		timeout  = flag.Duration("timeout", 0, "per-search deadline (0 = unbounded)")
 		budget   = flag.Int("budget", 0, "per-search evaluation budget (0 = unbounded)")
-		workers  = flag.Int("workers", 0, "evaluation goroutines per objective (0 = CMETILING_WORKERS or min(8, NumCPU)); never changes results")
+		workers  = flag.Int("workers", 0, "evaluation goroutines per objective (0 = min(8, NumCPU)); never changes results")
 		islands  = flag.Int("islands", 0, "GA islands per search, evolving concurrently with elite migration (0/1 = single population)")
 		fidelity = flag.Int("fidelity", 0, "successive-halving rungs for multi-fidelity evaluation per search (0/1 = classic full fidelity)")
 		traceOut = flag.String("trace-out", "", "append the telemetry event stream of every search to this JSONL file")
@@ -71,12 +71,15 @@ func main() {
 		cliutil.Exit(2)
 	}
 	cfg := experiments.Config{
-		Seed: *seed, Quick: *quick, QuickCap: *quickCap, SamplePoints: *points,
-		Deadline: *timeout, MaxEvaluations: *budget, Workers: *workers,
-		Islands: *islands, FidelityRungs: *fidelity, StallTimeout: *stall,
+		Seed: *seed, Quick: *quick, QuickCap: *quickCap,
+		Search: cmetiling.Options{
+			SamplePoints: *points, Deadline: *timeout, MaxEvaluations: *budget,
+			Workers: *workers, Islands: *islands, StallTimeout: *stall,
+			Fidelity: cmetiling.Fidelity{Rungs: *fidelity},
+		},
 	}
 	var err error
-	cfg.FailurePolicy, err = cmetiling.ParseFailurePolicy(*policyF)
+	cfg.Search.FailurePolicy, err = cmetiling.ParseFailurePolicy(*policyF)
 	if err != nil {
 		fatal(err)
 	}
@@ -112,7 +115,7 @@ func main() {
 	// so a table assembled around set-aside candidates exits degraded.
 	quarantined := &quarantineTally{}
 	recorders = append(recorders, quarantined)
-	cfg.Observer = cmetiling.MultiRecorder(recorders...)
+	cfg.Search.Observer = cmetiling.MultiRecorder(recorders...)
 	if *pprofOut != "" {
 		// Label evaluation workers so the profile attributes samples to
 		// kernel, phase and fidelity rung.

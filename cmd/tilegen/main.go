@@ -44,7 +44,7 @@ func main() {
 		ckptPath = flag.String("checkpoint", "", "write a resumable snapshot here every generation")
 		resume   = flag.String("resume", "", "resume the search from this checkpoint file")
 		progress = flag.Bool("progress", false, "print per-generation progress to stderr")
-		workers  = flag.Int("workers", 0, "evaluation goroutines per objective (0 = CMETILING_WORKERS or min(8, NumCPU)); never changes the result")
+		workers  = flag.Int("workers", 0, "evaluation goroutines per objective (0 = min(8, NumCPU)); never changes the result")
 		islands  = flag.Int("islands", 0, "GA islands evolving concurrently with elite migration (0/1 = single population); deterministic per seed")
 		fidelity = flag.Int("fidelity", 0, "successive-halving rungs for multi-fidelity evaluation (0/1 = classic full fidelity); deterministic per seed")
 		traceOut = flag.String("trace-out", "", "append the search's telemetry event stream to this JSONL file")
@@ -110,8 +110,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cmetiling.InstallCheckpointFaults(faults)
 	}
+	// A first Ctrl-C cancels the search, which then returns its
+	// best-so-far tile; a second Ctrl-C kills the process. The context
+	// also carries the fault plan to the search and to checkpoint writes.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ctx = cmetiling.WithFaults(ctx, faults)
 	// degraded notes why the run finished on a weakened path (quarantined
 	// evaluations, lost checkpoint writes, a fallback resume); any entry
 	// turns exit 0 into ExitDegraded.
@@ -154,7 +159,7 @@ func main() {
 		// degraded, and keep going.
 		warned := false
 		opt.Checkpoint = func(c *cmetiling.Checkpoint) error {
-			err := cliutil.SaveCheckpoint(*ckptPath, c)
+			err := cliutil.SaveCheckpoint(ctx, *ckptPath, c)
 			if err != nil && !warned {
 				warned = true
 				degraded = append(degraded, fmt.Sprintf("checkpoint writes failing (%v)", err))
@@ -176,14 +181,6 @@ func main() {
 			degraded = append(degraded, "resumed from rotated previous-good checkpoint")
 		}
 		opt.ResumeFrom = c
-	}
-
-	// A first Ctrl-C cancels the search, which then returns its
-	// best-so-far tile; a second Ctrl-C kills the process.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if faults != nil {
-		ctx = cmetiling.WithFaults(ctx, faults)
 	}
 
 	fmt.Printf("kernel %s  cache %v  seed %d\n", nest.Name, cfg, *seed)

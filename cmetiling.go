@@ -318,8 +318,9 @@ type (
 	QuarantinedEval = core.QuarantinedEval
 
 	// FaultPlan is a deterministic, seeded schedule of injected faults;
-	// thread it into a search with WithFaults and into checkpoint
-	// persistence with InstallCheckpointFaults.
+	// thread it with WithFaults into the context a search runs under, and
+	// pass the same context to SaveCheckpointFile to arm checkpoint
+	// persistence.
 	FaultPlan = faultinject.Plan
 	// FaultRule arms one fault point with its trigger (After/Times/Prob)
 	// and action (error, panic, or stall).
@@ -379,7 +380,9 @@ var (
 var (
 	// SaveCheckpointFile durably persists a checkpoint: temp file +
 	// fsync + rotate the old snapshot to PrevCheckpointFile(path) +
-	// rename, with transient-failure retries.
+	// rename, with transient-failure retries. Its context carries only
+	// the fault plan (WithFaults) whose checkpoint.write point each
+	// attempt fires; a cancelled context still writes.
 	SaveCheckpointFile = cliutil.SaveCheckpoint
 	// LoadCheckpointFile reads path, falling back to the rotated
 	// previous-good copy when the primary is missing or corrupt; the
@@ -389,9 +392,6 @@ var (
 	// PrevCheckpointFile names the rotated previous-good snapshot for a
 	// checkpoint path.
 	PrevCheckpointFile = cliutil.PrevCheckpoint
-	// InstallCheckpointFaults arms SaveCheckpointFile with a fault plan
-	// (nil disarms); the chaos suite uses it to break checkpoint writes.
-	InstallCheckpointFaults = cliutil.InstallFaults
 )
 
 // OptimizeTiling searches tile sizes with the CME+GA method of §3. The

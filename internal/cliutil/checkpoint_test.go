@@ -43,14 +43,14 @@ func swapRetry(t *testing.T, p retry.Policy) {
 func TestSaveCheckpointRotatesPrevious(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
-	if err := SaveCheckpoint(path, testCheckpoint(1)); err != nil {
+	if err := SaveCheckpoint(context.Background(), path, testCheckpoint(1)); err != nil {
 		t.Fatal(err)
 	}
 	// No previous yet: first save must not create a .prev.
 	if _, err := os.Stat(PrevCheckpoint(path)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("first save created %s: %v", PrevCheckpoint(path), err)
 	}
-	if err := SaveCheckpoint(path, testCheckpoint(2)); err != nil {
+	if err := SaveCheckpoint(context.Background(), path, testCheckpoint(2)); err != nil {
 		t.Fatal(err)
 	}
 	cur, recovered, err := LoadCheckpoint(path, nil)
@@ -72,10 +72,10 @@ func TestSaveCheckpointRotatesPrevious(t *testing.T) {
 func TestLoadCheckpointFallsBackToRotated(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
-	if err := SaveCheckpoint(path, testCheckpoint(1)); err != nil {
+	if err := SaveCheckpoint(context.Background(), path, testCheckpoint(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveCheckpoint(path, testCheckpoint(2)); err != nil {
+	if err := SaveCheckpoint(context.Background(), path, testCheckpoint(2)); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the primary: truncation defeats both JSON decode and sum.
@@ -120,15 +120,16 @@ func TestLoadCheckpointMissingBoth(t *testing.T) {
 
 // TestSaveCheckpointRetriesTransientFault: an injected checkpoint-write
 // fault that fires once is absorbed by the retry loop — the caller sees
-// success and the snapshot is on disk.
+// success and the snapshot is on disk, even though the context carrying
+// the plan was cancelled (a stopped search still writes its snapshot).
 func TestSaveCheckpointRetriesTransientFault(t *testing.T) {
 	swapRetry(t, retry.Policy{Attempts: 3, Sleep: noSleep})
 	plan := faultinject.New(1, faultinject.Rule{Point: faultinject.CheckpointWrite, Times: 1})
-	InstallFaults(plan)
-	t.Cleanup(func() { InstallFaults(nil) })
+	ctx, cancel := context.WithCancel(faultinject.With(context.Background(), plan))
+	cancel()
 
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if err := SaveCheckpoint(path, testCheckpoint(1)); err != nil {
+	if err := SaveCheckpoint(ctx, path, testCheckpoint(1)); err != nil {
 		t.Fatalf("transient fault not absorbed: %v", err)
 	}
 	if c, _, err := LoadCheckpoint(path, nil); err != nil || c.Gen != 1 {
@@ -145,13 +146,12 @@ func TestSaveCheckpointRetriesTransientFault(t *testing.T) {
 func TestSaveCheckpointPersistentFaultReported(t *testing.T) {
 	swapRetry(t, retry.Policy{Attempts: 3, Sleep: noSleep})
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	if err := SaveCheckpoint(path, testCheckpoint(1)); err != nil {
+	if err := SaveCheckpoint(context.Background(), path, testCheckpoint(1)); err != nil {
 		t.Fatal(err)
 	}
-	InstallFaults(faultinject.New(1, faultinject.Rule{Point: faultinject.CheckpointWrite}))
-	t.Cleanup(func() { InstallFaults(nil) })
+	ctx := faultinject.With(context.Background(), faultinject.New(1, faultinject.Rule{Point: faultinject.CheckpointWrite}))
 
-	err := SaveCheckpoint(path, testCheckpoint(2))
+	err := SaveCheckpoint(ctx, path, testCheckpoint(2))
 	if err == nil || !faultinject.Is(err) {
 		t.Fatalf("err = %v, want wrapped *Fault", err)
 	}

@@ -224,30 +224,6 @@ func Fatal(tool string, err error) {
 	Exit(ExitErr)
 }
 
-// faults is the fault-injection plan the checkpoint persistence paths
-// consult; nil (the default) disables injection. The CLIs install the
-// plan parsed from -fault-spec so chaos runs exercise the same code the
-// production path runs.
-var (
-	faultsMu sync.Mutex
-	faults   *faultinject.Plan
-)
-
-// InstallFaults arms (or, with nil, disarms) fault injection for this
-// package's checkpoint persistence.
-func InstallFaults(p *faultinject.Plan) {
-	faultsMu.Lock()
-	faults = p
-	faultsMu.Unlock()
-}
-
-// installedFaults returns the current plan (possibly nil).
-func installedFaults() *faultinject.Plan {
-	faultsMu.Lock()
-	defer faultsMu.Unlock()
-	return faults
-}
-
 // checkpointRetry bounds the retries SaveCheckpoint spends absorbing
 // transient write failures; tests swap in a fake clock.
 var checkpointRetry = retry.Policy{}
@@ -270,8 +246,13 @@ func PrevCheckpoint(path string) string { return path + ".prev" }
 // missing while "<path>.prev" holds the previous generation, which
 // LoadCheckpoint falls back to. Transient failures are retried with
 // capped exponential backoff before the error is reported.
-func SaveCheckpoint(path string, c *ga.Checkpoint) error {
-	plan := installedFaults()
+//
+// ctx only carries the fault plan (faultinject.With) whose
+// checkpoint.write point each attempt fires; the write and its retries
+// run to completion even when ctx is cancelled, so a search stopped by
+// its deadline or a signal still gets its last snapshot on disk.
+func SaveCheckpoint(ctx context.Context, path string, c *ga.Checkpoint) error {
+	plan := faultinject.From(ctx)
 	return checkpointRetry.Do(context.Background(), func() error {
 		if err := plan.Fire(context.Background(), faultinject.CheckpointWrite); err != nil {
 			return err

@@ -24,8 +24,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"os"
-	"reflect"
 	"runtime"
 	"strconv"
 	"sync"
@@ -51,21 +49,21 @@ type Options struct {
 	Cache cache.Config
 	// SamplePoints is the number of iteration points per objective
 	// evaluation; 0 means the paper's 164 (width 0.1, 90% confidence).
+	// Reported intervals are always at the paper's 90% confidence.
 	SamplePoints int
-	// Confidence for reported intervals; 0 means 0.90.
-	Confidence float64
 	// GA holds the genetic-algorithm parameters; the zero value means the
-	// paper's configuration (population 30, pc 0.9, pm 0.001, 15–25
-	// generations). A block that sets any field must set PopSize too: it
-	// is then used as given, never merged with the paper's values.
-	GA ga.Config
+	// paper's configuration (ga.PaperParams: population 30, pc 0.9,
+	// pm 0.001, 15–25 generations). A block that sets any field is used
+	// as given, never merged with the paper's values, so it must be valid
+	// on its own. The run's wiring (islands, fidelity, budget, telemetry,
+	// checkpoints) comes from the Options fields below.
+	GA ga.Params
 	// Seed makes the whole search deterministic.
 	Seed uint64
 	// Workers bounds the goroutine fan-out of one objective evaluation
-	// (0 = DefaultWorkers: the CMETILING_WORKERS environment variable, or
-	// min(8, NumCPU)). Parallel evaluation sums the same per-point
-	// outcomes as serial evaluation, so the worker count never changes a
-	// search result — only how fast it arrives.
+	// (0 = DefaultWorkers, min(8, NumCPU)). Parallel evaluation sums the
+	// same per-point outcomes as serial evaluation, so the worker count
+	// never changes a search result — only how fast it arrives.
 	Workers int
 	// Fidelity enables deterministic multi-fidelity evaluation by
 	// successive halving: fresh candidates are scored on a coarse prefix
@@ -75,17 +73,18 @@ type Options struct {
 	// has not seen. The zero value (off) keeps every search byte-identical
 	// to earlier releases. With the ladder on, MaxEvaluations is charged
 	// in sample points (budget = MaxEvaluations × sample size), so the
-	// cap buys the same classification work either way. Incompatible with
-	// a caller-supplied GA.SharedMemo and with the multi-level search. An
-	// explicit GA.Fidelity setting takes precedence.
+	// cap buys the same classification work either way. The ladder halves
+	// the cohort and doubles the sample prefix at each rung, with a
+	// 16-point floor on the coarsest prefix. Its pruned fitness never
+	// enters the shared fitness tier of SharedCache. The multi-level
+	// search refuses it.
 	Fidelity ga.Fidelity
 	// Islands splits the GA population into this many concurrently
-	// evolving demes with ring-topology elite migration (0 or 1 = one
-	// population, the paper's search). Each
-	// island draws from its own seed-derived PCG stream and evaluates on
-	// its own analyzer pool, so any island count is deterministic for a
-	// fixed Seed at any worker count. An explicit GA.Islands setting takes
-	// precedence.
+	// evolving demes, each sending its best individual to its ring
+	// successor every 5 generations (0 or 1 = one population, the paper's
+	// search). Each island draws from its own seed-derived PCG stream and
+	// evaluates on its own analyzer pool, so any island count is
+	// deterministic for a fixed Seed at any worker count.
 	Islands int
 
 	// Deadline bounds the search's wall-clock time (0 = none). It is a
@@ -152,24 +151,17 @@ func badOption(field, format string, args ...any) error {
 }
 
 // Validate checks the options for a search. Zero values that withDefaults
-// fills in (SamplePoints, Confidence, Workers, the GA block) are valid;
-// everything a caller sets explicitly must be in range. SharedCache has
-// no invalid states — nil disables sharing and any constructed cache is
-// usable — but a caller-supplied GA.SharedMemo alongside SharedCache is
-// rejected: the search derives the GA memo tier from SharedCache, and a
-// second source of recalled fitness values would break the determinism
-// contract. All searches call Validate before running, so a bad
-// configuration fails fast with a typed ErrBadOption error instead of
-// misbehaving mid-search.
+// fills in (SamplePoints, Workers, the GA block) are valid; everything a
+// caller sets explicitly must be in range. SharedCache has no invalid
+// states: nil disables sharing and any constructed cache is usable. All
+// searches call Validate before running, so a bad configuration fails
+// fast with a typed ErrBadOption error instead of misbehaving mid-search.
 func (o Options) Validate() error {
 	if err := o.Cache.Validate(); err != nil {
 		return badOption("Cache", "%v", err)
 	}
 	if o.SamplePoints < 0 {
 		return badOption("SamplePoints", "%d is negative", o.SamplePoints)
-	}
-	if o.Confidence < 0 || o.Confidence >= 1 {
-		return badOption("Confidence", "%v not in [0, 1)", o.Confidence)
 	}
 	if o.Workers < 0 {
 		return badOption("Workers", "%d is negative", o.Workers)
@@ -201,21 +193,13 @@ func (o Options) Validate() error {
 	if o.StallTimeout < 0 {
 		return badOption("StallTimeout", "%v is negative", o.StallTimeout)
 	}
-	if o.SharedCache != nil && o.GA.SharedMemo != nil {
-		return badOption("SharedCache", "GA.SharedMemo is derived from SharedCache; set only one")
-	}
 	if err := o.Fidelity.Validate(); err != nil {
 		return badOption("Fidelity", "%v", err)
 	}
-	if o.Fidelity.Enabled() && o.GA.SharedMemo != nil {
-		return badOption("Fidelity", "fidelity pruning records cohort-dependent scaled fitness; it cannot feed a shared memo")
-	}
-	if o.GA.PopSize != 0 {
+	if o.GA != (ga.Params{}) {
 		if err := o.GA.Validate(); err != nil {
-			return badOption("GA", "%v", err)
+			return badOption("GA", "%v (leave the block zero for the paper's parameters, or start from ga.PaperParams)", err)
 		}
-	} else if !reflect.DeepEqual(o.GA, ga.Config{}) {
-		return badOption("GA", "PopSize is 0 but other fields are set; set PopSize (ga.PaperConfig gives the paper's values) or leave the block zero")
 	}
 	return nil
 }
@@ -224,11 +208,8 @@ func (o Options) withDefaults() Options {
 	if o.SamplePoints == 0 {
 		o.SamplePoints = sampling.PaperSampleSize
 	}
-	if o.Confidence == 0 {
-		o.Confidence = 0.90
-	}
-	if o.GA.PopSize == 0 {
-		o.GA = ga.PaperConfig(o.Seed)
+	if o.GA == (ga.Params{}) {
+		o.GA = ga.PaperParams(o.Seed)
 	}
 	if o.Workers <= 0 {
 		o.Workers = DefaultWorkers()
@@ -237,16 +218,8 @@ func (o Options) withDefaults() Options {
 }
 
 // DefaultWorkers returns the evaluation fan-out used when Options.Workers
-// is zero: the CMETILING_WORKERS environment variable when set to a
-// positive integer, otherwise min(8, NumCPU).
-func DefaultWorkers() int {
-	if s := os.Getenv("CMETILING_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return min(8, runtime.NumCPU())
-}
+// is zero: min(8, NumCPU).
+func DefaultWorkers() int { return min(8, runtime.NumCPU()) }
 
 // searchContext derives the context governing one search from the
 // caller's context and the Deadline option.
@@ -269,34 +242,6 @@ func (o Options) sharedScoped(ctx context.Context) Options {
 		o.SharedCache = nil
 	}
 	return o
-}
-
-// gaRuntime copies the Options runtime controls (budget, observer,
-// checkpointing) into a GA configuration, tagging checkpoints with the
-// search-phase label.
-func (o Options) gaRuntime(cfg ga.Config, label string) ga.Config {
-	if cfg.MaxEvaluations == 0 {
-		cfg.MaxEvaluations = o.MaxEvaluations
-	}
-	if cfg.Observer == nil {
-		cfg.Observer = o.Observer
-	}
-	if cfg.Checkpoint == nil {
-		cfg.Checkpoint = o.Checkpoint
-	}
-	if cfg.ResumeFrom == nil {
-		cfg.ResumeFrom = o.ResumeFrom
-	}
-	if cfg.Label == "" {
-		cfg.Label = label
-	}
-	if cfg.Islands == 0 {
-		cfg.Islands = o.Islands
-	}
-	if cfg.Fidelity == (ga.Fidelity{}) {
-		cfg.Fidelity = o.Fidelity
-	}
-	return cfg
 }
 
 // fidelityEval implements ga.FidelityEvaluator over one search's fixed
@@ -467,7 +412,6 @@ type evaluator struct {
 	box     *iterspace.Box
 	cfg     cache.Config
 	sample  *sampling.Sample
-	conf    float64
 	workers int
 	obs     telemetry.Recorder
 	// stall arms the per-evaluation watchdog (0 = disabled).
@@ -502,17 +446,12 @@ func newEvaluator(nest *ir.Nest, opt Options) (*evaluator, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewPCG(opt.Seed, opt.Seed^0xda3e39cb94b95bdb))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
 	e := &evaluator{
 		nest:    nest,
 		box:     box,
 		cfg:     opt.Cache,
 		sample:  sampling.Draw(box, opt.SamplePoints, rng),
-		conf:    opt.Confidence,
-		workers: workers,
+		workers: opt.Workers,
 		obs:     opt.Observer,
 		stall:   opt.StallTimeout,
 	}
@@ -532,7 +471,7 @@ func newEvaluator(nest *ir.Nest, opt Options) (*evaluator, error) {
 func (e *evaluator) fork(island int) *evaluator {
 	return &evaluator{
 		nest: e.nest, box: e.box, cfg: e.cfg, sample: e.sample,
-		conf: e.conf, workers: e.workers, obs: e.obs, stall: e.stall,
+		workers: e.workers, obs: e.obs, stall: e.stall,
 		island: island,
 	}
 }
@@ -772,7 +711,7 @@ func (e *evaluator) untiled(ctx context.Context, nest *ir.Nest) (cachesim.Stats,
 }
 
 func (e *evaluator) estimate(st cachesim.Stats) sampling.Estimate {
-	return sampling.FromStats(st, len(e.sample.Points), e.conf)
+	return sampling.FromStats(st, len(e.sample.Points), sampling.PaperConfidence)
 }
 
 // sharedMemo adapts the shared evaluation cache to the ga.SharedMemo
@@ -817,8 +756,7 @@ func (e *evaluator) sharedFitnessMemo(label string, extra ...string) ga.SharedMe
 type problem struct {
 	label string
 	spec  ga.Spec
-	// seeds are injected into the initial population unless the caller
-	// set GA.SeedValues.
+	// seeds are injected into the initial population.
 	seeds [][]int64
 	// memoScope adds discriminators to the shared fitness memo's scope,
 	// for a fitness that depends on more than the evaluator's nest,
@@ -873,19 +811,10 @@ func runSearch[R any](ctx context.Context, nest *ir.Nest, opt Options,
 	}
 	defer ev.release()
 	p := mk(ev)
-	if p.cost != nil && (opt.Fidelity.Enabled() || opt.GA.Fidelity.Enabled()) {
+	if p.cost != nil && opt.Fidelity.Enabled() {
 		return zero, badOption("Fidelity", "multi-fidelity evaluation is not supported by the %s search", p.label)
 	}
 	started := opt.emitStart(nest, p.label)
-	gaCfg := opt.gaRuntime(withMutationFloor(opt.GA, p.spec), p.label)
-	// Fidelity pruning records cohort-dependent scaled fitness, which must
-	// never leak into the cross-search memo tier.
-	if gaCfg.SharedMemo == nil && !gaCfg.Fidelity.Enabled() {
-		gaCfg.SharedMemo = ev.sharedFitnessMemo(p.label, p.memoScope...)
-	}
-	if len(gaCfg.SeedValues) == 0 {
-		gaCfg.SeedValues = p.seeds
-	}
 	guard := opt.newGuard()
 	objective := func(e *evaluator) ga.Objective {
 		return guard.objective(p.label, func(v []int64) (float64, error) {
@@ -903,10 +832,25 @@ func runSearch[R any](ctx context.Context, nest *ir.Nest, opt Options,
 	fidelity := func(e *evaluator) ga.FidelityEvaluator {
 		return &fidelityEval{ev: e, ctx: ctx, guard: guard, label: p.label, decode: p.decode}
 	}
-	if gaCfg.Fidelity.Enabled() {
-		gaCfg.FidelityEval = fidelity(ev)
+	gaCfg := ga.Config{
+		Params:         withMutationFloor(opt.GA, p.spec),
+		SeedValues:     p.seeds,
+		Islands:        opt.Islands,
+		Fidelity:       opt.Fidelity,
+		MaxEvaluations: opt.MaxEvaluations,
+		Observer:       opt.Observer,
+		Checkpoint:     opt.Checkpoint,
+		ResumeFrom:     opt.ResumeFrom,
+		Label:          p.label,
 	}
-	if gaCfg.Islands > 1 {
+	// Fidelity pruning records cohort-dependent scaled fitness, which must
+	// never leak into the cross-search memo tier.
+	if opt.Fidelity.Enabled() {
+		gaCfg.FidelityEval = fidelity(ev)
+	} else {
+		gaCfg.SharedMemo = ev.sharedFitnessMemo(p.label, p.memoScope...)
+	}
+	if opt.Islands > 1 {
 		// Each deme evaluates on its own evaluator fork (private analyzer
 		// pool over the shared immutable sample), so islands run
 		// concurrently without serialising on one pool. The forks are
@@ -1013,11 +957,11 @@ func OptimizeTiling(ctx context.Context, nest *ir.Nest, opt Options) (*TilingRes
 // tiling-responsive kernels, so searches usually run the full 25
 // generations of the Figure-7 schedule (it still fires on the flat
 // conflict-bound landscapes).
-func withMutationFloor(cfg ga.Config, spec ga.Spec) ga.Config {
-	if pm := 1.0 / (2 * float64(spec.TotalBits())); cfg.MutationProb < pm {
-		cfg.MutationProb = pm
+func withMutationFloor(p ga.Params, spec ga.Spec) ga.Params {
+	if pm := 1.0 / (2 * float64(spec.TotalBits())); p.MutationProb < pm {
+		p.MutationProb = pm
 	}
-	return cfg
+	return p
 }
 
 // tileSeeds returns the heuristic individuals injected into the GA's

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cachesim"
 	"repro/internal/expr"
+	"repro/internal/ga"
 	"repro/internal/ir"
 )
 
@@ -238,7 +239,7 @@ func TestOptimizeJoint(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{Cache: cache.DM8K}.withDefaults()
-	if o.SamplePoints != 164 || o.Confidence != 0.90 || o.GA.PopSize != 30 {
+	if o.SamplePoints != 164 || o.GA != ga.PaperParams(0) || o.Workers != DefaultWorkers() {
 		t.Fatalf("defaults = %+v", o)
 	}
 }

@@ -326,13 +326,11 @@ func TestFidelityBudgetStops(t *testing.T) {
 	}
 }
 
-// TestFidelityOptionsValidate: the Options layer rejects bad ladders and
-// incompatible combinations up front with ErrBadOption.
+// TestFidelityOptionsValidate: the Options layer rejects a bad ladder up
+// front with ErrBadOption.
 func TestFidelityOptionsValidate(t *testing.T) {
 	bad := []Options{
 		{Cache: testOpt(1).Cache, Fidelity: ga.Fidelity{Rungs: -1}},
-		{Cache: testOpt(1).Cache, Fidelity: ga.Fidelity{Rungs: 2, Eta: 1}},
-		{Cache: testOpt(1).Cache, Fidelity: ga.Fidelity{Rungs: 2, MinPoints: -1}},
 	}
 	for _, opt := range bad {
 		if err := opt.Validate(); !errors.Is(err, ErrBadOption) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -307,23 +306,6 @@ func TestWorkerCountInvariant(t *testing.T) {
 		}
 		if res.Before != first.Before || res.After != first.After {
 			t.Fatalf("workers=%d before/after estimates diverge", workers)
-		}
-	}
-}
-
-// TestDefaultWorkersEnv: the CMETILING_WORKERS environment variable
-// overrides the fan-out default; garbage and non-positive values fall back
-// to min(8, NumCPU).
-func TestDefaultWorkersEnv(t *testing.T) {
-	t.Setenv("CMETILING_WORKERS", "3")
-	if got := DefaultWorkers(); got != 3 {
-		t.Fatalf("DefaultWorkers with CMETILING_WORKERS=3: %d", got)
-	}
-	fallback := min(8, runtime.NumCPU())
-	for _, bad := range []string{"0", "-2", "many"} {
-		t.Setenv("CMETILING_WORKERS", bad)
-		if got := DefaultWorkers(); got != fallback {
-			t.Fatalf("DefaultWorkers with CMETILING_WORKERS=%q: %d, want %d", bad, got, fallback)
 		}
 	}
 }

@@ -131,17 +131,6 @@ func TestSharedCacheIslandPoolReuse(t *testing.T) {
 	}
 }
 
-// TestSharedCacheIslandValidate: a caller-supplied GA.SharedMemo alongside
-// SharedCache is rejected (the search derives one from the other).
-func TestSharedCacheIslandValidate(t *testing.T) {
-	opt := sharedOpt(1, 1, evalcache.New(evalcache.Config{}))
-	opt.GA = opt.withDefaults().GA
-	opt.GA.SharedMemo = &sharedMemo{c: opt.SharedCache, scope: "x"}
-	if err := opt.Validate(); err == nil {
-		t.Fatal("Validate accepted SharedCache + GA.SharedMemo")
-	}
-}
-
 // TestSpaceKeyEncodesTileAndOrder pins the shared stats tier's key for
 // tiled spaces: the identity order keys alike however the space was
 // built, and a change of order or of one tile size keys apart, so one

@@ -22,15 +22,13 @@ func TestValidateBadOptions(t *testing.T) {
 	}{
 		{"zero cache", Options{}},
 		{"negative sample points", Options{Cache: cache.DM8K, SamplePoints: -1}},
-		{"confidence at 1", Options{Cache: cache.DM8K, Confidence: 1}},
-		{"negative confidence", Options{Cache: cache.DM8K, Confidence: -0.5}},
 		{"negative workers", Options{Cache: cache.DM8K, Workers: -2}},
 		{"negative deadline", Options{Cache: cache.DM8K, Deadline: -time.Second}},
 		{"negative budget", Options{Cache: cache.DM8K, MaxEvaluations: -1}},
 		{"budget below island count", Options{Cache: cache.DM8K, Islands: 4, MaxEvaluations: 3}},
-		// Without PopSize, withDefaults would replace the block with the
-		// paper's configuration and silently drop every field set here.
-		{"partial GA block", Options{Cache: cache.DM8K, GA: ga.Config{MinGens: 1, MaxGens: 3, Crossover: ga.Uniform, Islands: 2}}},
+		// A set block is used as given, never merged with the paper's
+		// values, so one without PopSize is invalid on its own.
+		{"partial GA block", Options{Cache: cache.DM8K, GA: ga.Params{MinGens: 1, MaxGens: 3, Crossover: ga.Uniform}}},
 	}
 	k, _ := kernels.Get("T2D")
 	nest, err := k.Instance(40)

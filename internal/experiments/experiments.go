@@ -9,56 +9,29 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/ga"
 	"repro/internal/kernels"
 	"repro/internal/sampling"
-	"repro/internal/telemetry"
 )
 
 // Config controls an experiment run.
 type Config struct {
 	// Seed drives every random choice; a fixed seed reproduces the run.
 	Seed uint64
-	// SamplePoints per objective evaluation (0 = the paper's 164).
-	SamplePoints int
 	// Quick trims problem sizes (≤ QuickCap) so the full suite runs in
 	// seconds — used by tests; the shapes are preserved.
 	Quick bool
 	// QuickCap is the size ceiling in quick mode (0 = 200).
 	QuickCap int64
-	// Deadline bounds each individual search (0 = none); bounded runs
-	// report their best-so-far tile, so the tables stay complete.
-	Deadline time.Duration
-	// MaxEvaluations caps objective evaluations per search (0 = none).
-	MaxEvaluations int
-	// Workers bounds the evaluation fan-out per objective
-	// (0 = core.DefaultWorkers). Worker count never changes results.
-	Workers int
-	// Islands splits each search's GA population into concurrently
-	// evolving demes with elite migration (0/1 = single population).
-	// Results stay deterministic per seed for any island count, but a
-	// multi-island run follows a different search trajectory than a
-	// single-population one.
-	Islands int
-	// FidelityRungs enables multi-fidelity evaluation with this many
-	// successive-halving rungs per search (0/1 = classic full-fidelity
-	// evaluation). Deterministic per seed, but like Islands it changes
-	// the search trajectory.
-	FidelityRungs int
-	// FailurePolicy selects how each search reacts to a broken
-	// evaluation (the zero value aborts, preserving the historical
-	// contract; core.FailQuarantine completes degraded on best-so-far).
-	FailurePolicy core.FailurePolicy
-	// StallTimeout arms the per-evaluation watchdog of every search
-	// (0 = no watchdog).
-	StallTimeout time.Duration
-	// Observer receives the telemetry stream of every search the
-	// experiment suite runs (nil = unobserved).
-	Observer telemetry.Recorder
+	// Search is the template every search's options are copied from; each
+	// search then sets its own Cache and a Seed derived from Seed. Its
+	// Deadline and MaxEvaluations bound each search individually (bounded
+	// runs report their best-so-far tile, so the tables stay complete),
+	// and its Observer receives the telemetry of every search the suite
+	// runs.
+	Search core.Options
 }
 
 func (c Config) cap() int64 {
@@ -72,19 +45,10 @@ func (c Config) cap() int64 {
 }
 
 func (c Config) options(cfg cache.Config, salt uint64) core.Options {
-	return core.Options{
-		Cache:          cfg,
-		SamplePoints:   c.SamplePoints,
-		Seed:           c.Seed*0x9e3779b97f4a7c15 + salt,
-		Deadline:       c.Deadline,
-		MaxEvaluations: c.MaxEvaluations,
-		Workers:        c.Workers,
-		Islands:        c.Islands,
-		Fidelity:       ga.Fidelity{Rungs: c.FidelityRungs},
-		FailurePolicy:  c.FailurePolicy,
-		StallTimeout:   c.StallTimeout,
-		Observer:       c.Observer,
-	}
+	o := c.Search
+	o.Cache = cfg
+	o.Seed = c.Seed*0x9e3779b97f4a7c15 + salt
+	return o
 }
 
 // Entry identifies one kernel/size configuration of Figures 8–9.

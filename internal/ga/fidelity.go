@@ -12,58 +12,39 @@ import (
 // Fidelity configures deterministic multi-fidelity evaluation by
 // successive halving: every generation's fresh candidates are first
 // scored on a coarse prefix of the fixed evaluation sample, ranked, the
-// bottom fraction is pruned at scaled fitness, and the survivors are
+// bottom half is pruned at scaled fitness, and the survivors are
 // promoted rung by rung — only the finalists pay the full sample. A
 // promoted candidate keeps its partial result and evaluates only the
 // points it has not seen, so no sample point is ever classified twice.
 //
 // The zero value disables the ladder entirely: Rungs <= 1 evaluates one
 // candidate at a time over the full sample. With the ladder on, a run is
-// still a pure function
-// of (spec, evaluator, config): the schedule is fixed up front, pruning
-// ranks ties by batch position, and nothing depends on goroutine
-// scheduling, so fixed seed + fixed schedule is bit-identical at any
-// worker or island count.
+// still a pure function of (spec, evaluator, config): the schedule is
+// fixed up front, pruning ranks ties by batch position, and nothing
+// depends on goroutine scheduling, so fixed seed + fixed schedule is
+// bit-identical at any worker or island count.
 type Fidelity struct {
 	// Rungs is the number of fidelity rungs; 0 or 1 disables the ladder.
 	Rungs int
-	// Eta is the halving factor: each rung's sample prefix is eta times
-	// the previous rung's, and each pruning keeps ceil(n/eta) survivors
-	// (0 = 2, classic successive halving).
-	Eta float64
-	// MinPoints floors the coarsest rung's sample prefix (0 = 16), so a
-	// tiny first rung never ranks candidates on statistical noise alone.
-	MinPoints int
 }
+
+// The ladder's fixed shape: each rung's sample prefix is fidelityEta
+// times the previous rung's and each pruning keeps ceil(n/fidelityEta)
+// survivors (classic successive halving), and the coarsest prefix is
+// floored at fidelityFloor points so a tiny first rung never ranks
+// candidates on statistical noise alone.
+const (
+	fidelityEta   = 2.0
+	fidelityFloor = 16
+)
 
 // Enabled reports whether the ladder is active.
 func (f Fidelity) Enabled() bool { return f.Rungs > 1 }
 
-// eta returns the effective halving factor.
-func (f Fidelity) eta() float64 {
-	if f.Eta > 1 {
-		return f.Eta
-	}
-	return 2
-}
-
-// minPoints returns the effective coarsest-rung floor.
-func (f Fidelity) minPoints() int {
-	if f.MinPoints > 0 {
-		return f.MinPoints
-	}
-	return 16
-}
-
-// Validate checks the knobs; the zero value (ladder off) is valid.
+// Validate checks the rung count; the zero value (ladder off) is valid.
 func (f Fidelity) Validate() error {
-	switch {
-	case f.Rungs < 0:
+	if f.Rungs < 0 {
 		return fmt.Errorf("ga: fidelity rungs %d is negative", f.Rungs)
-	case f.Eta != 0 && f.Eta <= 1:
-		return fmt.Errorf("ga: fidelity eta %v must exceed 1", f.Eta)
-	case f.MinPoints < 0:
-		return fmt.Errorf("ga: fidelity min points %d is negative", f.MinPoints)
 	}
 	return nil
 }
@@ -71,21 +52,19 @@ func (f Fidelity) Validate() error {
 // Schedule returns the ascending cumulative sample-prefix sizes of the
 // ladder over an n-point sample: rung r scores candidates on the first
 // Schedule(n)[r] points. The last rung is always the full sample, sizes
-// below the MinPoints floor are raised to it, and duplicate sizes
+// below the 16-point floor are raised to it, and duplicate sizes
 // collapse (a 24-point sample with 3 rungs has fewer distinct prefixes
-// than rungs). The schedule depends only on the knobs and n, never on
-// the candidates, which is what keeps pruning deterministic.
+// than rungs). The schedule depends only on Rungs and n, never on the
+// candidates, which is what keeps pruning deterministic.
 func (f Fidelity) Schedule(n int) []int {
 	if !f.Enabled() || n <= 0 {
 		return []int{n}
 	}
-	eta := f.eta()
-	floor := f.minPoints()
 	sched := make([]int, 0, f.Rungs)
 	for r := 0; r < f.Rungs; r++ {
-		sz := int(math.Ceil(float64(n) / math.Pow(eta, float64(f.Rungs-1-r))))
-		if sz < floor {
-			sz = floor
+		sz := int(math.Ceil(float64(n) / math.Pow(fidelityEta, float64(f.Rungs-1-r))))
+		if sz < fidelityFloor {
+			sz = fidelityFloor
 		}
 		if sz > n {
 			sz = n
@@ -209,7 +188,7 @@ ladder:
 			d.emitRung(r+1, upTo, len(cohort), 0, 0)
 			break
 		}
-		keep := int(math.Ceil(float64(len(cohort)) / d.cfg.Fidelity.eta()))
+		keep := int(math.Ceil(float64(len(cohort)) / fidelityEta))
 		if keep < 1 {
 			keep = 1
 		}

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestFidelitySchedule: the rung schedule is a pure function of the knobs
-// and the sample size — ascending cumulative prefixes, floored at
-// MinPoints, capped and terminated at the full sample, duplicates
-// collapsed.
+// TestFidelitySchedule: the rung schedule is a pure function of the rung
+// count and the sample size — ascending cumulative prefixes halving per
+// rung, floored at 16 points, capped and terminated at the full sample,
+// duplicates collapsed.
 func TestFidelitySchedule(t *testing.T) {
 	cases := []struct {
 		name string
@@ -20,9 +20,7 @@ func TestFidelitySchedule(t *testing.T) {
 		{"off", Fidelity{}, 164, []int{164}},
 		{"one rung", Fidelity{Rungs: 1}, 164, []int{164}},
 		{"paper sample eta2", Fidelity{Rungs: 3}, 164, []int{41, 82, 164}},
-		{"eta3 with floor", Fidelity{Rungs: 4, Eta: 3}, 164, []int{16, 19, 55, 164}},
 		{"floor collapses small sample", Fidelity{Rungs: 3}, 8, []int{8}},
-		{"custom floor", Fidelity{Rungs: 3, MinPoints: 60}, 164, []int{60, 82, 164}},
 		{"deep ladder dedups", Fidelity{Rungs: 6}, 64, []int{16, 32, 64}},
 	}
 	for _, tc := range cases {
@@ -43,15 +41,15 @@ func TestFidelitySchedule(t *testing.T) {
 	}
 }
 
-// TestFidelityValidate: bad knobs are rejected, the zero value and
-// sensible configurations pass.
+// TestFidelityValidate: a negative rung count is rejected, the zero value
+// and sensible ladders pass.
 func TestFidelityValidate(t *testing.T) {
-	for _, f := range []Fidelity{{}, {Rungs: 3}, {Rungs: 4, Eta: 2.5, MinPoints: 8}} {
+	for _, f := range []Fidelity{{}, {Rungs: 1}, {Rungs: 3}} {
 		if err := f.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", f, err)
 		}
 	}
-	for _, f := range []Fidelity{{Rungs: -1}, {Eta: 1}, {Eta: 0.5}, {MinPoints: -3}} {
+	for _, f := range []Fidelity{{Rungs: -1}, {Rungs: -7}} {
 		if err := f.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted an invalid configuration", f)
 		}

@@ -51,9 +51,9 @@ func (k CrossoverKind) String() string {
 	}
 }
 
-// Config holds the GA parameters. The zero value is invalid; use
-// PaperConfig for the settings of §3.3.
-type Config struct {
+// Params holds the algorithm's parameters (§3.2–3.3). The zero value is
+// invalid; use PaperParams for the settings of §3.3.
+type Params struct {
 	PopSize       int           // population size N
 	Crossover     CrossoverKind // recombination operator (default: the paper's single-point)
 	CrossoverProb float64       // probability a selected pair crosses over
@@ -62,6 +62,46 @@ type Config struct {
 	MaxGens       int           // hard generation cap (Figure 7: 25)
 	ConvergeFrac  float64       // best-vs-average convergence threshold (0.02)
 	Seed1, Seed2  uint64        // PCG seed
+}
+
+// PaperParams returns the parameters the paper found to give near-optimal
+// results: population 30, crossover 0.9, mutation 0.001, 15–25 generations
+// with 2% convergence.
+func PaperParams(seed uint64) Params {
+	return Params{
+		PopSize:       30,
+		CrossoverProb: 0.9,
+		MutationProb:  0.001,
+		MinGens:       15,
+		MaxGens:       25,
+		ConvergeFrac:  0.02,
+		Seed1:         seed,
+		Seed2:         seed ^ 0x9e3779b97f4a7c15,
+	}
+}
+
+// Validate checks parameter sanity.
+func (p Params) Validate() error {
+	switch {
+	case p.PopSize < 2:
+		return fmt.Errorf("ga: population %d < 2", p.PopSize)
+	case p.CrossoverProb < 0 || p.CrossoverProb > 1:
+		return fmt.Errorf("ga: crossover probability %v", p.CrossoverProb)
+	case p.MutationProb < 0 || p.MutationProb > 1:
+		return fmt.Errorf("ga: mutation probability %v", p.MutationProb)
+	case p.MinGens < 1 || p.MaxGens < p.MinGens:
+		return fmt.Errorf("ga: generation schedule %d..%d", p.MinGens, p.MaxGens)
+	case p.ConvergeFrac < 0:
+		return fmt.Errorf("ga: convergence fraction %v", p.ConvergeFrac)
+	}
+	return nil
+}
+
+// Config is one run: the algorithm's Params plus the wiring of the run
+// (seed individuals, islands, fidelity ladder, memo tier, budget,
+// telemetry and checkpointing).
+type Config struct {
+	Params
 	// SeedValues are decoded-value vectors injected into the otherwise
 	// random initial population (standard heuristic seeding). On search
 	// spaces with huge per-variable ranges a uniform initial population
@@ -75,21 +115,14 @@ type Config struct {
 	SeedValues [][]int64
 
 	// Islands splits the population into this many demes evolved
-	// concurrently (the island model), with ring-topology elite migration
-	// every MigrationInterval generations. 0 or 1 runs a single
-	// population: one deme on the (Seed1, Seed2) stream with no
+	// concurrently (the island model), with ring-topology migration of
+	// each island's best individual every 5 generations. 0 or 1 runs a
+	// single population: one deme on the (Seed1, Seed2) stream with no
 	// migration. Each island of a multi-island run owns a PCG stream
 	// derived from Seed1/Seed2 and its island index alone, so a run is
 	// bit-reproducible for a fixed seed at any island count, and demes
 	// advance between barriers independent of goroutine scheduling.
 	Islands int
-	// MigrationInterval is the number of generations each island evolves
-	// between migration barriers (0 = 5).
-	MigrationInterval int
-	// MigrationCount is how many elite individuals each island sends to
-	// its ring successor at a barrier (0 = 1). It must stay below the
-	// smallest deme size.
-	MigrationCount int
 	// IslandObjective, when non-nil and Islands > 1, supplies island i's
 	// objective (i is the 0-based island index). It lets callers hand
 	// each island an independent evaluator so demes evaluate concurrently
@@ -161,41 +194,17 @@ type Config struct {
 	Label string
 }
 
-// PaperConfig returns the parameters the paper found to give near-optimal
-// results: population 30, crossover 0.9, mutation 0.001, 15–25 generations
-// with 2% convergence.
-func PaperConfig(seed uint64) Config {
-	return Config{
-		PopSize:       30,
-		CrossoverProb: 0.9,
-		MutationProb:  0.001,
-		MinGens:       15,
-		MaxGens:       25,
-		ConvergeFrac:  0.02,
-		Seed1:         seed,
-		Seed2:         seed ^ 0x9e3779b97f4a7c15,
-	}
-}
+// PaperConfig returns a run of the paper's parameters (PaperParams) with
+// no run wiring.
+func PaperConfig(seed uint64) Config { return Config{Params: PaperParams(seed)} }
 
-// Validate checks parameter sanity.
+// Validate checks the parameters and the run wiring.
 func (c Config) Validate() error {
-	switch {
-	case c.PopSize < 2:
-		return fmt.Errorf("ga: population %d < 2", c.PopSize)
-	case c.CrossoverProb < 0 || c.CrossoverProb > 1:
-		return fmt.Errorf("ga: crossover probability %v", c.CrossoverProb)
-	case c.MutationProb < 0 || c.MutationProb > 1:
-		return fmt.Errorf("ga: mutation probability %v", c.MutationProb)
-	case c.MinGens < 1 || c.MaxGens < c.MinGens:
-		return fmt.Errorf("ga: generation schedule %d..%d", c.MinGens, c.MaxGens)
-	case c.ConvergeFrac < 0:
-		return fmt.Errorf("ga: convergence fraction %v", c.ConvergeFrac)
-	case c.Islands < 0:
+	if err := c.Params.Validate(); err != nil {
+		return err
+	}
+	if c.Islands < 0 {
 		return fmt.Errorf("ga: island count %d", c.Islands)
-	case c.MigrationInterval < 0:
-		return fmt.Errorf("ga: migration interval %d", c.MigrationInterval)
-	case c.MigrationCount < 0:
-		return fmt.Errorf("ga: migration count %d", c.MigrationCount)
 	}
 	if err := c.Fidelity.Validate(); err != nil {
 		return err
@@ -210,27 +219,8 @@ func (c Config) Validate() error {
 		if c.MaxEvaluations > 0 && c.MaxEvaluations < c.Islands {
 			return fmt.Errorf("ga: evaluation budget %d is below the island count %d (every island force-evaluates one individual)", c.MaxEvaluations, c.Islands)
 		}
-		if k, smallest := c.migrationCount(), c.PopSize/c.Islands; k >= smallest {
-			return fmt.Errorf("ga: migration count %d must stay below the smallest island population %d", k, smallest)
-		}
 	}
 	return nil
-}
-
-// migrationInterval returns the effective barrier spacing.
-func (c Config) migrationInterval() int {
-	if c.MigrationInterval > 0 {
-		return c.MigrationInterval
-	}
-	return 5
-}
-
-// migrationCount returns the effective elites-per-exchange count.
-func (c Config) migrationCount() int {
-	if c.MigrationCount > 0 {
-		return c.MigrationCount
-	}
-	return 1
 }
 
 // GenStats records one generation for convergence analysis.
@@ -273,9 +263,9 @@ type individual struct {
 // stream, run inline with a barrier after every generation and no
 // migration; Islands > 1 evolves that many demes concurrently between
 // migration barriers. At every barrier, serially and in island order, the
-// run flushes telemetry, migrates elites and writes a checkpoint, so the
-// result is a pure function of (spec, objective, config) at any goroutine
-// interleaving.
+// run flushes telemetry, migrates each island's best individual and
+// writes a checkpoint, so the result is a pure function of (spec,
+// objective, config) at any goroutine interleaving.
 //
 // The run is bounded and interruptible: it honours ctx cancellation and
 // deadlines plus cfg.MaxEvaluations, halting between objective calls and
@@ -294,7 +284,7 @@ func Run(ctx context.Context, spec Spec, obj Objective, cfg Config) (Result, err
 		ctx = context.Background()
 	}
 	n := max(cfg.Islands, 1)
-	interval := cfg.migrationInterval()
+	interval := migrationInterval
 	if n == 1 {
 		interval = 1
 	}
@@ -408,7 +398,7 @@ func Run(ctx context.Context, spec Spec, obj Objective, cfg Config) (Result, err
 		flush()
 		if n > 1 {
 			// A ring of one deme would migrate its elites into itself.
-			for _, e := range migrate(demes, cfg.migrationCount(), cfg.Observer != nil) {
+			for _, e := range migrate(demes, cfg.Observer != nil) {
 				cfg.Observer.Event(e)
 			}
 		}

@@ -66,16 +66,19 @@ func TestConfigValidate(t *testing.T) {
 	if err := PaperConfig(1).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []Config{
+	bad := []Params{
 		{PopSize: 1, CrossoverProb: 0.9, MutationProb: 0.001, MinGens: 1, MaxGens: 2},
 		{PopSize: 10, CrossoverProb: 1.5, MutationProb: 0.001, MinGens: 1, MaxGens: 2},
 		{PopSize: 10, CrossoverProb: 0.9, MutationProb: -1, MinGens: 1, MaxGens: 2},
 		{PopSize: 10, CrossoverProb: 0.9, MutationProb: 0.001, MinGens: 5, MaxGens: 2},
 		{PopSize: 10, CrossoverProb: 0.9, MutationProb: 0.001, MinGens: 1, MaxGens: 2, ConvergeFrac: -1},
 	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: bad config accepted", i)
+	for i, p := range bad {
+		if err := p.Validate(); err == nil {
+			t.Errorf("case %d: bad parameters accepted", i)
+		}
+		if err := (Config{Params: p}).Validate(); err == nil {
+			t.Errorf("case %d: run over bad parameters accepted", i)
 		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 
 // This file holds the island model behind Config.Islands: the population
 // is split into N demes, each evolving on its own PCG stream, with
-// ring-topology elite migration at fixed generation barriers and a
-// deterministic merge of the per-island results.
+// ring-topology migration of each island's best individual every
+// migrationInterval generations and a deterministic merge of the
+// per-island results.
 //
 // Determinism is the design constraint everything bends around. Each
 // island's RNG stream is derived from Seed1/Seed2 and the island index
@@ -20,6 +21,11 @@ import (
 // barriers. Goroutines only parallelise the stretches between barriers,
 // where demes share nothing, so the result is a pure function of
 // (spec, objective, config) at any worker interleaving.
+
+// migrationInterval is the number of generations each island evolves
+// between migration barriers; at each barrier every island sends its one
+// best individual to its ring successor.
+const migrationInterval = 5
 
 // splitmix64 is the SplitMix64 finalizer; it turns structured seed inputs
 // (seed XOR island index) into statistically independent PCG seeds.
@@ -97,74 +103,57 @@ func parallelDemes(ds []*deme, fn func(*deme)) {
 	}
 }
 
-// eliteCopies returns deep copies of the k best individuals of pop
-// (lowest value first, ties to the lower index).
-func eliteCopies(pop []individual, k int) []individual {
-	if k > len(pop) {
-		k = len(pop)
-	}
-	taken := make([]bool, len(pop))
-	out := make([]individual, 0, k)
-	for c := 0; c < k; c++ {
-		bi := -1
-		for i := range pop {
-			if taken[i] {
-				continue
-			}
-			if bi < 0 || pop[i].value < pop[bi].value {
-				bi = i
-			}
+// elite returns a deep copy of the population's best individual (lowest
+// value, ties to the lower index). Every deme holds at least one
+// evaluated individual: the first evaluation of a run is forced.
+func elite(pop []individual) individual {
+	bi := 0
+	for i := range pop {
+		if pop[i].value < pop[bi].value {
+			bi = i
 		}
-		taken[bi] = true
-		out = append(out, individual{bits: cloneBits(pop[bi].bits), value: pop[bi].value})
 	}
-	return out
+	return individual{bits: cloneBits(pop[bi].bits), value: pop[bi].value}
 }
 
-// receiveMigrants replaces the deme's worst individuals with the incoming
-// elites (highest value evicted first, ties to the higher index) and
-// records their objective values in the memo — valid because every island
-// evaluates the same objective over the same sample.
-func (d *deme) receiveMigrants(migrants []individual) {
-	for _, m := range migrants {
-		wi := 0
-		for i := 1; i < len(d.pop); i++ {
-			if d.pop[i].value >= d.pop[wi].value {
-				wi = i
-			}
+// receiveMigrant replaces the deme's worst individual (highest value,
+// ties to the higher index) with the incoming elite and records its
+// objective value in the memo — valid because every island evaluates the
+// same objective over the same sample.
+func (d *deme) receiveMigrant(m individual) {
+	wi := 0
+	for i := 1; i < len(d.pop); i++ {
+		if d.pop[i].value >= d.pop[wi].value {
+			wi = i
 		}
-		d.pop[wi] = individual{bits: cloneBits(m.bits), value: m.value}
-		d.memo[string(m.bits)] = m.value
 	}
+	d.pop[wi] = individual{bits: cloneBits(m.bits), value: m.value}
+	d.memo[string(m.bits)] = m.value
 }
 
-// migrate performs one simultaneous ring exchange: every island's elites
-// are snapshotted first, then each still-active island i receives from
-// its ring predecessor (i-1+N) mod N. Returned events are the buffered
-// IslandMigration records in island order.
-func migrate(demes []*deme, count int, observed bool) []telemetry.Event {
+// migrate performs one simultaneous ring exchange: every island's elite
+// is snapshotted first, then each still-active island i receives the
+// elite of its ring predecessor (i-1+N) mod N. Returned events are the
+// buffered IslandMigration records in island order.
+func migrate(demes []*deme, observed bool) []telemetry.Event {
 	n := len(demes)
-	elites := make([][]individual, n)
+	elites := make([]individual, n)
 	for i, d := range demes {
-		elites[i] = eliteCopies(d.pop, count)
+		elites[i] = elite(d.pop)
 	}
 	var events []telemetry.Event
 	for i, d := range demes {
 		if !d.active() {
 			// A finished deme's population is final; it still donates its
-			// elites to its ring successor above.
+			// elite to its ring successor above.
 			continue
 		}
 		from := (i - 1 + n) % n
-		mig := elites[from]
-		if len(mig) == 0 {
-			continue
-		}
-		d.receiveMigrants(mig)
+		d.receiveMigrant(elites[from])
 		if observed {
 			events = append(events, telemetry.IslandMigration{
 				Search: d.cfg.Label, From: from + 1, To: i + 1,
-				Count: len(mig), Gen: d.gen,
+				Count: 1, Gen: d.gen,
 			})
 		}
 	}

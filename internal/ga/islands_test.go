@@ -83,12 +83,10 @@ func TestIslandConfigValidate(t *testing.T) {
 		want string // substring of the error; "" = valid
 	}{
 		{"negative islands", mk(func(c *Config) { c.Islands = -1 }), "island count"},
-		{"negative interval", mk(func(c *Config) { c.MigrationInterval = -1 }), "migration interval"},
-		{"negative count", mk(func(c *Config) { c.MigrationCount = -2 }), "migration count"},
 		{"pop too small", mk(func(c *Config) { c.PopSize = 6; c.Islands = 4 }), "cannot fill"},
 		{"budget below islands", mk(func(c *Config) { c.Islands = 4; c.MaxEvaluations = 3 }), "below the island count"},
-		{"migration count too large", mk(func(c *Config) { c.PopSize = 8; c.Islands = 4; c.MigrationCount = 2 }), "smallest island population"},
-		{"valid", mk(func(c *Config) { c.Islands = 4; c.MigrationCount = 2 }), ""},
+		{"two per island", mk(func(c *Config) { c.PopSize = 8; c.Islands = 4 }), ""},
+		{"valid", mk(func(c *Config) { c.Islands = 4 }), ""},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -235,7 +233,6 @@ func TestIslandTelemetry(t *testing.T) {
 func TestIslandCheckpointResume(t *testing.T) {
 	cfg := PaperConfig(13)
 	cfg.Islands = 2
-	cfg.MigrationInterval = 3
 	cfg.Label = "island-test"
 
 	var snaps []*Checkpoint
@@ -329,8 +326,8 @@ func TestIslandCheckpointValidation(t *testing.T) {
 // depend on the run seeds and the island index alone, never on the island
 // count, so checkpoint compatibility cannot drift silently.
 func TestIslandSeedsStable(t *testing.T) {
-	cfg2 := Config{Seed1: 100, Seed2: 200, Islands: 2}
-	cfg8 := Config{Seed1: 100, Seed2: 200, Islands: 8}
+	cfg2 := Config{Params: Params{Seed1: 100, Seed2: 200}, Islands: 2}
+	cfg8 := Config{Params: Params{Seed1: 100, Seed2: 200}, Islands: 8}
 	for i := 0; i < 2; i++ {
 		a1, a2 := islandSeeds(cfg2, i)
 		b1, b2 := islandSeeds(cfg8, i)

@@ -128,7 +128,9 @@ const checkpointVersionIslands = 2
 const checkpointVersionFidelity = 3
 
 // FidelityState records the resolved fidelity schedule inside a
-// version-3 checkpoint, guarding a resume against a drifted ladder.
+// version-3 checkpoint, guarding a resume against a drifted ladder. Eta
+// and MinPoints always hold the ladder's fixed halving factor (2) and
+// floor (16); a snapshot recording any other shape is refused.
 type FidelityState struct {
 	Rungs     int     `json:"rungs"`
 	Eta       float64 `json:"eta"`
@@ -179,9 +181,9 @@ func (c *Checkpoint) validate(spec Spec, cfg Config) error {
 		if f == nil {
 			return fmt.Errorf("ga: checkpoint version %d records no fidelity schedule", c.Version)
 		}
-		if f.Rungs != cfg.Fidelity.Rungs || f.Eta != cfg.Fidelity.eta() || f.MinPoints != cfg.Fidelity.minPoints() {
+		if f.Rungs != cfg.Fidelity.Rungs || f.Eta != fidelityEta || f.MinPoints != fidelityFloor {
 			return fmt.Errorf("ga: checkpoint fidelity schedule (rungs=%d eta=%v min=%d) does not match config (rungs=%d eta=%v min=%d)",
-				f.Rungs, f.Eta, f.MinPoints, cfg.Fidelity.Rungs, cfg.Fidelity.eta(), cfg.Fidelity.minPoints())
+				f.Rungs, f.Eta, f.MinPoints, cfg.Fidelity.Rungs, fidelityEta, fidelityFloor)
 		}
 	} else if c.Fidelity != nil {
 		return fmt.Errorf("ga: checkpoint was written with fidelity pruning enabled; this run has it off")
@@ -245,8 +247,8 @@ func checkpointOf(demes []*deme, cfg Config, nbits, round int) (*Checkpoint, err
 	if cfg.Fidelity.Enabled() {
 		cp.Version = checkpointVersionFidelity
 		cp.Fidelity = &FidelityState{
-			Rungs: cfg.Fidelity.Rungs, Eta: cfg.Fidelity.eta(),
-			MinPoints: cfg.Fidelity.minPoints(), Points: demes[0].fe.Points(),
+			Rungs: cfg.Fidelity.Rungs, Eta: fidelityEta,
+			MinPoints: fidelityFloor, Points: demes[0].fe.Points(),
 		}
 	}
 	states := make([]IslandState, len(demes))

@@ -44,6 +44,10 @@ func SetProfileLabels(on bool) { profileLabels.Store(on) }
 // interval of width 0.1 at 90% confidence (§2.3).
 const PaperSampleSize = 164
 
+// PaperConfidence is the confidence level of every interval the searches
+// report: the paper's 90% (§2.3).
+const PaperConfidence = 0.90
+
 // SampleSize returns the number of iteration points needed for a binomial
 // confidence interval of the given total width and confidence level, using
 // the worst-case variance p(1−p) = 1/4:
@@ -174,7 +178,7 @@ func CompareSampleSizes(nest *ir.Nest, cfg cache.Config, small, large int, seed 
 	}
 	rs := rand.New(rand.NewPCG(seed, seed^0x1234))
 	rl := rand.New(rand.NewPCG(seed^0x9999, seed))
-	return EstimateMissRatio(an, small, 0.90, rs), EstimateMissRatio(an, large, 0.90, rl), nil
+	return EstimateMissRatio(an, small, PaperConfidence, rs), EstimateMissRatio(an, large, PaperConfidence, rl), nil
 }
 
 // Sample is a fixed set of original-space iteration points, drawn once and

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
+	"repro/internal/faultinject"
 	"repro/internal/ga"
 	"repro/internal/journal"
 	"repro/internal/telemetry"
@@ -37,6 +38,9 @@ type durability struct {
 	ckptDir  string
 	interval time.Duration
 	now      func() time.Time
+	// faults is Config.Faults; its checkpoint.write point arms
+	// checkpoint persistence.
+	faults *faultinject.Plan
 
 	mu sync.Mutex
 	// idem maps idempotency key -> recorded response, LRU-bounded.
@@ -65,6 +69,7 @@ func openDurability(cfg Config) (*durability, error) {
 		ckptDir:  filepath.Join(cfg.StateDir, "checkpoints"),
 		interval: cfg.CheckpointInterval,
 		now:      cfg.Now,
+		faults:   cfg.Faults,
 		idem:     newIdemIndex(cfg.CacheEntries),
 		pending:  make(map[string]*pendingSnap),
 	}
@@ -180,7 +185,8 @@ func (d *durability) hook(key string) func(*ga.Checkpoint) error {
 // persist writes one snapshot and journals its location; best-effort.
 func (d *durability) persist(key string, c *ga.Checkpoint) {
 	path := d.checkpointPath(key)
-	if err := cliutil.SaveCheckpoint(path, c); err != nil {
+	ctx := faultinject.With(context.Background(), d.faults)
+	if err := cliutil.SaveCheckpoint(ctx, path, c); err != nil {
 		return
 	}
 	_ = d.jr.Append(journal.Record{

@@ -166,7 +166,7 @@ func plantCrashState(t *testing.T, state string, ref *Server, key string, withCh
 		t.Fatalf("search never crossed generation 1; raise maxEvaluations")
 	}
 	path := filepath.Join(ckptDir, "crash.ckpt")
-	if err := cliutil.SaveCheckpoint(path, snap); err != nil {
+	if err := cliutil.SaveCheckpoint(context.Background(), path, snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := jr.Append(journal.Record{
@@ -310,6 +310,35 @@ func TestJournalAppendFailureShedsRequest(t *testing.T) {
 	st2, _, _ := postIdem(t, ts.URL, fastRequest, "job-fault")
 	if st2 != http.StatusOK {
 		t.Fatalf("retry after fault: status %d", st2)
+	}
+}
+
+// TestCheckpointWriteFaultFromConfig: Config.Faults arms the
+// checkpoint.write point of the server's checkpoint persistence, as it
+// arms the journal and the searches. With every snapshot write failing,
+// the request still answers 200, not degraded, and the breaker stays
+// closed: a checkpoint is insurance, never part of the answer.
+func TestCheckpointWriteFaultFromConfig(t *testing.T) {
+	plan := faultinject.New(1, faultinject.Rule{
+		Point: faultinject.CheckpointWrite, Action: faultinject.Error,
+	})
+	_, ts, _ := testServer(t, Config{StateDir: t.TempDir(), Faults: plan})
+	st, body, _ := postIdem(t, ts.URL, fastRequest, "job-ckpt-fault")
+	if st != http.StatusOK {
+		t.Fatalf("status %d body %s, want 200", st, body)
+	}
+	var r TileResponse
+	if err := json.Unmarshal(body, &r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Degraded || r.Fallback {
+		t.Fatalf("failed checkpoint writes degraded the answer: %s", body)
+	}
+	if hits, fired := plan.Counts(faultinject.CheckpointWrite); hits < 1 || fired < 1 {
+		t.Fatalf("checkpoint.write hit %d times, fired %d; want both >= 1", hits, fired)
+	}
+	if b := healthOf(t, ts.URL).Breaker; b != "closed" {
+		t.Fatalf("breaker = %q, want closed", b)
 	}
 }
 

@@ -244,7 +244,7 @@ const maxSamplePoints = 100 * sampling.PaperSampleSize
 const maxIslands = 8
 
 // maxFidelityRungs bounds the successive-halving ladder depth: with the
-// default eta of 2 the paper's 164-point sample already collapses to its
+// fixed eta of 2 the paper's 164-point sample already collapses to its
 // 16-point floor by the sixth rung, so deeper ladders only add bookkeeping.
 const maxFidelityRungs = 6
 

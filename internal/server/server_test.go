@@ -181,7 +181,15 @@ func TestBudgetBelowIslandsIsBadRequest(t *testing.T) {
 	if r.Fallback || r.Stopped == "fallback" {
 		t.Fatalf("healthy request got the fallback tile: %s", body)
 	}
-	resp, err := http.Get(ts.URL + "/healthz")
+	if b := healthOf(t, ts.URL).Breaker; b != "closed" {
+		t.Fatalf("breaker = %q after bad requests, want closed", b)
+	}
+}
+
+// healthOf reads the server's /healthz body.
+func healthOf(t *testing.T, url string) health {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +198,7 @@ func TestBudgetBelowIslandsIsBadRequest(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Breaker != "closed" {
-		t.Fatalf("breaker = %q after bad requests, want closed", h.Breaker)
-	}
+	return h
 }
 
 func TestTimeoutNormalization(t *testing.T) {

@@ -207,7 +207,7 @@ type IslandMigration struct {
 	Search string
 	// From and To are 1-based island indices (To = From's ring successor).
 	From, To int
-	// Count is how many elites moved.
+	// Count is how many individuals moved: 1, the sender's best.
 	Count int
 	// Gen is the recipient island's completed generation at the exchange.
 	Gen int
