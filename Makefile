@@ -48,15 +48,21 @@ serve-smoke:
 vet:
 	$(GO) vet ./...
 
-# Telemetry layering rule: internal packages may depend on the
+# Layering rules. Telemetry: internal packages may depend on the
 # internal/telemetry interface, but only the facade (root package) wires
 # concrete sinks. An internal package importing internal/telemetry/sinks
-# breaks the nil-observer zero-cost contract and fails here.
+# breaks the nil-observer zero-cost contract and fails here. Evalcache:
+# the shared evaluation cache holds values, never solver state, so
+# internal/evalcache importing internal/cme fails here too.
 depcheck:
 	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/... | grep -E ' repro/internal/telemetry/sinks( |$$)' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "depcheck: internal packages must not import telemetry sinks (only the facade may):"; \
 		echo "$$bad"; exit 1; \
+	fi
+	@if $(GO) list -f '{{join .Imports " "}}' ./internal/evalcache | grep -qE '(^| )repro/internal/cme( |$$)'; then \
+		echo "depcheck: internal/evalcache must not import internal/cme (the shared cache holds values, not analyzers)"; \
+		exit 1; \
 	fi
 	@echo "depcheck: ok"
 

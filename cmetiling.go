@@ -35,12 +35,15 @@
 // # Sharing evaluation work across searches
 //
 // Options.SharedCache attaches a shared evaluation cache (NewEvalCache)
-// to a search. The cache memoizes per-candidate fitness values, finalized
-// per-tile statistics and analyzer pools across GA islands, successive
-// searches and concurrent callers — strictly result-transparently: for a
-// fixed seed a search returns bit-identical results whether the cache is
-// absent, cold, or pre-warmed. Repeated or related searches over the same
-// nest and cache geometry get faster, never different.
+// to a search. The cache memoizes per-candidate fitness values and
+// finalized per-tile statistics across GA islands, successive searches
+// and concurrent callers — strictly result-transparently: for a fixed
+// seed a search returns bit-identical results whether the cache is
+// absent, cold, or pre-warmed. Its keys include the sample the seed
+// draws, so searches over the same nest and cache geometry with the same
+// seed and sample size share work: a repeat, a retry with a larger
+// budget, or a tile-loop-order search after a tiling search. They get
+// faster, never different.
 //
 // Custom loop nests are built from the ir package's types (re-exported
 // here): arrays with explicit layout, affine references, rectangular

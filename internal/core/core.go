@@ -120,8 +120,10 @@ type Options struct {
 	// SharedCache, when non-nil, is the process-wide shared evaluation
 	// cache: finished fitness values and per-tile statistics, keyed by
 	// content (nest IR, cache geometry, sample set, candidate), recalled
-	// across GA islands, successive searches and service requests, plus
-	// analyzer-pool reuse across searches over the same nest. It is
+	// across GA islands, successive searches and service requests. The
+	// sample set is drawn from Seed, so only searches with the same Seed
+	// and SamplePoints share entries. Analyzers are never shared: each
+	// search builds its own pool. It is
 	// strictly result-transparent: for a fixed Seed a search returns
 	// bit-identical results whether the cache is nil, cold, or pre-warmed
 	// by earlier searches — only the work to arrive there changes. Values
@@ -172,34 +174,22 @@ func (o Options) Validate() error {
 	if o.MaxEvaluations < 0 {
 		return badOption("MaxEvaluations", "%d is negative", o.MaxEvaluations)
 	}
-	if o.Islands < 0 {
-		return badOption("Islands", "%d is negative", o.Islands)
-	}
-	if o.Islands > 1 {
-		pop := o.GA.PopSize
-		if pop == 0 {
-			pop = 30 // the paper's default population
-		}
-		if pop < 2*o.Islands {
-			return badOption("Islands", "population %d cannot fill %d islands with at least 2 individuals each", pop, o.Islands)
-		}
-		if o.MaxEvaluations > 0 && o.MaxEvaluations < o.Islands {
-			return badOption("MaxEvaluations", "budget %d is below the island count %d (every island evaluates at least one individual)", o.MaxEvaluations, o.Islands)
-		}
-	}
 	if o.FailurePolicy != FailAbort && o.FailurePolicy != FailQuarantine {
 		return badOption("FailurePolicy", "unknown policy %d", int(o.FailurePolicy))
 	}
 	if o.StallTimeout < 0 {
 		return badOption("StallTimeout", "%v is negative", o.StallTimeout)
 	}
-	if err := o.Fidelity.Validate(); err != nil {
-		return badOption("Fidelity", "%v", err)
+	params := o.GA
+	if params == (ga.Params{}) {
+		params = ga.PaperParams(o.Seed)
+	} else if err := params.Validate(); err != nil {
+		return badOption("GA", "%v (leave the block zero for the paper's parameters, or start from ga.PaperParams)", err)
 	}
-	if o.GA != (ga.Params{}) {
-		if err := o.GA.Validate(); err != nil {
-			return badOption("GA", "%v (leave the block zero for the paper's parameters, or start from ga.PaperParams)", err)
-		}
+	// The GA owns the island, budget and fidelity rules.
+	run := ga.Config{Params: params, Islands: o.Islands, MaxEvaluations: o.MaxEvaluations, Fidelity: o.Fidelity}
+	if err := run.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadOption, err)
 	}
 	return nil
 }
@@ -429,8 +419,7 @@ type evaluator struct {
 	// shared is the cross-search evaluation cache (nil = disabled). The
 	// content keys are precomputed once per search; only the primary
 	// evaluator carries them — island forks leave shared nil, since
-	// fitness sharing happens at the GA layer and pool parking belongs to
-	// the search's primary pool.
+	// fitness sharing happens at the GA layer.
 	shared   *evalcache.Cache
 	nestKey  string
 	cfgKey   string
@@ -478,9 +467,7 @@ func (e *evaluator) fork(island int) *evaluator {
 
 // analyzers returns the worker analyzer pool bound to (nest, space):
 // rebinding in place when the pool already analyses nest (reused=true),
-// checking a parked pool out of the shared cache when an earlier search
-// over a content-equal nest returned one, and rebuilding otherwise.
-// Callers hold e.mu.
+// and rebuilding otherwise. Callers hold e.mu.
 func (e *evaluator) analyzers(nest *ir.Nest, space iterspace.Space) (ans []*cme.Analyzer, reused bool, err error) {
 	if e.poolNest == nest && len(e.pool) > 0 {
 		for _, an := range e.pool {
@@ -489,10 +476,6 @@ func (e *evaluator) analyzers(nest *ir.Nest, space iterspace.Space) (ans []*cme.
 			}
 		}
 		return e.pool, true, nil
-	}
-	if pool := e.checkoutShared(nest, space); pool != nil {
-		e.pool, e.poolNest = pool, nest
-		return pool, true, nil
 	}
 	an, err := cme.NewAnalyzer(nest, space, e.cfg)
 	if err != nil {
@@ -505,56 +488,6 @@ func (e *evaluator) analyzers(nest *ir.Nest, space iterspace.Space) (ans []*cme.
 	}
 	e.pool, e.poolNest = pool, nest
 	return pool, false, nil
-}
-
-// poolKey scopes parked analyzer pools to (nest content, geometry):
-// analyzers built for a content-equal nest under the same geometry
-// classify identically, so a checked-out pool is result-invariant.
-func (e *evaluator) poolKey() string {
-	return evalcache.Scope("pool", e.nestKey, e.cfgKey)
-}
-
-// checkoutShared tries to adopt a parked pool from the shared cache for
-// the search's base nest, rebound to space and resized to this search's
-// worker count. Any rebind failure drops the pool and reports a miss so
-// the caller rebuilds from scratch.
-func (e *evaluator) checkoutShared(nest *ir.Nest, space iterspace.Space) []*cme.Analyzer {
-	if e.shared == nil || nest != e.nest {
-		return nil
-	}
-	pool, ok := e.shared.CheckoutPool(e.poolKey())
-	if !ok {
-		return nil
-	}
-	if n := max(e.workers, 1); len(pool) > n {
-		pool = pool[:n]
-	}
-	for _, an := range pool {
-		if err := an.Rebind(space); err != nil {
-			return nil
-		}
-	}
-	for len(pool) < max(e.workers, 1) {
-		pool = append(pool, pool[0].Clone())
-	}
-	return pool
-}
-
-// release parks the evaluator's analyzer pool in the shared cache for
-// the next search over the same nest and geometry. Searches defer it;
-// with sharing disabled, or after a padded-nest evaluation rebuilt the
-// pool for a different nest, it is a no-op.
-func (e *evaluator) release() {
-	if e.shared == nil {
-		return
-	}
-	e.mu.Lock()
-	pool, poolNest := e.pool, e.poolNest
-	e.pool, e.poolNest = nil, nil
-	e.mu.Unlock()
-	if poolNest == e.nest && len(pool) > 0 {
-		e.shared.ReturnPool(e.poolKey(), pool)
-	}
 }
 
 // evalSpace evaluates the whole sample over nest traversed in space
@@ -809,7 +742,6 @@ func runSearch[R any](ctx context.Context, nest *ir.Nest, opt Options,
 	if err != nil {
 		return zero, err
 	}
-	defer ev.release()
 	p := mk(ev)
 	if p.cost != nil && opt.Fidelity.Enabled() {
 		return zero, badOption("Fidelity", "multi-fidelity evaluation is not supported by the %s search", p.label)
@@ -1390,7 +1322,6 @@ func ExhaustiveTiling(ctx context.Context, nest *ir.Nest, opt Options, limit uin
 	if err != nil {
 		return nil, cachesim.Stats{}, err
 	}
-	defer ev.release()
 	k := nest.Depth()
 	total := uint64(1)
 	for d := 0; d < k; d++ {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/ga"
 	"repro/internal/telemetry"
 )
 
@@ -22,41 +23,57 @@ func faultCtx(t *testing.T, spec string) context.Context {
 	return faultinject.With(context.Background(), plan)
 }
 
+// fidelityCases runs a fault test once on the one-at-a-time objective
+// and once on the fidelity ladder, whose partial evaluations route their
+// failures through the same guard.
+var fidelityCases = []struct {
+	name     string
+	fidelity ga.Fidelity
+}{
+	{"fidelity-off", ga.Fidelity{}},
+	{"rungs3", ga.Fidelity{Rungs: 3}},
+}
+
 // TestQuarantineCompletesUnderInjectedPanic: with FailQuarantine an
 // injected evaluation panic is set aside — the search completes with a
 // valid tile, the offending candidate on the quarantine list, and the
 // matching telemetry event.
 func TestQuarantineCompletesUnderInjectedPanic(t *testing.T) {
-	nest := transpose(32)
-	opt := testOpt(7)
-	opt.FailurePolicy = FailQuarantine
-	var cap telemetry.Capture
-	opt.Observer = &cap
-	res, err := OptimizeTiling(faultCtx(t, "eval.panic:after=3,times=1"), nest, opt)
-	if err != nil {
-		t.Fatalf("quarantine run failed: %v", err)
-	}
-	if len(res.Tile) != 2 {
-		t.Fatalf("degraded run has no tile: %+v", res)
-	}
-	if len(res.Quarantined) != 1 {
-		t.Fatalf("quarantined = %v, want exactly one entry", res.Quarantined)
-	}
-	q := res.Quarantined[0]
-	if q.Phase != "tiling" || !strings.Contains(q.Reason, "panic") || len(q.Values) == 0 {
-		t.Fatalf("quarantine entry = %+v", q)
-	}
-	events := 0
-	for _, e := range cap.Events() {
-		if qe, ok := e.(telemetry.EvaluationQuarantined); ok {
-			events++
-			if qe.Search != "tiling" || qe.Reason != q.Reason {
-				t.Fatalf("event %+v does not match entry %+v", qe, q)
+	for _, tc := range fidelityCases {
+		t.Run(tc.name, func(t *testing.T) {
+			nest := transpose(32)
+			opt := testOpt(7)
+			opt.Fidelity = tc.fidelity
+			opt.FailurePolicy = FailQuarantine
+			var cap telemetry.Capture
+			opt.Observer = &cap
+			res, err := OptimizeTiling(faultCtx(t, "eval.panic:after=3,times=1"), nest, opt)
+			if err != nil {
+				t.Fatalf("quarantine run failed: %v", err)
 			}
-		}
-	}
-	if events != 1 {
-		t.Fatalf("%d EvaluationQuarantined events, want 1", events)
+			if len(res.Tile) != 2 {
+				t.Fatalf("degraded run has no tile: %+v", res)
+			}
+			if len(res.Quarantined) != 1 {
+				t.Fatalf("quarantined = %v, want exactly one entry", res.Quarantined)
+			}
+			q := res.Quarantined[0]
+			if q.Phase != "tiling" || !strings.Contains(q.Reason, "panic") || len(q.Values) == 0 {
+				t.Fatalf("quarantine entry = %+v", q)
+			}
+			events := 0
+			for _, e := range cap.Events() {
+				if qe, ok := e.(telemetry.EvaluationQuarantined); ok {
+					events++
+					if qe.Search != "tiling" || qe.Reason != q.Reason {
+						t.Fatalf("event %+v does not match entry %+v", qe, q)
+					}
+				}
+			}
+			if events != 1 {
+				t.Fatalf("%d EvaluationQuarantined events, want 1", events)
+			}
+		})
 	}
 }
 
@@ -93,12 +110,18 @@ func TestQuarantineDeterministicPerSeedAndPlan(t *testing.T) {
 // TestAbortPolicyFailsOnInjectedPanic: the default policy preserves
 // today's contract — a broken evaluation fails the search.
 func TestAbortPolicyFailsOnInjectedPanic(t *testing.T) {
-	res, err := OptimizeTiling(faultCtx(t, "eval.panic:after=3,times=1"), transpose(32), testOpt(7))
-	if err == nil {
-		t.Fatalf("abort policy swallowed the fault: %+v", res)
-	}
-	if !strings.Contains(err.Error(), "panic") {
-		t.Fatalf("err = %v, want the recovered panic", err)
+	for _, tc := range fidelityCases {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := testOpt(7)
+			opt.Fidelity = tc.fidelity
+			res, err := OptimizeTiling(faultCtx(t, "eval.panic:after=3,times=1"), transpose(32), opt)
+			if err == nil {
+				t.Fatalf("abort policy swallowed the fault: %+v", res)
+			}
+			if !strings.Contains(err.Error(), "panic") {
+				t.Fatalf("err = %v, want the recovered panic", err)
+			}
+		})
 	}
 }
 
@@ -127,18 +150,23 @@ func TestPoliciesAgreeOnCleanRuns(t *testing.T) {
 // trips the StallTimeout watchdog; under FailQuarantine the search
 // degrades to best-so-far instead of hanging.
 func TestWatchdogQuarantinesStalledEvaluation(t *testing.T) {
-	opt := testOpt(7)
-	opt.FailurePolicy = FailQuarantine
-	opt.StallTimeout = 50 * time.Millisecond
-	res, err := OptimizeTiling(faultCtx(t, "eval.stall:after=5,times=1"), transpose(32), opt)
-	if err != nil {
-		t.Fatalf("stalled run did not degrade: %v", err)
-	}
-	if len(res.Quarantined) != 1 || !strings.Contains(res.Quarantined[0].Reason, "stalled") {
-		t.Fatalf("quarantined = %+v, want one stalled entry", res.Quarantined)
-	}
-	if len(res.Tile) != 2 {
-		t.Fatalf("degraded run has no tile: %+v", res)
+	for _, tc := range fidelityCases {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := testOpt(7)
+			opt.Fidelity = tc.fidelity
+			opt.FailurePolicy = FailQuarantine
+			opt.StallTimeout = 50 * time.Millisecond
+			res, err := OptimizeTiling(faultCtx(t, "eval.stall:after=5,times=1"), transpose(32), opt)
+			if err != nil {
+				t.Fatalf("stalled run did not degrade: %v", err)
+			}
+			if len(res.Quarantined) != 1 || !strings.Contains(res.Quarantined[0].Reason, "stalled") {
+				t.Fatalf("quarantined = %+v, want one stalled entry", res.Quarantined)
+			}
+			if len(res.Tile) != 2 {
+				t.Fatalf("degraded run has no tile: %+v", res)
+			}
+		})
 	}
 }
 

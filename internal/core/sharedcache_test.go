@@ -111,26 +111,6 @@ func TestSharedCacheIslandScopeIsolation(t *testing.T) {
 	requireSameTiling(t, "seed-99 warm vs disabled", disabled, warm)
 }
 
-// TestSharedCacheIslandPoolReuse: the analyzer pool parked by one search
-// is checked out by the next one over the same nest — the cross-request
-// half of the pool optimisation.
-func TestSharedCacheIslandPoolReuse(t *testing.T) {
-	nest := transpose(64)
-	c := evalcache.New(evalcache.Config{MaxEntries: 1 << 14})
-	if _, err := OptimizeTiling(context.Background(), nest, sharedOpt(5, 1, c)); err != nil {
-		t.Fatal(err)
-	}
-	before := c.Metrics()
-	if _, err := OptimizeTiling(context.Background(), nest, sharedOpt(6, 1, c)); err != nil {
-		t.Fatal(err)
-	}
-	// Seed 6 draws a different sample, so fitness/stats scopes differ —
-	// but the parked pool is keyed by (nest, geometry) alone and must hit.
-	if m := c.Metrics(); m.Hits <= before.Hits {
-		t.Fatalf("second search over the same nest recorded no cache hits: %+v", m)
-	}
-}
-
 // TestSpaceKeyEncodesTileAndOrder pins the shared stats tier's key for
 // tiled spaces: the identity order keys alike however the space was
 // built, and a change of order or of one tile size keys apart, so one

@@ -7,11 +7,9 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cachesim"
-	"repro/internal/cme"
 	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/telemetry"
-	"repro/internal/tiling"
 )
 
 // nest builds a catalog kernel instance for key tests.
@@ -132,61 +130,6 @@ func TestConfigKeyAndScopeDiscriminate(t *testing.T) {
 	}
 	if Scope("a", "bc") == Scope("ab", "c") {
 		t.Fatal("scope framing is ambiguous across part boundaries")
-	}
-}
-
-func TestPoolCheckoutIsExclusive(t *testing.T) {
-	c := New(Config{MaxEntries: 64})
-	if _, ok := c.CheckoutPool("p"); ok {
-		t.Fatal("checkout hit on empty cache")
-	}
-	c.ReturnPool("p", nil) // zero-length pools are dropped, not parked
-	if _, ok := c.CheckoutPool("p"); ok {
-		t.Fatal("zero-length pool was parked")
-	}
-
-	n := nest(t, "MM", 32)
-	box, err := tiling.Box(n)
-	if err != nil {
-		t.Fatalf("Box: %v", err)
-	}
-	an, err := cme.NewAnalyzer(n, box, cache.DM8K)
-	if err != nil {
-		t.Fatalf("NewAnalyzer: %v", err)
-	}
-	c.ReturnPool("p", []*cme.Analyzer{an})
-	pool, ok := c.CheckoutPool("p")
-	if !ok || len(pool) != 1 || pool[0] != an {
-		t.Fatalf("checkout returned %v, %v", pool, ok)
-	}
-	// Checkout removes: a second checkout must miss.
-	if _, ok := c.CheckoutPool("p"); ok {
-		t.Fatal("pool shared across checkouts")
-	}
-}
-
-func TestPoolBound(t *testing.T) {
-	c := New(Config{MaxEntries: 64})
-	n := nest(t, "MM", 32)
-	box, err := tiling.Box(n)
-	if err != nil {
-		t.Fatalf("Box: %v", err)
-	}
-	an, err := cme.NewAnalyzer(n, box, cache.DM8K)
-	if err != nil {
-		t.Fatalf("NewAnalyzer: %v", err)
-	}
-	for i := 0; i < 3*maxPools; i++ {
-		c.ReturnPool(fmt.Sprintf("p-%d", i), []*cme.Analyzer{an})
-	}
-	c.poolMu.Lock()
-	parked := c.poolOrder.Len()
-	c.poolMu.Unlock()
-	if parked > maxPools {
-		t.Fatalf("%d pools parked, bound %d", parked, maxPools)
-	}
-	if m := c.Metrics(); m.Evictions == 0 {
-		t.Fatal("pool overfill recorded no evictions")
 	}
 }
 

@@ -152,8 +152,7 @@ func migrate(demes []*deme, observed bool) []telemetry.Event {
 		d.receiveMigrant(elites[from])
 		if observed {
 			events = append(events, telemetry.IslandMigration{
-				Search: d.cfg.Label, From: from + 1, To: i + 1,
-				Count: 1, Gen: d.gen,
+				Search: d.cfg.Label, From: from + 1, To: i + 1, Gen: d.gen,
 			})
 		}
 	}

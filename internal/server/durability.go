@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/ga"
 	"repro/internal/journal"
+	"repro/internal/lru"
 	"repro/internal/telemetry"
 )
 
@@ -42,9 +42,11 @@ type durability struct {
 	// checkpoint persistence.
 	faults *faultinject.Plan
 
+	// idem maps idempotency key to recorded response, LRU-bounded: the
+	// in-memory projection of the journal's done records.
+	idem *lru.Cache[string, idemEntry]
+
 	mu sync.Mutex
-	// idem maps idempotency key -> recorded response, LRU-bounded.
-	idem *idemIndex
 	// pending holds the latest not-yet-persisted snapshot per in-flight
 	// search, so a drain can flush them before the process exits.
 	pending map[string]*pendingSnap
@@ -70,7 +72,7 @@ func openDurability(cfg Config) (*durability, error) {
 		interval: cfg.CheckpointInterval,
 		now:      cfg.Now,
 		faults:   cfg.Faults,
-		idem:     newIdemIndex(cfg.CacheEntries),
+		idem:     lru.New[string, idemEntry](cfg.CacheEntries),
 		pending:  make(map[string]*pendingSnap),
 	}
 	if err := os.MkdirAll(d.ckptDir, 0o755); err != nil {
@@ -88,7 +90,7 @@ func openDurability(cfg Config) (*durability, error) {
 	d.skipped = st.Skipped
 	for _, e := range st.Completed() {
 		if len(e.Response) > 0 && e.Outcome != "error" {
-			d.idem.put(e.Key, e.Response, e.Outcome)
+			d.idem.Put(e.Key, idemEntry{e.Response, e.Outcome})
 		}
 	}
 	d.incomplete = st.Incomplete()
@@ -97,7 +99,8 @@ func openDurability(cfg Config) (*durability, error) {
 
 // lookup serves a duplicate idempotent retry from the recorded bytes.
 func (d *durability) lookup(key string) (body []byte, outcome string, ok bool) {
-	return d.idem.get(key)
+	e, ok := d.idem.Get(key)
+	return e.body, e.outcome, ok
 }
 
 // accepted makes the request durable before its search runs: the
@@ -123,7 +126,7 @@ func (d *durability) done(key string, body []byte, outcome string) {
 	_ = d.jr.Append(journal.Record{
 		Op: journal.OpDone, Key: key, Response: body, Outcome: outcome,
 	})
-	d.idem.put(key, body, outcome)
+	d.idem.Put(key, idemEntry{body, outcome})
 	d.forget(key)
 }
 
@@ -346,49 +349,6 @@ func idemKeyFor(header string, norm *normRequest) string {
 
 // idemEntry is one recorded response in the idempotency index.
 type idemEntry struct {
-	key     string
 	body    []byte
 	outcome string
-}
-
-// idemIndex is a bounded LRU from idempotency key to recorded response —
-// the in-memory projection of the journal's done records.
-type idemIndex struct {
-	mu    sync.Mutex
-	max   int
-	order *list.List
-	items map[string]*list.Element
-}
-
-func newIdemIndex(max int) *idemIndex {
-	return &idemIndex{max: max, order: list.New(), items: make(map[string]*list.Element)}
-}
-
-func (x *idemIndex) get(key string) ([]byte, string, bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	el, ok := x.items[key]
-	if !ok {
-		return nil, "", false
-	}
-	x.order.MoveToFront(el)
-	e := el.Value.(*idemEntry)
-	return e.body, e.outcome, true
-}
-
-func (x *idemIndex) put(key string, body []byte, outcome string) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if el, ok := x.items[key]; ok {
-		x.order.MoveToFront(el)
-		e := el.Value.(*idemEntry)
-		e.body, e.outcome = body, outcome
-		return
-	}
-	x.items[key] = x.order.PushFront(&idemEntry{key: key, body: body, outcome: outcome})
-	for x.order.Len() > x.max {
-		oldest := x.order.Back()
-		x.order.Remove(oldest)
-		delete(x.items, oldest.Value.(*idemEntry).key)
-	}
 }

@@ -15,9 +15,10 @@
 //     repeatedly and serves the capacity-heuristic fallback tile, tagged
 //     degraded, until a half-open probe proves the search healthy again;
 //   - a process-wide shared evaluation cache memoizes per-candidate
-//     fitness values, finalized stats and analyzer pools across requests,
-//     so even requests differing in seed or mode reuse each other's work
-//     over the same kernel and geometry — without changing any result;
+//     fitness values and finalized stats across requests with the same
+//     seed and sample size (a capped request and its uncapped retry, or
+//     tile and order requests on identity-order tiles) — without
+//     changing any result;
 //   - POST /v1/tile/batch answers up to 16 kernels in one call, streaming
 //     per-item NDJSON results as they finish, with per-item admission
 //     against the same bounded gate and the same singleflight coalescing;
@@ -43,6 +44,7 @@ import (
 	"repro/internal/evalcache"
 	"repro/internal/faultinject"
 	"repro/internal/journal"
+	"repro/internal/lru"
 	"repro/internal/telemetry"
 )
 
@@ -70,9 +72,11 @@ type Config struct {
 	// that search pipelines consult across requests (0 = the evalcache
 	// default, negative = disabled). Unlike the result cache — which
 	// serves whole response bodies for byte-identical requests — the
-	// evaluation cache memoizes per-candidate fitness values and analyzer
-	// pools, so even requests differing in seed or mode reuse each
-	// other's work over the same kernel and geometry.
+	// evaluation cache memoizes per-candidate fitness values and
+	// finalized stats. Its keys include the seed-drawn sample, so
+	// requests with the same seed and sample size share them: a capped
+	// request and its uncapped retry, or tile and order requests on
+	// identity-order tiles.
 	EvalCacheEntries int
 	// BreakerThreshold is the consecutive-failure count that trips the
 	// circuit breaker (0 = 5); BreakerCooldown is how long it stays open
@@ -150,9 +154,12 @@ func (c Config) withDefaults() Config {
 // Server is the tiling service. Create with New, expose Handler on an
 // http.Server, and call Drain before exiting.
 type Server struct {
-	cfg     Config
-	gate    *gate
-	cache   *resultCache
+	cfg  Config
+	gate *gate
+	// cache maps the canonical request hash to the exact response bytes
+	// sent on the miss, so a hit is byte-identical to the miss by
+	// construction. Callers never mutate a stored body.
+	cache   *lru.Cache[string, []byte]
 	flight  *flightGroup
 	breaker *breaker
 	reqID   atomic.Uint64
@@ -197,7 +204,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:          cfg,
 		gate:         newGate(cfg.MaxConcurrent, cfg.QueueDepth),
-		cache:        newResultCache(cfg.CacheEntries),
+		cache:        lru.New[string, []byte](cfg.CacheEntries),
 		flight:       newFlightGroup(),
 		breaker:      newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now, cfg.Observer),
 		evalCache:    ec,
@@ -362,7 +369,7 @@ func (s *Server) serve(ctx context.Context, norm *normRequest) (body []byte, out
 	source = "miss"
 	if err := s.cfg.Faults.Fire(ctx, faultinject.CacheGet); err != nil {
 		source = "bypass"
-	} else if body, hit := s.cache.get(norm.key); hit {
+	} else if body, hit := s.cache.Get(norm.key); hit {
 		return body, "ok", "hit", nil
 	}
 	res, shared, err := s.flight.do(norm.key, func() (computed, error) {
@@ -372,7 +379,7 @@ func (s *Server) serve(ctx context.Context, norm *normRequest) (body []byte, out
 		return nil, "", "", err
 	}
 	if res.cacheable && source != "bypass" {
-		s.cache.put(norm.key, res.body)
+		s.cache.Put(norm.key, res.body)
 	}
 	if shared {
 		source = "coalesced"

@@ -349,25 +349,6 @@ func TestGateWaiterLeavesOnCancel(t *testing.T) {
 	waitFor(t, func() bool { return g.queued() == 0 })
 }
 
-func TestResultCacheLRUEviction(t *testing.T) {
-	c := newResultCache(2)
-	c.put("a", []byte("A"))
-	c.put("b", []byte("B"))
-	if _, ok := c.get("a"); !ok { // refresh a; b becomes LRU
-		t.Fatal("a missing")
-	}
-	c.put("c", []byte("C"))
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b survived eviction; LRU order wrong")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a evicted despite being refreshed")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
-	}
-}
-
 func TestFlightGroupCoalesces(t *testing.T) {
 	g := newFlightGroup()
 	var calls int

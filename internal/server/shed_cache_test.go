@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -10,54 +9,6 @@ import (
 
 	"repro/internal/telemetry"
 )
-
-// TestCachePutExistingKeyRefreshes: re-putting a key updates the body and
-// recency in place. It must never insert a duplicate entry, and the
-// refreshed key must outlive a colder one when eviction comes.
-func TestCachePutExistingKeyRefreshes(t *testing.T) {
-	c := newResultCache(2)
-	c.put("a", []byte("A1"))
-	c.put("b", []byte("B"))
-	c.put("a", []byte("A2")) // refresh: b is now the LRU entry
-	if got := c.len(); got != 2 {
-		t.Fatalf("len after re-put = %d, want 2 (duplicate inserted)", got)
-	}
-	c.put("c", []byte("C"))
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b survived eviction; re-put did not refresh a's recency")
-	}
-	body, ok := c.get("a")
-	if !ok {
-		t.Fatal("a evicted despite being refreshed by the re-put")
-	}
-	if string(body) != "A2" {
-		t.Fatalf("a = %q, want the re-put body A2", body)
-	}
-	if got := c.len(); got != 2 {
-		t.Fatalf("len = %d, want 2", got)
-	}
-}
-
-// TestCacheEvictionStaysBounded: a long run of puts never grows the cache
-// past its bound, and each put needs at most one eviction.
-func TestCacheEvictionStaysBounded(t *testing.T) {
-	c := newResultCache(4)
-	for i := 0; i < 40; i++ {
-		c.put(fmt.Sprintf("k%d", i), []byte("v"))
-		if got := c.len(); got > 4 {
-			t.Fatalf("len = %d after put %d, want <= 4", got, i)
-		}
-	}
-	if got := c.len(); got != 4 {
-		t.Fatalf("final len = %d, want 4", got)
-	}
-	// The four newest keys are the survivors.
-	for i := 36; i < 40; i++ {
-		if _, ok := c.get(fmt.Sprintf("k%d", i)); !ok {
-			t.Fatalf("k%d missing; eviction removed a hot entry", i)
-		}
-	}
-}
 
 // retryAfterSeconds parses the Retry-After header and requires a positive
 // integer number of seconds — the contract for every shed response.

@@ -143,9 +143,8 @@ func (j *JSONL) record(e telemetry.Event) any {
 			Search string `json:"search"`
 			From   int    `json:"from"`
 			To     int    `json:"to"`
-			Count  int    `json:"count"`
 			Gen    int    `json:"gen"`
-		}{string(ev.Kind()), ev.Search, ev.From, ev.To, ev.Count, ev.Gen}
+		}{string(ev.Kind()), ev.Search, ev.From, ev.To, ev.Gen}
 	case telemetry.CheckpointWritten:
 		return struct {
 			Ev          string `json:"ev"`

@@ -59,8 +59,8 @@ func (t *TTY) Event(e telemetry.Event) {
 				label, ev.Rung, ev.Points, ev.Candidates, ev.Promoted, ev.Pruned)
 		}
 	case telemetry.IslandMigration:
-		fmt.Fprintf(t.w, "[%s] migration i%d -> i%d (%d elites) @ gen %d\n",
-			ev.Search, ev.From, ev.To, ev.Count, ev.Gen)
+		fmt.Fprintf(t.w, "[%s] migration i%d -> i%d @ gen %d\n",
+			ev.Search, ev.From, ev.To, ev.Gen)
 	case telemetry.CheckpointWritten:
 		fmt.Fprintf(t.w, "[%s] checkpoint @ gen %d (%d individuals, %d memo entries)\n",
 			ev.Search, ev.Gen, ev.Individuals, ev.MemoEntries)

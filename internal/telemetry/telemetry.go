@@ -39,8 +39,8 @@ const (
 	KindCheckpointWritten Kind = "checkpoint"
 	KindSearchStop        Kind = "search_stop"
 	// KindIslandMigration marks one ring-topology elite exchange of the
-	// island-model GA: island From sent Count elites to island To at a
-	// migration barrier.
+	// island-model GA: island From sent its best individual to island To
+	// at a migration barrier.
 	KindIslandMigration Kind = "island_migration"
 	// KindEvaluationRung marks one completed rung of the multi-fidelity
 	// successive-halving ladder: a candidate cohort was scored on a sample
@@ -198,8 +198,8 @@ type EvaluationRung struct {
 func (EvaluationRung) Kind() Kind { return KindEvaluationRung }
 
 // IslandMigration reports one edge of a ring-topology elite exchange at a
-// migration barrier of the island-model GA: island From's best Count
-// individuals were copied into island To, replacing To's worst. Emitted
+// migration barrier of the island-model GA: island From's best individual
+// was copied into island To, replacing To's worst. Emitted
 // serially in island order at the barrier, so the stream is deterministic
 // for a fixed seed and island count.
 type IslandMigration struct {
@@ -207,8 +207,6 @@ type IslandMigration struct {
 	Search string
 	// From and To are 1-based island indices (To = From's ring successor).
 	From, To int
-	// Count is how many individuals moved: 1, the sender's best.
-	Count int
 	// Gen is the recipient island's completed generation at the exchange.
 	Gen int
 }
@@ -377,8 +375,8 @@ func (ServerDrained) Kind() Kind { return KindServerDrained }
 // EvalCacheHit reports one shared evaluation-cache lookup that recalled
 // a finished result computed by an earlier search or request.
 type EvalCacheHit struct {
-	// Tier is the cache tier that answered: "fitness" (GA memo entry),
-	// "stats" (finalized per-tile statistics) or "pool" (analyzer pool).
+	// Tier is the cache tier that answered: "fitness" (GA memo entry) or
+	// "stats" (finalized per-tile statistics).
 	Tier string
 }
 
@@ -388,7 +386,7 @@ func (EvalCacheHit) Kind() Kind { return KindEvalCacheHit }
 // EvalCacheMiss reports one shared evaluation-cache lookup that found
 // nothing; the caller computes and (usually) stores the result.
 type EvalCacheMiss struct {
-	// Tier is the cache tier consulted ("fitness", "stats", "pool").
+	// Tier is the cache tier consulted ("fitness" or "stats").
 	Tier string
 }
 
