@@ -19,65 +19,79 @@ import (
 // and — at Islands <= 1, where the stream is deterministic — its full
 // JSONL event stream. The MM and ADD entries were generated before the
 // five GA searches were folded into one search skeleton; the catalog/*
-// entries before the point solver took its innermost-run fast step.
+// entries before the point solver took its innermost-run fast step; the
+// */workers4* entries while every evaluation still split its sample
+// points across the workers.
 var facadeGoldenDigests = map[string]string{
-	"catalog/ADD":                "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
-	"catalog/ADI":                "1ad9b16a460d396a7281041159e45fe3ad6ea06115eb2610e5b16a6c247b9638",
-	"catalog/BTRIX":              "e1c7ff965e7d8744126650cd024d173d2b5eb0889cf8782485489e04dbc801f5",
-	"catalog/DPSSB":              "c6884cc842bf15fbd1e51eb2ff6c8cd9e8e8ecb1c5463f76262cadff6dc23fa2",
-	"catalog/DPSSF":              "7ea5f1449747fc0165f49b74d925bf81089730635a43e2934c49b7932b30f83e",
-	"catalog/DRADBG1":            "cd8ed7b188995fa4e2d3a63387f59cb5f6edf1ddf78928aabb7a1e50ef71c0d7",
-	"catalog/DRADBG2":            "32c0d0c0f539dc7d5a249245b6a3984d9b32646bd1d7262b472f7035b69ac963",
-	"catalog/DRADFG1":            "60bbac32b210b8fea1c7e43312991a8fb7d112adff70fde76ba31f62faf64abb",
-	"catalog/DRADFG2":            "31a88692ac42237a085d82abacb796162839a5ee0148dffedb57b96c2e33127f",
-	"catalog/JACOBI3D":           "e860b56ef126f06ad90492bea5e50975f5470abe9ea6878f4a3f9476d027b0ff",
-	"catalog/MATMUL":             "0c5360be4faea7b3abfa3b4ba7f083ec82b249a4e27bab342ab1847116c9cd0e",
-	"catalog/MM":                 "131deba511b07db5d69b48a502f74074a8a0acde2150684fa106e56bd2e29290",
-	"catalog/T2D":                "137cd94aaff14f656159edda182eb0d854d80f8c43f9599613509abea5982d9a",
-	"catalog/T3DIKJ":             "048bf553cd91908d9cd8e9920b36fa954fb1500fd4450f7db86a69ac90f961d7",
-	"catalog/T3DJIK":             "0ba8fede0bf1ecb33ff063c2c3a18b2ef24859fefb14dcd8c6811a39bf895d67",
-	"catalog/VPENTA1":            "78a36307cf848bc2c8843a9ae634d97a952388cd6a3cd9771ba8094bd1ae8117",
-	"catalog/VPENTA2":            "39967205d531a1a0dbaec1e3555c3f0f3df4c05e4ffa472185f574f775ade528",
-	"joint/base":                 "6dd540dc4453f60cee876bf740bf8aa2c6df47feed3d156575a475a4e8923088",
-	"joint/budget41":             "b478cae87c2d01140246522a3c09510219fc05ea7831c25774c6a50ffbfab5ee",
-	"joint/fidelity3":            "4414545f01e7664123bb8e344c359ec4bb2f987e933ba3275ccb3be12f8ea942",
-	"joint/fidelity3-islands2":   "64d91efcb498b666fd25b9530e9a282eac3b92c2fbdad6bc3347f9b2e158398f",
-	"joint/islands1":             "6dd540dc4453f60cee876bf740bf8aa2c6df47feed3d156575a475a4e8923088",
-	"joint/islands2":             "cbc94145b170b2ddfe01b0b138c88248b2db16609ed7b4ac43260317111449cb",
-	"joint/sharedcache":          "6dd540dc4453f60cee876bf740bf8aa2c6df47feed3d156575a475a4e8923088",
-	"multilevel/base":            "a23b5656d3fdf1039fdeeb3f8f4ec7cca5b5cf9c8ad7ac2b91e8446a845b068a",
-	"multilevel/budget41":        "516b2a3e6ef675925c4be9be463665c934045e9c9d6ccc6606181404467c856a",
-	"multilevel/islands1":        "a23b5656d3fdf1039fdeeb3f8f4ec7cca5b5cf9c8ad7ac2b91e8446a845b068a",
-	"multilevel/islands2":        "4bcb13e85422960b961926bc9de51541f3bc0c06acbdb8a19dfbdeeacc5bfc09",
-	"multilevel/sharedcache":     "a23b5656d3fdf1039fdeeb3f8f4ec7cca5b5cf9c8ad7ac2b91e8446a845b068a",
-	"order/base":                 "690d42195c7ff27f9d52f02ec4a03cda485e7c80404bd17b74e1af5caaa2baab",
-	"order/budget41":             "0e5a2494e2993a417a9f9d1cf48050d83e3e5afcb461ca99eb2a237a675ba035",
-	"order/fidelity3":            "ae3581f17b2bd5de7124fa3656dee20a079afcda38cc4c472fcbbd27bff8e992",
-	"order/fidelity3-islands2":   "39b803112b85a0a7cff1cc89bc502963d85da4c0ca76f5f7cab2199dc6bd2884",
-	"order/islands1":             "690d42195c7ff27f9d52f02ec4a03cda485e7c80404bd17b74e1af5caaa2baab",
-	"order/islands2":             "500e0231cc915afca5fa48e8e6e00698feadbc98c76783fc095ae34f635f8fe5",
-	"order/sharedcache":          "ad7294b0b346364baa6a59cc2a7c83901afef6f033c8bf4ca3f2d70cde11065a",
-	"padding/base":               "fbca6ca4484afcaaf5e3264a30319df096c2c792ff432f913df162262d59e477",
-	"padding/budget41":           "557f7ca092f0e201314e0fe7dbeb40ca6993e4d24b4f62cf34978d80e66d2b21",
-	"padding/fidelity3":          "4d84f0f745ad7ef76f29eda622ba99923d415ebc56951eadbeb1fd10f0f0236e",
-	"padding/fidelity3-islands2": "7f01ad55f112ea18ff5fbbc2424d415aad08e61756f8d80ce8562872927403d8",
-	"padding/islands1":           "fbca6ca4484afcaaf5e3264a30319df096c2c792ff432f913df162262d59e477",
-	"padding/islands2":           "e356da70657aa1a0cd0ffc5dbe353120d6e98125a2eb1b7b3651c9bce4047858",
-	"padding/sharedcache":        "fbca6ca4484afcaaf5e3264a30319df096c2c792ff432f913df162262d59e477",
-	"padtile/base":               "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
-	"padtile/budget41":           "8e9aae0e0beaea487480f07632e409f99a9cc3ca81ca7c98031157f708741664",
-	"padtile/fidelity3":          "1c3c72e06e0c173a2579cb56802ce39b18eb2ca51991875a55d700a23e4d910f",
-	"padtile/fidelity3-islands2": "69599107b2c2529858b63ddf3e42f94279ee7471b7016a1c4b8d6082c8168e55",
-	"padtile/islands1":           "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
-	"padtile/islands2":           "885d7c2dea78a009e890902156dfa3cb5a99647d513e43faef2a07ab97b4f2ae",
-	"padtile/sharedcache":        "05f7d08993f601222cb9cea05d8b05a0386297eec1e778b10e319371acd816d0",
-	"tiling/base":                "500690e83a959edc7e9a67a3bb6c9f88b550271c009740067e279c0a05a6e8dc",
-	"tiling/budget41":            "94fb06269c2a35459c3afc6dad50d5d10170922d32157447caa7bad64ae96842",
-	"tiling/fidelity3":           "fcb868673c4302edf294bd1c56e67e5920ec07034a176d6c3bd82adcc2fbbf3f",
-	"tiling/fidelity3-islands2":  "d898da01dd37e8ab0409e08d37e739ff9612c50b0383ce0277db1348e090f6dc",
-	"tiling/islands1":            "500690e83a959edc7e9a67a3bb6c9f88b550271c009740067e279c0a05a6e8dc",
-	"tiling/islands2":            "2dc1e1a16c348ba0cc7ed13e2d2fb33128fd2aab72df98aade02c62f8d6db2ea",
-	"tiling/sharedcache":         "f1b0bc75afdbdd49239701ecb7c208e8ca14b6018d5d2ac408114dd06c52507c",
+	"catalog/ADD":                  "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
+	"catalog/ADI":                  "1ad9b16a460d396a7281041159e45fe3ad6ea06115eb2610e5b16a6c247b9638",
+	"catalog/BTRIX":                "e1c7ff965e7d8744126650cd024d173d2b5eb0889cf8782485489e04dbc801f5",
+	"catalog/DPSSB":                "c6884cc842bf15fbd1e51eb2ff6c8cd9e8e8ecb1c5463f76262cadff6dc23fa2",
+	"catalog/DPSSF":                "7ea5f1449747fc0165f49b74d925bf81089730635a43e2934c49b7932b30f83e",
+	"catalog/DRADBG1":              "cd8ed7b188995fa4e2d3a63387f59cb5f6edf1ddf78928aabb7a1e50ef71c0d7",
+	"catalog/DRADBG2":              "32c0d0c0f539dc7d5a249245b6a3984d9b32646bd1d7262b472f7035b69ac963",
+	"catalog/DRADFG1":              "60bbac32b210b8fea1c7e43312991a8fb7d112adff70fde76ba31f62faf64abb",
+	"catalog/DRADFG2":              "31a88692ac42237a085d82abacb796162839a5ee0148dffedb57b96c2e33127f",
+	"catalog/JACOBI3D":             "e860b56ef126f06ad90492bea5e50975f5470abe9ea6878f4a3f9476d027b0ff",
+	"catalog/MATMUL":               "0c5360be4faea7b3abfa3b4ba7f083ec82b249a4e27bab342ab1847116c9cd0e",
+	"catalog/MM":                   "131deba511b07db5d69b48a502f74074a8a0acde2150684fa106e56bd2e29290",
+	"catalog/T2D":                  "137cd94aaff14f656159edda182eb0d854d80f8c43f9599613509abea5982d9a",
+	"catalog/T3DIKJ":               "048bf553cd91908d9cd8e9920b36fa954fb1500fd4450f7db86a69ac90f961d7",
+	"catalog/T3DJIK":               "0ba8fede0bf1ecb33ff063c2c3a18b2ef24859fefb14dcd8c6811a39bf895d67",
+	"catalog/VPENTA1":              "78a36307cf848bc2c8843a9ae634d97a952388cd6a3cd9771ba8094bd1ae8117",
+	"catalog/VPENTA2":              "39967205d531a1a0dbaec1e3555c3f0f3df4c05e4ffa472185f574f775ade528",
+	"joint/base":                   "6dd540dc4453f60cee876bf740bf8aa2c6df47feed3d156575a475a4e8923088",
+	"joint/budget41":               "b478cae87c2d01140246522a3c09510219fc05ea7831c25774c6a50ffbfab5ee",
+	"joint/fidelity3":              "4414545f01e7664123bb8e344c359ec4bb2f987e933ba3275ccb3be12f8ea942",
+	"joint/fidelity3-islands2":     "64d91efcb498b666fd25b9530e9a282eac3b92c2fbdad6bc3347f9b2e158398f",
+	"joint/islands1":               "6dd540dc4453f60cee876bf740bf8aa2c6df47feed3d156575a475a4e8923088",
+	"joint/islands2":               "cbc94145b170b2ddfe01b0b138c88248b2db16609ed7b4ac43260317111449cb",
+	"joint/sharedcache":            "6dd540dc4453f60cee876bf740bf8aa2c6df47feed3d156575a475a4e8923088",
+	"joint/workers4":               "e899d47ebe7282411c98cf457aa76b1a533c17332cc234b55fda54d53f989682",
+	"joint/workers4-budget41":      "f36426d4a2ca53c770e32788aa39b86a11ddd479ca6ac11cd20a3fcb286f0384",
+	"multilevel/base":              "a23b5656d3fdf1039fdeeb3f8f4ec7cca5b5cf9c8ad7ac2b91e8446a845b068a",
+	"multilevel/budget41":          "516b2a3e6ef675925c4be9be463665c934045e9c9d6ccc6606181404467c856a",
+	"multilevel/islands1":          "a23b5656d3fdf1039fdeeb3f8f4ec7cca5b5cf9c8ad7ac2b91e8446a845b068a",
+	"multilevel/islands2":          "4bcb13e85422960b961926bc9de51541f3bc0c06acbdb8a19dfbdeeacc5bfc09",
+	"multilevel/sharedcache":       "a23b5656d3fdf1039fdeeb3f8f4ec7cca5b5cf9c8ad7ac2b91e8446a845b068a",
+	"multilevel/workers4":          "e07628df5608af998e5f8d967c4106373c401f9fb2fd249e581f04ecf1bfd196",
+	"multilevel/workers4-budget41": "5b3ea2162e656c90a8c638db32f2c1af26ab73645a939b9188e727e4c9c31e4d",
+	"order/base":                   "690d42195c7ff27f9d52f02ec4a03cda485e7c80404bd17b74e1af5caaa2baab",
+	"order/budget41":               "0e5a2494e2993a417a9f9d1cf48050d83e3e5afcb461ca99eb2a237a675ba035",
+	"order/fidelity3":              "ae3581f17b2bd5de7124fa3656dee20a079afcda38cc4c472fcbbd27bff8e992",
+	"order/fidelity3-islands2":     "39b803112b85a0a7cff1cc89bc502963d85da4c0ca76f5f7cab2199dc6bd2884",
+	"order/islands1":               "690d42195c7ff27f9d52f02ec4a03cda485e7c80404bd17b74e1af5caaa2baab",
+	"order/islands2":               "500e0231cc915afca5fa48e8e6e00698feadbc98c76783fc095ae34f635f8fe5",
+	"order/sharedcache":            "ad7294b0b346364baa6a59cc2a7c83901afef6f033c8bf4ca3f2d70cde11065a",
+	"order/workers4":               "a5126a7468f9df85944b93570933e5ed1f1562341a0a211888ab176648d46482",
+	"order/workers4-budget41":      "204453dda362206076a58160ffd445c42f708981bf6e5b5b5153a000562c888f",
+	"padding/base":                 "fbca6ca4484afcaaf5e3264a30319df096c2c792ff432f913df162262d59e477",
+	"padding/budget41":             "557f7ca092f0e201314e0fe7dbeb40ca6993e4d24b4f62cf34978d80e66d2b21",
+	"padding/fidelity3":            "4d84f0f745ad7ef76f29eda622ba99923d415ebc56951eadbeb1fd10f0f0236e",
+	"padding/fidelity3-islands2":   "7f01ad55f112ea18ff5fbbc2424d415aad08e61756f8d80ce8562872927403d8",
+	"padding/islands1":             "fbca6ca4484afcaaf5e3264a30319df096c2c792ff432f913df162262d59e477",
+	"padding/islands2":             "e356da70657aa1a0cd0ffc5dbe353120d6e98125a2eb1b7b3651c9bce4047858",
+	"padding/sharedcache":          "fbca6ca4484afcaaf5e3264a30319df096c2c792ff432f913df162262d59e477",
+	"padding/workers4":             "fb14aa4330be9e863d844cdd2763597c35b3516e205f5c67262e5c2d7e159ac6",
+	"padding/workers4-budget41":    "8ca948c72dfa346f8f67115eadce8d8684b3f1408050004a4c82208cdaeb30b2",
+	"padtile/base":                 "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
+	"padtile/budget41":             "8e9aae0e0beaea487480f07632e409f99a9cc3ca81ca7c98031157f708741664",
+	"padtile/fidelity3":            "1c3c72e06e0c173a2579cb56802ce39b18eb2ca51991875a55d700a23e4d910f",
+	"padtile/fidelity3-islands2":   "69599107b2c2529858b63ddf3e42f94279ee7471b7016a1c4b8d6082c8168e55",
+	"padtile/islands1":             "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
+	"padtile/islands2":             "885d7c2dea78a009e890902156dfa3cb5a99647d513e43faef2a07ab97b4f2ae",
+	"padtile/sharedcache":          "05f7d08993f601222cb9cea05d8b05a0386297eec1e778b10e319371acd816d0",
+	"padtile/workers4":             "86916df1acefb71b03d572e1cab3570178873b7992f43e3e08bdb0aa01bd011e",
+	"padtile/workers4-budget41":    "2cae847939f7714738412a25620359ea4d2c62a75f58d4de58dd5579e24d15ef",
+	"tiling/base":                  "500690e83a959edc7e9a67a3bb6c9f88b550271c009740067e279c0a05a6e8dc",
+	"tiling/budget41":              "94fb06269c2a35459c3afc6dad50d5d10170922d32157447caa7bad64ae96842",
+	"tiling/fidelity3":             "fcb868673c4302edf294bd1c56e67e5920ec07034a176d6c3bd82adcc2fbbf3f",
+	"tiling/fidelity3-islands2":    "d898da01dd37e8ab0409e08d37e739ff9612c50b0383ce0277db1348e090f6dc",
+	"tiling/islands1":              "500690e83a959edc7e9a67a3bb6c9f88b550271c009740067e279c0a05a6e8dc",
+	"tiling/islands2":              "2dc1e1a16c348ba0cc7ed13e2d2fb33128fd2aab72df98aade02c62f8d6db2ea",
+	"tiling/sharedcache":           "f1b0bc75afdbdd49239701ecb7c208e8ca14b6018d5d2ac408114dd06c52507c",
+	"tiling/workers4":              "310c67568ba92a47355f11192c3fbf3d854366aec6e972293a809b0773388f9f",
+	"tiling/workers4-budget41":     "1bc7ac213cefed427089c39d9f49b8dc895302683e08ba646dd5d87bd918f299",
 }
 
 // raceEnabled is set by race_test.go in race-detector builds.
@@ -92,7 +106,7 @@ func TestFacadeGolden(t *testing.T) {
 		t.Skip("digests are amd64-specific: other architectures may fuse a*x+b in the GA's fitness scaling")
 	}
 	if raceEnabled {
-		// The race detector slows the 57 searches to minutes and cannot
+		// The race detector slows the 69 searches to minutes and cannot
 		// change a value; the island suites cover the concurrent paths.
 		t.Skip("values are checked by the non-race run")
 	}
@@ -141,6 +155,11 @@ func TestFacadeGolden(t *testing.T) {
 		}},
 		{"budget41", func(o *cmetiling.Options) { o.MaxEvaluations = 41 }},
 		{"sharedcache", func(o *cmetiling.Options) { o.SharedCache = cmetiling.NewEvalCache(cmetiling.EvalCacheConfig{}) }},
+		{"workers4", func(o *cmetiling.Options) { o.Workers = 4 }},
+		{"workers4-budget41", func(o *cmetiling.Options) {
+			o.Workers = 4
+			o.MaxEvaluations = 41
+		}},
 	}
 	got := map[string]string{}
 	digest := func(name string, opt cmetiling.Options, run func(cmetiling.Options) (any, error)) {
