@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: verify build test vet fmt race golden fuzz bench-json depcheck chaos lint serve-smoke islands crash-chaos perfbench
+.PHONY: verify build test vet fmt race golden fuzz bench-json depcheck chaos lint serve-smoke islands workers crash-chaos perfbench
 
-verify: fmt vet build perfbench depcheck lint golden race chaos islands crash-chaos
+verify: fmt vet build perfbench depcheck lint golden race chaos islands workers crash-chaos
 
 # Formatting gate: fails when gofmt would rewrite any tracked Go file.
 # Listing tracked files keeps the benchmark's build directory
@@ -116,6 +116,14 @@ crash-chaos:
 # goroutines, so this is where scheduling races would surface).
 islands:
 	$(GO) test -race -run 'Island' . ./internal/ga ./internal/core
+
+# Worker-count invariance bar: results, checkpoints, event streams,
+# quarantine lists and fault schedules equal at every worker count, under
+# the race detector. A generation's candidates are classified
+# concurrently and committed in batch order; an ordering bug shows only
+# under some interleavings, so the bar repeats the suite.
+workers:
+	$(GO) test -race -count=5 -run 'Worker|Quarantine|Watchdog|Abort' . ./internal/core ./internal/ga ./internal/sampling
 
 # Point-solver, evaluation and search microbenchmarks, recorded as a
 # JSON file: classification over a tiled space, Next/Prev at the identity

@@ -49,7 +49,7 @@ func main() {
 		bars     = flag.Bool("bars", false, "also render figures as ASCII bar charts")
 		timeout  = flag.Duration("timeout", 0, "per-search deadline (0 = unbounded)")
 		budget   = flag.Int("budget", 0, "per-search evaluation budget (0 = unbounded)")
-		workers  = flag.Int("workers", 0, "evaluation goroutines per objective (0 = min(8, NumCPU)); never changes results")
+		workers  = flag.Int("workers", 0, "evaluation goroutines per search (0 = min(8, NumCPU)); never changes results")
 		islands  = flag.Int("islands", 0, "GA islands per search, evolving concurrently with elite migration (0/1 = single population)")
 		fidelity = flag.Int("fidelity", 0, "successive-halving rungs for multi-fidelity evaluation per search (0/1 = classic full fidelity)")
 		traceOut = flag.String("trace-out", "", "append the telemetry event stream of every search to this JSONL file")

@@ -44,7 +44,7 @@ func main() {
 		ckptPath = flag.String("checkpoint", "", "write a resumable snapshot here every generation")
 		resume   = flag.String("resume", "", "resume the search from this checkpoint file")
 		progress = flag.Bool("progress", false, "print per-generation progress to stderr")
-		workers  = flag.Int("workers", 0, "evaluation goroutines per objective (0 = min(8, NumCPU)); never changes the result")
+		workers  = flag.Int("workers", 0, "evaluation goroutines per search (0 = min(8, NumCPU)); never changes the result")
 		islands  = flag.Int("islands", 0, "GA islands evolving concurrently with elite migration (0/1 = single population); deterministic per seed")
 		fidelity = flag.Int("fidelity", 0, "successive-halving rungs for multi-fidelity evaluation (0/1 = classic full fidelity); deterministic per seed")
 		traceOut = flag.String("trace-out", "", "append the search's telemetry event stream to this JSONL file")

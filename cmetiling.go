@@ -56,8 +56,8 @@
 // checkpoints, evaluation batches) plus monotonic counters (objective
 // evaluations, memo hits, sampled points, CME walk steps, analyzer-pool
 // hits/misses). Three sinks ship with the package — NewJSONLSink (a
-// machine-readable event log, byte-reproducible for a fixed seed with
-// Workers=1), NewTTYSink (human-readable progress lines) and
+// machine-readable event log, byte-reproducible for a fixed seed at any
+// worker count), NewTTYSink (human-readable progress lines) and
 // NewExpvarSink (aggregate metrics under /debug/vars) — and
 // MultiRecorder fans one search out to several sinks. A nil Observer
 // costs nothing.
@@ -278,7 +278,7 @@ type (
 	SearchStopEvent = telemetry.SearchStop
 
 	// JSONLSink logs every event as one JSON line (deterministic for a
-	// fixed seed with Workers=1 unless Timestamps is set).
+	// fixed seed at any worker count unless Timestamps is set).
 	JSONLSink = sinks.JSONL
 	// TTYSink prints human-readable progress lines.
 	TTYSink = sinks.TTY

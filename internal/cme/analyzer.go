@@ -117,6 +117,24 @@ type Analyzer struct {
 	// pointBuf is the caller-side point scratch PointScratch returns; it
 	// is not inherited by clones.
 	pointBuf []int64
+
+	// The struct ends on a cache-line boundary (cacheLine), as do the
+	// scratch buffers (lineInt64s): the walk writes them on every access,
+	// so two analyzers classifying on different goroutines must not share
+	// a line. TestAnalyzerFillsCacheLines checks the size.
+	_ [32]byte
+}
+
+// cacheLine is the cache-line size the analyzer's written state is laid
+// out against.
+const cacheLine = 64
+
+// lineInt64s returns a zeroed slice of length n whose backing array fills
+// whole cache lines. The allocator aligns objects whose size is a
+// multiple of the line to the line, so no other object shares them.
+func lineInt64s(n int) []int64 {
+	const perLine = cacheLine / 8
+	return make([]int64, n, (max(n, 1)+perLine-1)/perLine*perLine)
 }
 
 // DefaultWalkCap bounds the backward interference walk as a safety net; it
@@ -143,8 +161,8 @@ func NewAnalyzer(nest *ir.Nest, space iterspace.Space, cfg cache.Config) (*Analy
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
 		setMask:   cfg.NumSets() - 1,
 		refs:      make([]refInfo, len(nest.Refs)),
-		conflicts: make([]int64, 0, cfg.Assoc),
-		pinned:    make([]int64, nest.Depth()),
+		conflicts: lineInt64s(cfg.Assoc)[:0],
+		pinned:    lineInt64s(nest.Depth()),
 		walkCap:   DefaultWalkCap,
 	}
 	arrays := make(map[*ir.Array]*arrInfo)
@@ -164,7 +182,7 @@ func NewAnalyzer(nest *ir.Nest, space iterspace.Space, cfg cache.Config) (*Analy
 			maxRank = r
 		}
 	}
-	a.subsBuf = make([]int64, maxRank)
+	a.subsBuf = lineInt64s(maxRank)
 	if err := a.bindSpace(space); err != nil {
 		return nil, err
 	}
@@ -216,12 +234,12 @@ func (a *Analyzer) bindSpace(space iterspace.Space) error {
 }
 
 // resizeInt64 returns a slice of length n, reusing s's backing array when
-// it is large enough.
+// it is large enough and allocating whole cache lines otherwise.
 func resizeInt64(s []int64, n int) []int64 {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]int64, n)
+	return lineInt64s(n)
 }
 
 // Rebind repoints the analyzer at a new traversal space over the same nest
@@ -252,9 +270,9 @@ func (a *Analyzer) Clone() *Analyzer {
 	for i := range out.refs {
 		out.refs[i].coefCoord = nil
 	}
-	out.conflicts = make([]int64, 0, cap(a.conflicts))
-	out.pinned = make([]int64, len(a.pinned))
-	out.subsBuf = make([]int64, len(a.subsBuf))
+	out.conflicts = lineInt64s(cap(a.conflicts))[:0]
+	out.pinned = lineInt64s(len(a.pinned))
+	out.subsBuf = lineInt64s(len(a.subsBuf))
 	out.walkPoint, out.prevPoint, out.minPoint, out.liveAddr, out.coordRefs = nil, nil, nil, nil, nil
 	out.pointBuf = nil
 	if err := out.bindSpace(a.space); err != nil {

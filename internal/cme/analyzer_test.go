@@ -3,6 +3,7 @@ package cme
 import (
 	"math/rand/v2"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/cachesim"
@@ -338,5 +339,15 @@ func TestWalkCostSizeIndependent(t *testing.T) {
 	// Growth bounded: 5x the size must not even double the walk cost.
 	if perSize[200] > 2*perSize[40]+sets {
 		t.Fatalf("walk cost grew with problem size: %.1f -> %.1f", perSize[40], perSize[200])
+	}
+}
+
+// TestAnalyzerFillsCacheLines: an Analyzer spans whole cache lines, so the
+// allocator lines it up with them and analyzers working on different
+// goroutines never write into a shared line. Adding a field changes the
+// size: adjust the trailing pad.
+func TestAnalyzerFillsCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(Analyzer{}); size%cacheLine != 0 {
+		t.Fatalf("Analyzer is %d bytes, not a multiple of the %d-byte cache line", size, cacheLine)
 	}
 }

@@ -60,10 +60,14 @@ type Options struct {
 	GA ga.Params
 	// Seed makes the whole search deterministic.
 	Seed uint64
-	// Workers bounds the goroutine fan-out of one objective evaluation
-	// (0 = DefaultWorkers, min(8, NumCPU)). Parallel evaluation sums the
-	// same per-point outcomes as serial evaluation, so the worker count
-	// never changes a search result — only how fast it arrives.
+	// Workers bounds the evaluation goroutines of a search, one analyzer
+	// each (0 = DefaultWorkers, min(8, NumCPU)). A generation's fresh
+	// candidates spread one per analyzer; a lone evaluation (finalisation,
+	// TileObjective, a fidelity rung, a generation with one fresh
+	// candidate) splits its sample points across them. Either way the
+	// per-point outcomes are those of serial evaluation and candidates are
+	// committed in batch order, so the worker count never changes a search
+	// result or its event stream — only how fast it arrives.
 	Workers int
 	// Fidelity enables deterministic multi-fidelity evaluation by
 	// successive halving: fresh candidates are scored on a coarse prefix
@@ -101,10 +105,11 @@ type Options struct {
 	// event per lifecycle transition (search start/stop, phase changes,
 	// GA generations, checkpoints, evaluation batches) plus monotonic
 	// counter deltas (objective evaluations, memo hits, sampled points,
-	// CME walk steps, analyzer-pool hits/misses). The stream for a fixed
-	// seed is deterministic; with Workers=1 it is byte-for-byte
-	// reproducible through the JSONL sink. A nil Observer is free: the
-	// hot paths pay one pointer check and allocate nothing.
+	// CME walk steps, analyzer-pool hits/misses). For a fixed seed a
+	// single population's stream is byte-for-byte reproducible through
+	// the JSONL sink at any worker count, apart from SearchStart.Workers;
+	// island demes' evaluation batches interleave. A nil Observer is
+	// free: the hot paths pay one pointer check and allocate nothing.
 	Observer telemetry.Recorder
 	// FailurePolicy selects how a failed candidate evaluation (panic,
 	// injected fault, watchdog-stalled) is treated: FailAbort (the zero
@@ -207,8 +212,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// DefaultWorkers returns the evaluation fan-out used when Options.Workers
-// is zero: min(8, NumCPU).
+// DefaultWorkers returns the evaluation goroutines used when
+// Options.Workers is zero: min(8, NumCPU).
 func DefaultWorkers() int { return min(8, runtime.NumCPU()) }
 
 // searchContext derives the context governing one search from the
@@ -376,7 +381,7 @@ func (o Options) emitStop(label string, res ga.Result, start time.Time) {
 type errSink struct{ err error }
 
 func (s *errSink) note(err error) {
-	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if err == nil || cancelled(err) {
 		return
 	}
 	if s.err == nil {
@@ -391,12 +396,14 @@ func poison() float64 { return math.Inf(1) }
 
 // evaluator owns the fixed sample shared by every candidate of one search
 // (common random numbers: the fitness is deterministic and comparisons are
-// low-variance) and a pool of reusable analyzers: one primary plus
-// workers−1 clones, rebound to each candidate's iteration space instead of
-// paying NewAnalyzer + Clone allocation churn on all 450+ evaluations of a
-// GA run. The pool is valid for one nest at a time; evaluating a different
-// nest (the padding searches mutate array layouts per candidate) rebuilds
-// it.
+// low-variance) and a pool of reusable analyzers, one per worker, rebound
+// to each candidate's iteration space instead of paying NewAnalyzer
+// allocation churn on all 450+ evaluations of a GA run. The pool is built
+// once per nest (one primary plus workers−1 clones). A lone evaluation
+// binds the whole pool to its candidate and splits the sample points
+// across it; a cohort (cohort.go) gives worker w pool[w] alone, and a
+// candidate on a different nest (the padding searches mutate array
+// layouts per candidate) rebuilds only that worker's analyzer.
 type evaluator struct {
 	nest    *ir.Nest
 	box     *iterspace.Box
@@ -410,11 +417,11 @@ type evaluator struct {
 	// island index (0 = single-population search).
 	island int
 
-	// mu guards the pool: GA objectives run serially, but TileObjective
-	// escapes to arbitrary callers.
-	mu       sync.Mutex
-	pool     []*cme.Analyzer
-	poolNest *ir.Nest
+	// mu guards the pool: a deme evaluates one cohort or lone evaluation
+	// at a time, but TileObjective escapes to arbitrary callers. A nil
+	// entry holds no analyzer yet, or was abandoned by a hung evaluation.
+	mu   sync.Mutex
+	pool []*cme.Analyzer
 
 	// shared is the cross-search evaluation cache (nil = disabled). The
 	// content keys are precomputed once per search; only the primary
@@ -443,6 +450,7 @@ func newEvaluator(nest *ir.Nest, opt Options) (*evaluator, error) {
 		workers: opt.Workers,
 		obs:     opt.Observer,
 		stall:   opt.StallTimeout,
+		pool:    make([]*cme.Analyzer, max(opt.Workers, 1)),
 	}
 	if opt.SharedCache != nil {
 		e.shared = opt.SharedCache
@@ -461,15 +469,15 @@ func (e *evaluator) fork(island int) *evaluator {
 	return &evaluator{
 		nest: e.nest, box: e.box, cfg: e.cfg, sample: e.sample,
 		workers: e.workers, obs: e.obs, stall: e.stall,
-		island: island,
+		island: island, pool: make([]*cme.Analyzer, len(e.pool)),
 	}
 }
 
-// analyzers returns the worker analyzer pool bound to (nest, space):
-// rebinding in place when the pool already analyses nest (reused=true),
-// and rebuilding otherwise. Callers hold e.mu.
+// analyzers returns the whole pool bound to (nest, space) for a lone
+// evaluation: rebound in place when every analyzer already analyses nest
+// (reused=true), rebuilt otherwise. Callers hold e.mu.
 func (e *evaluator) analyzers(nest *ir.Nest, space iterspace.Space) (ans []*cme.Analyzer, reused bool, err error) {
-	if e.poolNest == nest && len(e.pool) > 0 {
+	if e.poolAnalyses(nest) {
 		for _, an := range e.pool {
 			if err := an.Rebind(space); err != nil {
 				return nil, false, err
@@ -477,17 +485,32 @@ func (e *evaluator) analyzers(nest *ir.Nest, space iterspace.Space) (ans []*cme.
 		}
 		return e.pool, true, nil
 	}
+	return e.pool, false, e.buildPool(nest, space)
+}
+
+// poolAnalyses reports whether every pooled analyzer analyses nest.
+// Callers hold e.mu.
+func (e *evaluator) poolAnalyses(nest *ir.Nest) bool {
+	for _, an := range e.pool {
+		if an == nil || an.Nest() != nest {
+			return false
+		}
+	}
+	return true
+}
+
+// buildPool fills the pool with analyzers of (nest, space): one primary
+// plus clones. Callers hold e.mu.
+func (e *evaluator) buildPool(nest *ir.Nest, space iterspace.Space) error {
 	an, err := cme.NewAnalyzer(nest, space, e.cfg)
 	if err != nil {
-		return nil, false, err
+		return err
 	}
-	pool := make([]*cme.Analyzer, 1, max(e.workers, 1))
-	pool[0] = an
-	for len(pool) < cap(pool) {
-		pool = append(pool, an.Clone())
+	e.pool[0] = an
+	for w := 1; w < len(e.pool); w++ {
+		e.pool[w] = an.Clone()
 	}
-	e.pool, e.poolNest = pool, nest
-	return pool, false, nil
+	return nil
 }
 
 // evalSpace evaluates the whole sample over nest traversed in space
@@ -510,36 +533,47 @@ func (e *evaluator) evalSpace(ctx context.Context, nest *ir.Nest, space iterspac
 }
 
 // evalRange evaluates the half-open sample range [lo, hi) over nest
-// traversed in space order on the pooled parallel workers, under the
-// stall watchdog when armed. It reports the evaluation batch, tagged with
-// its fidelity rung (0 = the full sample), and the pool hit/miss counter
-// to the observer. A ladder rung covers only the newly classified range;
-// the caller accumulates it into the candidate's running prefix total.
+// traversed in space order as a lone evaluation: its points split across
+// the whole pool, under the stall watchdog when armed. A ladder rung
+// covers only the newly classified range; the caller accumulates it into
+// the candidate's running prefix total.
 func (e *evaluator) evalRange(ctx context.Context, nest *ir.Nest, space iterspace.Space, lo, hi, rung int) (cachesim.Stats, error) {
+	return e.lone(ctx, e.obs, nest, space, lo, hi, rung)
+}
+
+// lone is evalRange reporting to obs: the evaluation batch, tagged with
+// its fidelity rung (0 = the full sample), and the pool hit/miss counter.
+func (e *evaluator) lone(ctx context.Context, obs telemetry.Recorder, nest *ir.Nest, space iterspace.Space, lo, hi, rung int) (cachesim.Stats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ans, reused, err := e.analyzers(nest, space)
 	if err != nil {
 		return cachesim.Stats{}, err
 	}
-	if e.obs != nil {
-		if reused {
-			e.obs.Add(telemetry.Counters{PoolHits: 1})
-		} else {
-			e.obs.Add(telemetry.Counters{PoolMisses: 1})
-		}
-	}
+	countPool(obs, reused)
 	sub := e.sample.Range(lo, hi)
+	eval := func(ctx context.Context, obs telemetry.Recorder) (cachesim.Stats, error) {
+		return sub.EvaluateObserved(ctx, ans, obs, e.island, rung)
+	}
 	if e.stall <= 0 {
-		return sub.EvaluateObserved(ctx, ans, e.obs, e.island, rung)
+		return eval(ctx, obs)
 	}
 	// Under the watchdog a truly hung evaluation leaks its workers, which
 	// still hold the pooled analyzers — abandon the pool (the caller holds
 	// e.mu) so the next evaluation rebuilds a fresh one.
-	return e.watchedStats(ctx, func() { e.pool, e.poolNest = nil, nil },
-		func(wctx context.Context) (cachesim.Stats, error) {
-			return sub.EvaluateObserved(wctx, ans, e.obs, e.island, rung)
-		})
+	return e.watchedEval(ctx, obs, func() { e.pool = make([]*cme.Analyzer, len(e.pool)) }, eval)
+}
+
+// countPool reports one evaluation's pool hit (its analyzers were
+// rebound) or miss (rebuilt) to obs.
+func countPool(obs telemetry.Recorder, reused bool) {
+	switch {
+	case obs == nil:
+	case reused:
+		obs.Add(telemetry.Counters{PoolHits: 1})
+	default:
+		obs.Add(telemetry.Counters{PoolMisses: 1})
+	}
 }
 
 // prefixKey returns the shared-cache key for cumulative statistics over
@@ -597,13 +631,31 @@ func intsKey[T int | int64](vs []T) string {
 	return string(b)
 }
 
-// watchedStats adapts the generic watchdog to the Stats-returning
-// evaluation signature.
-func (e *evaluator) watchedStats(ctx context.Context, onHang func(),
-	fn func(context.Context) (cachesim.Stats, error)) (cachesim.Stats, error) {
-	v, err := watched(ctx, e.stall, onHang, func(wctx context.Context) (any, error) {
-		return fn(wctx)
+// watchedEval runs one evaluation under the stall watchdog. Its telemetry
+// is held in a log of its own and reaches obs only if the evaluation
+// finished: a truly hung evaluation leaks its goroutine, which must not
+// write into the stream later. onHang, when non-nil, abandons the
+// analyzers the leaked goroutine still holds.
+func (e *evaluator) watchedEval(ctx context.Context, obs telemetry.Recorder, onHang func(),
+	eval func(context.Context, telemetry.Recorder) (cachesim.Stats, error)) (cachesim.Stats, error) {
+	var held *recording
+	var to telemetry.Recorder
+	if obs != nil {
+		held = &recording{}
+		to = held
+	}
+	hung := false
+	v, err := watched(ctx, e.stall, func() {
+		hung = true
+		if onHang != nil {
+			onHang()
+		}
+	}, func(wctx context.Context) (any, error) {
+		return eval(wctx, to)
 	})
+	if held != nil && !hung {
+		held.replay(obs)
+	}
 	st, _ := v.(cachesim.Stats)
 	return st, err
 }
@@ -624,13 +676,14 @@ func (e *evaluator) evalFresh(ctx context.Context, an *cme.Analyzer) (cachesim.S
 			ans = append(ans, an.Clone())
 		}
 	}
+	eval := func(ctx context.Context, obs telemetry.Recorder) (cachesim.Stats, error) {
+		return e.sample.EvaluateObserved(ctx, ans, obs, e.island, 0)
+	}
 	if e.stall <= 0 {
-		return e.sample.EvaluateObserved(ctx, ans, e.obs, e.island, 0)
+		return eval(ctx, e.obs)
 	}
 	// One-off analyzers: nothing shared to abandon on a hang.
-	return e.watchedStats(ctx, nil, func(wctx context.Context) (cachesim.Stats, error) {
-		return e.sample.EvaluateObserved(wctx, ans, e.obs, e.island, 0)
-	})
+	return e.watchedEval(ctx, e.obs, nil, eval)
 }
 
 // tiled evaluates a tile vector over (a possibly padded copy of) the nest.
@@ -748,18 +801,16 @@ func runSearch[R any](ctx context.Context, nest *ir.Nest, opt Options,
 	}
 	started := opt.emitStart(nest, p.label)
 	guard := opt.newGuard()
-	objective := func(e *evaluator) ga.Objective {
-		return guard.objective(p.label, func(v []int64) (float64, error) {
-			if p.cost != nil {
-				return p.cost(ctx, e, v)
-			}
-			n, space, err := p.decode(e, v)
-			if err != nil {
-				return 0, err
-			}
-			st, err := e.evalSpace(ctx, n, space)
-			return float64(st.Replacement), err
-		})
+	// Each deme evaluates on its own evaluator: the search's own for a
+	// single population, a fork (private analyzer pool over the shared
+	// immutable sample) per island, so islands run concurrently without
+	// serialising on one pool. The forks are value-identical, so migration
+	// and memo sharing stay sound.
+	demeEval := func(i int) *evaluator {
+		if opt.Islands > 1 {
+			return ev.fork(i + 1)
+		}
+		return ev
 	}
 	fidelity := func(e *evaluator) ga.FidelityEvaluator {
 		return &fidelityEval{ev: e, ctx: ctx, guard: guard, label: p.label, decode: p.decode}
@@ -779,18 +830,23 @@ func runSearch[R any](ctx context.Context, nest *ir.Nest, opt Options,
 	// never leak into the cross-search memo tier.
 	if opt.Fidelity.Enabled() {
 		gaCfg.FidelityEval = fidelity(ev)
+		if opt.Islands > 1 {
+			gaCfg.IslandFidelityEval = func(i int) ga.FidelityEvaluator { return fidelity(demeEval(i)) }
+		}
 	} else {
 		gaCfg.SharedMemo = ev.sharedFitnessMemo(p.label, p.memoScope...)
+		gaCfg.Batch = func(i int) ga.BatchEvaluator {
+			e := demeEval(i)
+			if p.cost != nil {
+				// A custom cost builds its own analyzers per candidate.
+				return ga.Serial(guard.objective(p.label, func(v []int64) (float64, error) {
+					return p.cost(ctx, e, v)
+				}))
+			}
+			return &cohort{ev: e, guard: guard, label: p.label, decode: p.decode}
+		}
 	}
-	if opt.Islands > 1 {
-		// Each deme evaluates on its own evaluator fork (private analyzer
-		// pool over the shared immutable sample), so islands run
-		// concurrently without serialising on one pool. The forks are
-		// value-identical, so migration and memo sharing stay sound.
-		gaCfg.IslandObjective = func(i int) ga.Objective { return objective(ev.fork(i + 1)) }
-		gaCfg.IslandFidelityEval = func(i int) ga.FidelityEvaluator { return fidelity(ev.fork(i + 1)) }
-	}
-	res, err := ga.Run(ctx, p.spec, objective(ev), gaCfg)
+	res, err := ga.Run(ctx, p.spec, nil, gaCfg)
 	if err != nil {
 		return zero, err
 	}

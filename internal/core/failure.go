@@ -116,7 +116,7 @@ func (g *evalGuard) objective(label string, fn func(v []int64) (float64, error))
 // fail applies the policy to one failed evaluation and returns the
 // fitness the candidate gets.
 func (g *evalGuard) fail(label string, v []int64, err error) float64 {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if cancelled(err) {
 		// A bounded run winding down, not a fault.
 		return poison()
 	}
@@ -134,6 +134,12 @@ func (g *evalGuard) fail(label string, v []int64, err error) float64 {
 		g.obs.Event(telemetry.EvaluationQuarantined{Search: label, Values: values, Reason: err.Error()})
 	}
 	return quarantineFitness()
+}
+
+// cancelled reports whether err is the search context ending
+// (cancellation or deadline expiry), which no failure policy handles.
+func cancelled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // err returns the first aborting failure (nil under FailQuarantine).

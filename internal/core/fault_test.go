@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -23,15 +24,17 @@ func faultCtx(t *testing.T, spec string) context.Context {
 	return faultinject.With(context.Background(), plan)
 }
 
-// fidelityCases runs a fault test once on the one-at-a-time objective
-// and once on the fidelity ladder, whose partial evaluations route their
-// failures through the same guard.
+// fidelityCases runs a fault test on cohort evaluation at the default
+// worker count and at 4 workers, and on the fidelity ladder, whose partial
+// evaluations route their failures through the same guard.
 var fidelityCases = []struct {
 	name     string
 	fidelity ga.Fidelity
+	workers  int
 }{
-	{"fidelity-off", ga.Fidelity{}},
-	{"rungs3", ga.Fidelity{Rungs: 3}},
+	{"fidelity-off", ga.Fidelity{}, 0},
+	{"rungs3", ga.Fidelity{Rungs: 3}, 0},
+	{"fidelity-off-workers4", ga.Fidelity{}, 4},
 }
 
 // TestQuarantineCompletesUnderInjectedPanic: with FailQuarantine an
@@ -44,6 +47,7 @@ func TestQuarantineCompletesUnderInjectedPanic(t *testing.T) {
 			nest := transpose(32)
 			opt := testOpt(7)
 			opt.Fidelity = tc.fidelity
+			opt.Workers = tc.workers
 			opt.FailurePolicy = FailQuarantine
 			var cap telemetry.Capture
 			opt.Observer = &cap
@@ -77,32 +81,38 @@ func TestQuarantineCompletesUnderInjectedPanic(t *testing.T) {
 	}
 }
 
-// TestQuarantineDeterministicPerSeedAndPlan: two runs with the same seed
-// and freshly built identical fault plans produce identical results —
-// faults fire in the serial entry section, so scheduling cannot move them.
+// TestQuarantineDeterministicPerSeedAndPlan: runs with the same seed and
+// freshly built identical fault plans produce identical results at any
+// worker count — each candidate draws its fault hits in batch order
+// before the fan-out, so scheduling cannot move them.
 func TestQuarantineDeterministicPerSeedAndPlan(t *testing.T) {
-	run := func() *TilingResult {
+	run := func(workers int) *TilingResult {
 		opt := testOpt(7)
 		opt.FailurePolicy = FailQuarantine
+		opt.Workers = workers
 		res, err := OptimizeTiling(faultCtx(t, "eval.panic:after=4,times=2"), transpose(32), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(), run()
-	if len(a.Tile) != len(b.Tile) || a.Tile[0] != b.Tile[0] || a.Tile[1] != b.Tile[1] {
-		t.Fatalf("tiles diverged: %v vs %v", a.Tile, b.Tile)
-	}
-	if a.GA.BestValue != b.GA.BestValue || a.GA.Evaluations != b.GA.Evaluations {
-		t.Fatalf("GA traces diverged: %+v vs %+v", a.GA, b.GA)
-	}
-	if len(a.Quarantined) != len(b.Quarantined) {
-		t.Fatalf("quarantine lists diverged: %v vs %v", a.Quarantined, b.Quarantined)
-	}
-	for i := range a.Quarantined {
-		if a.Quarantined[i].Reason != b.Quarantined[i].Reason {
-			t.Fatalf("quarantine %d diverged: %+v vs %+v", i, a.Quarantined[i], b.Quarantined[i])
+	a := run(0)
+	for _, workers := range []int{0, 4} {
+		b := run(workers)
+		if len(a.Tile) != len(b.Tile) || a.Tile[0] != b.Tile[0] || a.Tile[1] != b.Tile[1] {
+			t.Fatalf("workers=%d: tiles diverged: %v vs %v", workers, a.Tile, b.Tile)
+		}
+		if a.GA.BestValue != b.GA.BestValue || a.GA.Evaluations != b.GA.Evaluations {
+			t.Fatalf("workers=%d: GA traces diverged: %+v vs %+v", workers, a.GA, b.GA)
+		}
+		if len(a.Quarantined) != len(b.Quarantined) {
+			t.Fatalf("workers=%d: quarantine lists diverged: %v vs %v", workers, a.Quarantined, b.Quarantined)
+		}
+		for i := range a.Quarantined {
+			if a.Quarantined[i].Reason != b.Quarantined[i].Reason ||
+				!reflect.DeepEqual(a.Quarantined[i].Values, b.Quarantined[i].Values) {
+				t.Fatalf("workers=%d: quarantine %d diverged: %+v vs %+v", workers, i, a.Quarantined[i], b.Quarantined[i])
+			}
 		}
 	}
 }
@@ -114,6 +124,7 @@ func TestAbortPolicyFailsOnInjectedPanic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := testOpt(7)
 			opt.Fidelity = tc.fidelity
+			opt.Workers = tc.workers
 			res, err := OptimizeTiling(faultCtx(t, "eval.panic:after=3,times=1"), transpose(32), opt)
 			if err == nil {
 				t.Fatalf("abort policy swallowed the fault: %+v", res)
@@ -154,6 +165,7 @@ func TestWatchdogQuarantinesStalledEvaluation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := testOpt(7)
 			opt.Fidelity = tc.fidelity
+			opt.Workers = tc.workers
 			opt.FailurePolicy = FailQuarantine
 			opt.StallTimeout = 50 * time.Millisecond
 			res, err := OptimizeTiling(faultCtx(t, "eval.stall:after=5,times=1"), transpose(32), opt)

@@ -272,41 +272,66 @@ func TestCheckpointResumeBitForBit(t *testing.T) {
 }
 
 // TestWorkerCountInvariant: the Workers knob changes only how fast a
-// search runs, never what it finds — evaluation sums the same per-point
-// outcomes whatever the fan-out, so two searches differing only in worker
-// count must match tile-for-tile and generation-for-generation.
+// search runs, never what it finds. A generation's candidates are
+// classified concurrently, one per analyzer, and committed in batch
+// order, and a lone evaluation sums the same per-point outcomes whatever
+// the fan-out, so searches differing only in worker count must match
+// result for result and checkpoint for checkpoint. The padding-then-tiling
+// case rebuilds one worker's analyzer per padded candidate; the budget
+// case halts in the middle of generation 1.
 func TestWorkerCountInvariant(t *testing.T) {
-	nest := transpose(64)
-	base := testOpt(9)
-	base.SamplePoints = 164
-
-	var first *TilingResult
-	for _, workers := range []int{1, 3, 7} {
-		opt := base
-		opt.Workers = workers
-		res, err := OptimizeTiling(context.Background(), nest, opt)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if first == nil {
-			first = res
-			continue
-		}
-		if !reflect.DeepEqual(res.Tile, first.Tile) {
-			t.Fatalf("workers=%d found tile %v, workers=1 found %v", workers, res.Tile, first.Tile)
-		}
-		if res.GA.BestValue != first.GA.BestValue {
-			t.Fatalf("workers=%d best %v != %v", workers, res.GA.BestValue, first.GA.BestValue)
-		}
-		if res.GA.Evaluations != first.GA.Evaluations {
-			t.Fatalf("workers=%d spent %d evaluations, workers=1 spent %d", workers, res.GA.Evaluations, first.GA.Evaluations)
-		}
-		if !reflect.DeepEqual(res.GA.History, first.GA.History) {
-			t.Fatalf("workers=%d history diverges from workers=1", workers)
-		}
-		if res.Before != first.Before || res.After != first.After {
-			t.Fatalf("workers=%d before/after estimates diverge", workers)
-		}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		mut  func(*Options)
+		run  func(Options) (any, error)
+	}{
+		{"tiling", func(o *Options) { o.SamplePoints = 164 }, func(o Options) (any, error) {
+			return OptimizeTiling(ctx, transpose(64), o)
+		}},
+		{"padtile", func(o *Options) { o.SamplePoints = 64 }, func(o Options) (any, error) {
+			return OptimizePaddingThenTiling(ctx, addLike(16, 2048), o)
+		}},
+		{"budget41", func(o *Options) { o.SamplePoints = 64; o.MaxEvaluations = 41 }, func(o Options) (any, error) {
+			res, err := OptimizeTiling(ctx, transpose(64), o)
+			if err == nil && (res.Stopped != ga.StopBudget || res.GA.Evaluations != 41) {
+				t.Fatalf("budget run stopped %v after %d evaluations, want budget after 41", res.Stopped, res.GA.Evaluations)
+			}
+			return res, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var first any
+			var firstSnaps [][]byte
+			for _, workers := range []int{1, 3, 7} {
+				opt := testOpt(9)
+				tc.mut(&opt)
+				opt.Workers = workers
+				var snaps [][]byte
+				opt.Checkpoint = func(c *ga.Checkpoint) error {
+					var buf bytes.Buffer
+					if err := ga.WriteCheckpoint(&buf, c); err != nil {
+						return err
+					}
+					snaps = append(snaps, buf.Bytes())
+					return nil
+				}
+				res, err := tc.run(opt)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if first == nil {
+					first, firstSnaps = res, snaps
+					continue
+				}
+				if !reflect.DeepEqual(res, first) {
+					t.Fatalf("workers=%d result diverges from workers=1:\n%+v\nvs\n%+v", workers, res, first)
+				}
+				if !reflect.DeepEqual(snaps, firstSnaps) {
+					t.Fatalf("workers=%d wrote %d checkpoints differing from workers=1's %d", workers, len(snaps), len(firstSnaps))
+				}
+			}
+		})
 	}
 }
 

@@ -120,7 +120,7 @@ func (c *Cache) put(key string, val any) {
 	}
 	c.evictions.Add(1)
 	if c.obs != nil {
-		c.obs.Event(telemetry.EvalCacheEvict{Evicted: 1})
+		c.obs.Event(telemetry.EvalCacheEvict{})
 		c.obs.Add(telemetry.Counters{EvalCacheEvictions: 1})
 	}
 }

@@ -169,43 +169,65 @@ func New(seed uint64, rules ...Rule) *Plan {
 // triggers line up: a *Fault error (Error action), a panic with a *Fault
 // (Panic action), or a stall honouring ctx (Stall action). Unarmed
 // points, ineligible hits, and a nil plan return nil. A nil ctx is
-// treated as context.Background().
+// treated as context.Background(). Fire is Draw followed by Do.
 func (p *Plan) Fire(ctx context.Context, point string) error {
+	return p.Draw(point).Do(ctx)
+}
+
+// Hit is one drawn hit that fires: the fault and the action to carry out.
+type Hit struct {
+	fault  Fault
+	action Action
+	stall  time.Duration
+}
+
+// Draw records one hit on point and returns it when its rule fires, nil
+// when the point is unarmed, the hit is ineligible, or the plan is nil.
+// Drawing decides which hit fires; Do carries the action out later,
+// possibly on another goroutine, so work drawn in a fixed order keeps its
+// fault schedule however it is then scheduled.
+func (p *Plan) Draw(point string) *Hit {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	st, ok := p.points[point]
 	if !ok {
-		p.mu.Unlock()
 		return nil
 	}
 	st.hits++
-	hit := st.hits
 	r := st.rule
 	after := r.After
 	if after < 1 {
 		after = 1
 	}
-	fire := hit >= after && (r.Times == 0 || st.fired < r.Times)
+	fire := st.hits >= after && (r.Times == 0 || st.fired < r.Times)
 	if fire && r.Prob > 0 {
 		fire = p.rng.Float64() < r.Prob
 	}
-	if fire {
-		st.fired++
-	}
-	p.mu.Unlock()
 	if !fire {
 		return nil
 	}
-	f := &Fault{Point: point, Hit: hit}
-	switch r.Action {
+	st.fired++
+	return &Hit{fault: Fault{Point: point, Hit: st.hits}, action: r.Action, stall: r.Stall}
+}
+
+// Do carries out a drawn hit: it returns the *Fault (Error action),
+// panics with it (Panic action), or stalls honouring ctx (Stall action).
+// A nil hit does nothing.
+func (h *Hit) Do(ctx context.Context) error {
+	if h == nil {
+		return nil
+	}
+	f := h.fault
+	switch h.action {
 	case Panic:
-		panic(f)
+		panic(&f)
 	case Stall:
-		return stall(ctx, r.Stall)
+		return stall(ctx, h.stall)
 	default:
-		return f
+		return &f
 	}
 }
 
@@ -367,6 +389,15 @@ func With(ctx context.Context, p *Plan) context.Context {
 		ctx = context.Background()
 	}
 	return context.WithValue(ctx, ctxKey{}, p)
+}
+
+// Without returns ctx with its plan masked, for work whose hits were
+// already drawn (Draw) and must not be drawn a second time.
+func Without(ctx context.Context) context.Context {
+	if From(ctx) == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, ctxKey{}, (*Plan)(nil))
 }
 
 // From extracts the plan a context carries, nil when none is installed.

@@ -160,7 +160,7 @@ ladder:
 		for ci, c := range cohort {
 			if !(force && r == 0 && ci == 0) {
 				if !d.halted {
-					if reason, h := d.checkHalt(ctx); h {
+					if reason, h := d.checkHalt(ctx, 0); h {
 						d.halted, d.haltReason = true, reason
 					}
 				}

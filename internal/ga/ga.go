@@ -15,6 +15,49 @@ import (
 // MINIMISE (the paper minimises the number of replacement misses).
 type Objective func(values []int64) float64
 
+// BatchEvaluator evaluates a deme's cohorts: each generation, the decoded
+// candidates that missed every memo tier, in batch order. Evaluate may
+// classify them concurrently and returns once every one has finished;
+// the deme then commits them with Commit, serially in batch order, and
+// stops at the first halt, so only a prefix of a cohort may be committed.
+// Commit publishes candidate i's side effects (telemetry, failure
+// handling) and returns its objective value. cutShort reports that the
+// context stopped the evaluation before it finished: like serial
+// evaluation, the deme commits that candidate and re-checks its halt
+// before the next miss. Equal inputs must give equal values at any
+// scheduling, since the memo and migration carry values across demes.
+type BatchEvaluator interface {
+	Evaluate(ctx context.Context, values [][]int64)
+	Commit(i int) (value float64, cutShort bool)
+}
+
+// Serial returns a BatchEvaluator that calls obj one candidate at a time
+// on the calling goroutine, so obj need not be safe for concurrent use.
+// Like serial evaluation it starts no candidate once ctx has ended: the
+// last one it evaluated then reports cutShort.
+func Serial(obj Objective) BatchEvaluator { return &serialBatch{obj: obj} }
+
+type serialBatch struct {
+	obj     Objective
+	values  []float64
+	stopped bool // ctx ended after the last evaluated candidate
+}
+
+func (s *serialBatch) Evaluate(ctx context.Context, values [][]int64) {
+	s.values, s.stopped = s.values[:0], false
+	for _, v := range values {
+		s.values = append(s.values, s.obj(v))
+		if ctx.Err() != nil {
+			s.stopped = true
+			return
+		}
+	}
+}
+
+func (s *serialBatch) Commit(i int) (float64, bool) {
+	return s.values[i], s.stopped && i == len(s.values)-1
+}
+
 // SharedMemo is a cross-run memo tier for finished objective values,
 // keyed by the individual's raw genome bits. The caller scopes keys to
 // the evaluation context (nest, geometry, sample, phase) before handing
@@ -123,14 +166,14 @@ type Config struct {
 	// bit-reproducible for a fixed seed at any island count, and demes
 	// advance between barriers independent of goroutine scheduling.
 	Islands int
-	// IslandObjective, when non-nil and Islands > 1, supplies island i's
-	// objective (i is the 0-based island index). It lets callers hand
-	// each island an independent evaluator so demes evaluate concurrently
-	// without serialising on shared state; the returned objectives MUST
-	// compute identical values for identical inputs, because migrated
-	// memo entries carry values across islands. When nil, every island
-	// shares obj, which must then be safe for concurrent calls.
-	IslandObjective func(island int) Objective
+	// Batch, when non-nil, supplies deme i's batch evaluator (i is the
+	// 0-based deme index; a single population is deme 0), which the deme
+	// calls once per generation with its memo misses; obj is then unused.
+	// Separate evaluators let demes evaluate concurrently without sharing
+	// state, and must compute identical values for identical inputs. When
+	// nil, each deme calls obj one candidate at a time (Serial), and obj
+	// must be safe for concurrent calls if Islands > 1.
+	Batch func(deme int) BatchEvaluator
 
 	// Fidelity enables deterministic successive-halving evaluation: each
 	// generation's fresh candidates are ranked on coarse sample prefixes
@@ -280,6 +323,9 @@ func Run(ctx context.Context, spec Spec, obj Objective, cfg Config) (Result, err
 	if len(spec.Chroms) == 0 {
 		return Result{}, fmt.Errorf("ga: empty genome spec")
 	}
+	if obj == nil && cfg.Batch == nil && !cfg.Fidelity.Enabled() {
+		return Result{}, fmt.Errorf("ga: no objective")
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -421,7 +467,7 @@ type deme struct {
 	island int // telemetry tag: idx+1 in an island run, 0 for a lone deme
 	spec   Spec
 	cfg    Config
-	obj    Objective
+	batch  BatchEvaluator
 	size   int // target population size
 
 	src *rand.PCG
@@ -463,21 +509,24 @@ type deme struct {
 }
 
 // newDeme builds deme i of a run. A lone deme draws from the run's own
-// (Seed1, Seed2) stream and evaluates with obj and FidelityEval; island
-// demes take islandSeeds and the per-island objective and evaluator.
+// (Seed1, Seed2) stream and evaluates with FidelityEval; island demes take
+// islandSeeds and the per-island fidelity evaluator. Every deme takes its
+// own batch evaluator.
 func newDeme(spec Spec, obj Objective, cfg Config, i, size, budget int, start time.Time) (*deme, error) {
 	d := &deme{
-		idx: i, spec: spec, cfg: cfg, obj: obj, size: size,
+		idx: i, spec: spec, cfg: cfg, size: size,
 		memo: map[string]float64{}, budget: budget,
 		bestValue: math.Inf(1), start: start,
+	}
+	if cfg.Batch != nil {
+		d.batch = cfg.Batch(i)
+	} else {
+		d.batch = Serial(obj)
 	}
 	s1, s2 := cfg.Seed1, cfg.Seed2
 	if cfg.Islands > 1 {
 		d.island = i + 1
 		s1, s2 = islandSeeds(cfg, i)
-		if cfg.IslandObjective != nil {
-			d.obj = cfg.IslandObjective(i)
-		}
 	}
 	d.src = rand.NewPCG(s1, s2)
 	d.rng = rand.New(d.src)
@@ -511,8 +560,9 @@ func newDeme(spec Spec, obj Objective, cfg Config, i, size, budget int, start ti
 func (d *deme) active() bool { return !d.halted && !d.done }
 
 // checkHalt reports whether the deme must stop before spending another
-// objective evaluation, and why: context first, then its budget share.
-func (d *deme) checkHalt(ctx context.Context) (StopReason, bool) {
+// objective evaluation, and why: context first, then its budget share,
+// counting pending evaluations dispatched but not yet committed.
+func (d *deme) checkHalt(ctx context.Context, pending int) (StopReason, bool) {
 	select {
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
@@ -525,7 +575,7 @@ func (d *deme) checkHalt(ctx context.Context) (StopReason, bool) {
 		if d.pointBudget > 0 && d.evalPoints >= d.pointBudget {
 			return StopBudget, true
 		}
-	} else if d.budget > 0 && d.evals >= d.budget {
+	} else if d.budget > 0 && d.evals+pending >= d.budget {
 		return StopBudget, true
 	}
 	return StopConverged, false
@@ -567,7 +617,7 @@ func (d *deme) advance(ctx context.Context, target int) {
 			d.done = true
 			return
 		}
-		if r, h := d.checkHalt(ctx); h {
+		if r, h := d.checkHalt(ctx, 0); h {
 			d.halted, d.haltReason = true, r
 			return
 		}
@@ -613,25 +663,21 @@ func (d *deme) breed() []individual {
 	return next
 }
 
-// evaluate assigns every individual of batch its fitness, one memoised
-// evaluation at a time or, with fidelity on, through the ladder as one
-// cohort. It returns how many individuals were assigned (always a prefix
-// of batch) and whether that is all of them; false means the deme halted.
-// force exempts the batch's first evaluation from the halt check.
-func (d *deme) evaluate(ctx context.Context, batch []individual, force bool) (int, bool) {
-	if d.fe != nil {
-		return d.ladder(ctx, batch, force)
-	}
-	for i := range batch {
-		if !d.eval(ctx, &batch[i], force && i == 0) {
-			return i, false
-		}
-	}
-	return len(batch), true
-}
-
-// eval computes (or recalls) one individual's objective. It returns false
-// when the deme must halt first; the individual is then left unevaluated.
+// evaluate assigns every individual of batch its fitness: through the
+// ladder with fidelity on, otherwise as one cohort. It returns how many
+// individuals were assigned (always a prefix of batch) and whether that is
+// all of them; false means the deme halted. force exempts the batch's
+// first evaluation from the halt check.
+//
+// A cohort is dispatched, evaluated and committed. Dispatch walks the
+// batch in order: memo hits and repeats of an earlier genome need no
+// evaluation; every other genome first passes the halt check (the budget
+// counting what the cohort already dispatched), then the shared tier,
+// and otherwise joins the cohort. Dispatch stops at the first genome that
+// must halt, the same prefix serial evaluation reaches. The batch
+// evaluator then evaluates the cohort, and the commit walks the
+// dispatched prefix in order again, filling the memo and counters as
+// serial evaluation would.
 //
 // The shared tier sits strictly behind the local memo and the halt check:
 // a shared hit replaces only the computation, spending the budget and
@@ -639,36 +685,75 @@ func (d *deme) evaluate(ctx context.Context, batch []individual, force bool) (in
 // trajectory is identical cold or warm. Demes also exchange finished
 // values through it, which is safe on the same grounds as migrated memo
 // entries: islands compute identical values for identical genomes.
-func (d *deme) eval(ctx context.Context, ind *individual, force bool) bool {
-	key := string(ind.bits)
-	if v, ok := d.memo[key]; ok {
-		ind.value = v
-		d.memoHits++
-		return true
+func (d *deme) evaluate(ctx context.Context, batch []individual, force bool) (int, bool) {
+	if d.fe != nil {
+		return d.ladder(ctx, batch, force)
 	}
-	if !force && !d.halted {
-		if r, h := d.checkHalt(ctx); h {
-			d.halted, d.haltReason = true, r
+	const (
+		memoHit = -1 // value in the memo, or a repeat of an earlier genome
+		shared  = -2 // value recalled from the shared tier
+	)
+	// job[i] is batch[i]'s index in the cohort, or memoHit or shared (the
+	// recalled value then waits in batch[i].value).
+	job := make([]int, len(batch))
+	seen := map[string]bool{}
+	var cohort [][]int64
+	end, halt, halted := len(batch), StopConverged, false
+	for i := range batch {
+		key := string(batch[i].bits)
+		if _, ok := d.memo[key]; ok || seen[key] {
+			job[i] = memoHit
+			continue
 		}
-	}
-	if d.halted {
-		return false
-	}
-	if d.cfg.SharedMemo != nil {
-		if v, ok := d.cfg.SharedMemo.Get(key); ok {
-			ind.value = v
-			d.memo[key] = v
-			d.evals++
-			return true
+		if !(force && i == 0) {
+			if r, h := d.checkHalt(ctx, len(seen)); h {
+				end, halt, halted = i, r, true
+				break
+			}
 		}
+		seen[key] = true
+		if d.cfg.SharedMemo != nil {
+			if v, ok := d.cfg.SharedMemo.Get(key); ok {
+				job[i], batch[i].value = shared, v
+				continue
+			}
+		}
+		job[i] = len(cohort)
+		cohort = append(cohort, d.spec.Decode(batch[i].bits))
 	}
-	ind.value = d.obj(d.spec.Decode(ind.bits))
-	d.memo[key] = ind.value
-	d.evals++
-	if d.cfg.SharedMemo != nil {
-		d.cfg.SharedMemo.Put(key, ind.value)
+	if len(cohort) > 0 {
+		d.batch.Evaluate(ctx, cohort)
 	}
-	return true
+	recheck := false // a cut-short evaluation was committed
+	for i := 0; i < end; i++ {
+		key := string(batch[i].bits)
+		if job[i] == memoHit {
+			batch[i].value = d.memo[key]
+			d.memoHits++
+			continue
+		}
+		if recheck {
+			if r, h := d.checkHalt(ctx, 0); h {
+				d.halted, d.haltReason = true, r
+				return i, false
+			}
+		}
+		v := batch[i].value
+		if job[i] >= 0 {
+			v, recheck = d.batch.Commit(job[i])
+			if d.cfg.SharedMemo != nil {
+				d.cfg.SharedMemo.Put(key, v)
+			}
+		}
+		batch[i].value = v
+		d.memo[key] = v
+		d.evals++
+	}
+	if halted {
+		d.halted, d.haltReason = true, halt
+		return end, false
+	}
+	return len(batch), true
 }
 
 // record appends this generation's statistics to the deme history,

@@ -35,9 +35,9 @@ import (
 var profileLabels atomic.Bool
 
 // SetProfileLabels toggles pprof labels (kernel, phase, rung) on the
-// parallel evaluation workers, so CPU profiles attribute classification
-// time per kernel and per fidelity rung. The CLIs enable it alongside
-// -pprof.
+// goroutines that classify sample points, so CPU profiles attribute
+// classification time per kernel and per fidelity rung. The CLIs enable
+// it alongside -pprof.
 func SetProfileLabels(on bool) { profileLabels.Store(on) }
 
 // PaperSampleSize is the sample size the paper derives for a confidence
@@ -268,13 +268,48 @@ func (s *Sample) Evaluate(an *cme.Analyzer) cachesim.Stats {
 // with a nil error.
 //
 // A fault-injection plan threaded through ctx (faultinject.With) is
-// consulted once at entry, before any worker starts: the eval.stall and
-// eval.panic points fire here, in the serial section, so their hit counts
-// equal the number of evaluation batches regardless of the worker count —
-// which batch a scripted fault lands on is deterministic. Any panic,
-// injected or genuine, surfaces as an error, never a crash.
+// consulted once at entry, before any worker starts: each evaluation
+// draws one eval.stall and one eval.panic hit (DrawEntryFaults) and
+// carries them out here, in the serial section, so their hit counts equal
+// the number of evaluation batches regardless of the worker count — which
+// batch a scripted fault lands on is deterministic. Any panic, injected
+// or genuine, surfaces as an error, never a crash.
 func (s *Sample) EvaluateWith(ctx context.Context, ans []*cme.Analyzer) (cachesim.Stats, error) {
 	return s.evaluateWith(ctx, ans, 0)
+}
+
+// EntryFaults are one evaluation's drawn entry hits: eval.stall, then
+// eval.panic. EvaluateWith draws and runs its own. A caller evaluating
+// several candidates concurrently draws each candidate's hits in a fixed
+// order with DrawEntryFaults, runs them where that candidate is evaluated,
+// and evaluates under faultinject.Without so no hit is drawn twice.
+type EntryFaults struct{ stall, panic *faultinject.Hit }
+
+// DrawEntryFaults draws one evaluation's entry hits from the plan ctx
+// carries (none without a plan).
+func DrawEntryFaults(ctx context.Context) EntryFaults {
+	plan := faultinject.From(ctx)
+	if plan == nil {
+		return EntryFaults{}
+	}
+	return EntryFaults{plan.Draw(faultinject.EvalStall), plan.Draw(faultinject.EvalPanic)}
+}
+
+// Run carries the drawn hits out: the stall (honouring ctx), then, if the
+// stall returned no error, the panic, which comes back as an error.
+func (f EntryFaults) Run(ctx context.Context) (err error) {
+	if f == (EntryFaults{}) {
+		return nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("sampling: evaluation panic: %v", r)
+		}
+	}()
+	if err := f.stall.Do(ctx); err != nil {
+		return err
+	}
+	return f.panic.Do(ctx)
 }
 
 // evalScratch is one parallel evaluation's per-worker result arrays,
@@ -317,24 +352,19 @@ func (s *Sample) evaluateWith(ctx context.Context, ans []*cme.Analyzer, rung int
 			st, err = cachesim.Stats{}, fmt.Errorf("sampling: evaluation panic: %v", r)
 		}
 	}()
-	if plan := faultinject.From(ctx); plan != nil {
-		if ferr := plan.Fire(ctx, faultinject.EvalStall); ferr != nil {
-			return cachesim.Stats{}, ferr
-		}
-		if ferr := plan.Fire(ctx, faultinject.EvalPanic); ferr != nil {
-			return cachesim.Stats{}, ferr
-		}
+	if ferr := DrawEntryFaults(ctx).Run(ctx); ferr != nil {
+		return cachesim.Stats{}, ferr
 	}
 	n := len(s.Points)
 	workers := len(ans)
 	if workers > n {
 		workers = n
 	}
+	labels := profileLabels.Load()
 	if workers < 2 || n < 64 {
-		err = classifyRange(ctx, ans[0], s.Points, &st)
+		err = classifyLabelled(ctx, labels, rung, ans[0], s.Points, &st)
 		return st, err
 	}
-	labels := profileLabels.Load()
 	sc := scratchPool.Get().(*evalScratch)
 	sc.take(workers)
 	var wg sync.WaitGroup
@@ -348,17 +378,7 @@ func (s *Sample) evaluateWith(ctx context.Context, ans []*cme.Analyzer, rung int
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			if labels {
-				pprof.Do(ctx, pprof.Labels(
-					"kernel", ans[0].Nest().Name,
-					"phase", "evaluate",
-					"rung", strconv.Itoa(rung),
-				), func(ctx context.Context) {
-					sc.errs[w] = classifyRange(ctx, ans[w], s.Points[lo:hi], &sc.partial[w])
-				})
-				return
-			}
-			sc.errs[w] = classifyRange(ctx, ans[w], s.Points[lo:hi], &sc.partial[w])
+			sc.errs[w] = classifyLabelled(ctx, labels, rung, ans[w], s.Points[lo:hi], &sc.partial[w])
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -431,6 +451,22 @@ func (s *Sample) EvaluateObserved(ctx context.Context, ans []*cme.Analyzer, obs 
 		WalkCapHits:        wc.CapHits,
 	})
 	return st, nil
+}
+
+// classifyLabelled is classifyRange under the profile labels when they
+// are on.
+func classifyLabelled(ctx context.Context, labels bool, rung int, an *cme.Analyzer, points [][]int64, st *cachesim.Stats) (err error) {
+	if !labels {
+		return classifyRange(ctx, an, points, st)
+	}
+	pprof.Do(ctx, pprof.Labels(
+		"kernel", an.Nest().Name,
+		"phase", "evaluate",
+		"rung", strconv.Itoa(rung),
+	), func(ctx context.Context) {
+		err = classifyRange(ctx, an, points, st)
+	})
+	return err
 }
 
 // classifyRange classifies one worker's slice of the sample, polling ctx

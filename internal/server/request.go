@@ -45,9 +45,10 @@ type TileRequest struct {
 	// and the server's maximum always caps it. An expired deadline is not
 	// an error: the best-so-far tile is returned, tagged stopped=deadline.
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
-	// Workers bounds one evaluation's goroutine fan-out (0 = server
-	// default). Never changes the result, so it is excluded from the
-	// result-cache key.
+	// Workers bounds the search's evaluation goroutines (0 = server
+	// default): a generation's candidates spread one per analyzer, and a
+	// lone evaluation splits its sample points. Never changes the result,
+	// so it is excluded from the result-cache key.
 	Workers int `json:"workers,omitempty"`
 	// Islands splits the GA population into concurrently evolving demes
 	// with elite migration (0 = the server default, 1 = single

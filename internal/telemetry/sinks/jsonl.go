@@ -195,9 +195,8 @@ func (j *JSONL) record(e telemetry.Event) any {
 		}{string(ev.Kind()), ev.Tier}
 	case telemetry.EvalCacheEvict:
 		return struct {
-			Ev      string `json:"ev"`
-			Evicted int    `json:"evicted"`
-		}{string(ev.Kind()), ev.Evicted}
+			Ev string `json:"ev"`
+		}{string(ev.Kind())}
 	case telemetry.SearchStop:
 		rec := struct {
 			Ev        string  `json:"ev"`

@@ -66,8 +66,8 @@ const (
 	KindBreakerState    Kind = "breaker_state"
 	KindServerDrained   Kind = "server_drained"
 	// The shared evaluation-cache events: a lookup recalled a finished
-	// result across searches/requests, a lookup found nothing, or a
-	// size-bound eviction batch ran (emitted by internal/evalcache).
+	// result across searches/requests, a lookup found nothing, or an
+	// insert evicted an entry (emitted by internal/evalcache).
 	KindEvalCacheHit   Kind = "evalcache_hit"
 	KindEvalCacheMiss  Kind = "evalcache_miss"
 	KindEvalCacheEvict Kind = "evalcache_evict"
@@ -393,13 +393,10 @@ type EvalCacheMiss struct {
 // Kind implements Event.
 func (EvalCacheMiss) Kind() Kind { return KindEvalCacheMiss }
 
-// EvalCacheEvict reports one size-bound eviction batch of the shared
-// evaluation cache: the shard was over its bound after an insert and
-// dropped its least-recently-used entries.
-type EvalCacheEvict struct {
-	// Evicted is how many entries this batch removed.
-	Evicted int
-}
+// EvalCacheEvict reports one size-bound eviction of the shared
+// evaluation cache: an insert put its shard over the bound and the
+// shard dropped its least-recently-used entry.
+type EvalCacheEvict struct{}
 
 // Kind implements Event.
 func (EvalCacheEvict) Kind() Kind { return KindEvalCacheEvict }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"regexp"
 	"testing"
 
 	cmetiling "repro"
@@ -113,33 +114,59 @@ func checkStreamSchema(t *testing.T, stream []byte) {
 	}
 }
 
-// TestJSONLStreamWorkerInvariantCounters: the counters line (sums over
-// every sampled point) must not depend on how the evaluation work was
-// split across goroutines, even though event interleaving may differ.
+// TestJSONLStreamWorkerInvariantCounters: the whole JSONL stream, the
+// counters line included, does not depend on the worker count. A
+// generation's candidates are classified concurrently, one per analyzer,
+// but their events reach the observer in batch order, so only
+// search_start's workers field tells the streams apart. The padded nests
+// of a padding-then-tiling search rebuild one worker's analyzer per
+// candidate.
 func TestJSONLStreamWorkerInvariantCounters(t *testing.T) {
-	counters := func(workers int) string {
-		k, _ := cmetiling.GetKernel("MM")
-		nest, err := k.Instance(40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		sink := cmetiling.NewJSONLSink(&buf)
-		opt := cmetiling.Options{
-			Cache: cmetiling.DM8K, Seed: 7, SamplePoints: 64,
-			Workers: workers, Observer: sink,
-		}
-		if _, err := cmetiling.OptimizeTiling(context.Background(), nest, opt); err != nil {
-			t.Fatal(err)
-		}
-		if err := sink.Close(); err != nil {
-			t.Fatal(err)
-		}
-		lines := bytes.Split(bytes.TrimRight(buf.Bytes(), "\n"), []byte("\n"))
-		return string(lines[len(lines)-1])
-	}
-	serial, parallel := counters(1), counters(4)
-	if serial != parallel {
-		t.Fatalf("counters differ across worker counts:\nworkers=1: %s\nworkers=4: %s", serial, parallel)
+	workersField := regexp.MustCompile(`"workers":\d+`)
+	for _, tc := range []struct {
+		kernel  string
+		size    int64
+		padTile bool
+	}{
+		{"MM", 40, false},
+		{"ADD", 0, true},
+	} {
+		t.Run(fmt.Sprintf("%s_%d", tc.kernel, tc.size), func(t *testing.T) {
+			stream := func(workers int) []byte {
+				k, _ := cmetiling.GetKernel(tc.kernel)
+				nest, err := k.Instance(tc.size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				sink := cmetiling.NewJSONLSink(&buf)
+				opt := cmetiling.Options{
+					Cache: cmetiling.DM8K, Seed: 7, SamplePoints: 64,
+					Workers: workers, Observer: sink,
+				}
+				if tc.padTile {
+					_, err = cmetiling.OptimizePaddingThenTiling(context.Background(), nest, opt)
+				} else {
+					_, err = cmetiling.OptimizeTiling(context.Background(), nest, opt)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sink.Close(); err != nil {
+					t.Fatal(err)
+				}
+				lines := bytes.Split(buf.Bytes(), []byte("\n"))
+				for i, line := range lines {
+					if bytes.HasPrefix(line, []byte(`{"ev":"search_start"`)) {
+						lines[i] = workersField.ReplaceAll(line, []byte(`"workers":0`))
+					}
+				}
+				return bytes.Join(lines, []byte("\n"))
+			}
+			serial, parallel := stream(1), stream(4)
+			if !bytes.Equal(serial, parallel) {
+				t.Fatalf("streams differ across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", serial, parallel)
+			}
+		})
 	}
 }
