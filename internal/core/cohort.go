@@ -44,11 +44,11 @@ type cohortJob struct {
 	space  iterspace.Space
 	// key is the candidate's shared stats-tier key ("" when not
 	// shareable). stored marks statistics already recalled from or stored
-	// in the tier; repeat >= 0 names the earlier job with the same key,
-	// after whose commit this one looks the key up again.
+	// in the tier; repeat marks a key an earlier job of the cohort holds,
+	// so this one looks it up again after that job's commit.
 	key    string
 	stored bool
-	repeat int
+	repeat bool
 	faults sampling.EntryFaults
 	built  bool // the pool was built for this candidate: a pool miss
 	st     cachesim.Stats
@@ -62,25 +62,24 @@ func (c *cohort) Evaluate(ctx context.Context, values [][]int64) {
 	c.ctx = ctx
 	c.run = c.run[:0]
 	if cap(c.jobs) < len(values) {
-		c.jobs = append(c.jobs[:cap(c.jobs)], make([]cohortJob, len(values)-cap(c.jobs))...)
+		c.jobs = make([]cohortJob, len(values))
 	}
 	c.jobs = c.jobs[:len(values)]
-	var keys map[string]int
+	var keys map[string]bool
 	for i, v := range values {
 		j := &c.jobs[i]
-		*j = cohortJob{values: v, repeat: -1, rec: recording{log: j.rec.log[:0]}}
+		*j = cohortJob{values: v, rec: recording{log: j.rec.log[:0]}}
 		if j.nest, j.space, j.err = c.decodeSafe(v); j.err != nil {
 			continue
 		}
 		if j.key = e.statsKey(j.nest, j.space); j.key != "" {
-			if first, ok := keys[j.key]; ok {
-				j.repeat = first
+			if j.repeat = keys[j.key]; j.repeat {
 				continue
 			}
 			if keys == nil {
-				keys = map[string]int{}
+				keys = map[string]bool{}
 			}
-			keys[j.key] = i
+			keys[j.key] = true
 			if st, ok := e.shared.GetStats(j.key); ok {
 				j.st, j.stored = st, true
 				continue
@@ -176,18 +175,15 @@ func (c *cohort) classify(ctx context.Context, w int, j *cohortJob) (st cachesim
 	rec := c.recorder(j)
 	countPool(rec, reused && !j.built)
 	ans, faults := []*cme.Analyzer{an}, j.faults
-	eval := func(ctx context.Context, obs telemetry.Recorder) (cachesim.Stats, error) {
-		if err := faults.Run(ctx); err != nil {
-			return cachesim.Stats{}, err
-		}
-		return e.sample.EvaluateObserved(faultinject.Without(ctx), ans, obs, e.island, 0)
-	}
-	if e.stall <= 0 {
-		return eval(ctx, rec)
-	}
 	// A truly hung evaluation still holds this worker's analyzer: drop it
 	// alone, so the worker's next job rebuilds one.
-	return e.watchedEval(ctx, rec, func() { e.pool[w] = nil }, eval)
+	return e.watchedEval(ctx, rec, func() { e.pool[w] = nil },
+		func(ctx context.Context, obs telemetry.Recorder) (cachesim.Stats, error) {
+			if err := faults.Run(ctx); err != nil {
+				return cachesim.Stats{}, err
+			}
+			return e.sample.EvaluateObserved(faultinject.Without(ctx), ans, obs, e.island, 0)
+		})
 }
 
 // recorder is where a job's telemetry goes until its commit (nil when the
@@ -206,7 +202,7 @@ func (c *cohort) recorder(j *cohortJob) telemetry.Recorder {
 func (c *cohort) Commit(i int) (float64, bool) {
 	e := c.ev
 	j := &c.jobs[i]
-	if j.repeat >= 0 {
+	if j.repeat {
 		j.st, j.err = e.evalSpace(c.ctx, j.nest, j.space)
 		j.stored = true
 	}

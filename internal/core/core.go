@@ -552,16 +552,13 @@ func (e *evaluator) lone(ctx context.Context, obs telemetry.Recorder, nest *ir.N
 	}
 	countPool(obs, reused)
 	sub := e.sample.Range(lo, hi)
-	eval := func(ctx context.Context, obs telemetry.Recorder) (cachesim.Stats, error) {
-		return sub.EvaluateObserved(ctx, ans, obs, e.island, rung)
-	}
-	if e.stall <= 0 {
-		return eval(ctx, obs)
-	}
 	// Under the watchdog a truly hung evaluation leaks its workers, which
 	// still hold the pooled analyzers — abandon the pool (the caller holds
 	// e.mu) so the next evaluation rebuilds a fresh one.
-	return e.watchedEval(ctx, obs, func() { e.pool = make([]*cme.Analyzer, len(e.pool)) }, eval)
+	return e.watchedEval(ctx, obs, func() { e.pool = make([]*cme.Analyzer, len(e.pool)) },
+		func(ctx context.Context, obs telemetry.Recorder) (cachesim.Stats, error) {
+			return sub.EvaluateObserved(ctx, ans, obs, e.island, rung)
+		})
 }
 
 // countPool reports one evaluation's pool hit (its analyzers were
@@ -631,13 +628,17 @@ func intsKey[T int | int64](vs []T) string {
 	return string(b)
 }
 
-// watchedEval runs one evaluation under the stall watchdog. Its telemetry
-// is held in a log of its own and reaches obs only if the evaluation
-// finished: a truly hung evaluation leaks its goroutine, which must not
-// write into the stream later. onHang, when non-nil, abandons the
-// analyzers the leaked goroutine still holds.
+// watchedEval runs one evaluation reporting to obs, under the stall
+// watchdog when armed. The watched evaluation's telemetry is held in a
+// log of its own and reaches obs only if the evaluation finished: a truly
+// hung evaluation leaks its goroutine, which must not write into the
+// stream later. onHang, when non-nil, abandons the analyzers the leaked
+// goroutine still holds.
 func (e *evaluator) watchedEval(ctx context.Context, obs telemetry.Recorder, onHang func(),
 	eval func(context.Context, telemetry.Recorder) (cachesim.Stats, error)) (cachesim.Stats, error) {
+	if e.stall <= 0 {
+		return eval(ctx, obs)
+	}
 	var held *recording
 	var to telemetry.Recorder
 	if obs != nil {
@@ -676,14 +677,10 @@ func (e *evaluator) evalFresh(ctx context.Context, an *cme.Analyzer) (cachesim.S
 			ans = append(ans, an.Clone())
 		}
 	}
-	eval := func(ctx context.Context, obs telemetry.Recorder) (cachesim.Stats, error) {
-		return e.sample.EvaluateObserved(ctx, ans, obs, e.island, 0)
-	}
-	if e.stall <= 0 {
-		return eval(ctx, e.obs)
-	}
 	// One-off analyzers: nothing shared to abandon on a hang.
-	return e.watchedEval(ctx, e.obs, nil, eval)
+	return e.watchedEval(ctx, e.obs, nil, func(ctx context.Context, obs telemetry.Recorder) (cachesim.Stats, error) {
+		return e.sample.EvaluateObserved(ctx, ans, obs, e.island, 0)
+	})
 }
 
 // tiled evaluates a tile vector over (a possibly padded copy of) the nest.

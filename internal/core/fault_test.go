@@ -167,7 +167,10 @@ func TestWatchdogQuarantinesStalledEvaluation(t *testing.T) {
 			opt.Fidelity = tc.fidelity
 			opt.Workers = tc.workers
 			opt.FailurePolicy = FailQuarantine
-			opt.StallTimeout = 50 * time.Millisecond
+			// Far above a genuine evaluation's time under the race
+			// detector on a loaded host, so only the injected stall trips
+			// the watchdog.
+			opt.StallTimeout = 500 * time.Millisecond
 			res, err := OptimizeTiling(faultCtx(t, "eval.stall:after=5,times=1"), transpose(32), opt)
 			if err != nil {
 				t.Fatalf("stalled run did not degrade: %v", err)

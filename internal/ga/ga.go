@@ -323,9 +323,6 @@ func Run(ctx context.Context, spec Spec, obj Objective, cfg Config) (Result, err
 	if len(spec.Chroms) == 0 {
 		return Result{}, fmt.Errorf("ga: empty genome spec")
 	}
-	if obj == nil && cfg.Batch == nil && !cfg.Fidelity.Enabled() {
-		return Result{}, fmt.Errorf("ga: no objective")
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -120,18 +120,21 @@ func checkStreamSchema(t *testing.T, stream []byte) {
 // but their events reach the observer in batch order, so only
 // search_start's workers field tells the streams apart. The padded nests
 // of a padding-then-tiling search rebuild one worker's analyzer per
-// candidate.
+// candidate; with a shared cache, a candidate whose tile an earlier one
+// of its generation already scored recalls that one's statistics.
 func TestJSONLStreamWorkerInvariantCounters(t *testing.T) {
 	workersField := regexp.MustCompile(`"workers":\d+`)
 	for _, tc := range []struct {
 		kernel  string
 		size    int64
 		padTile bool
+		shared  bool
 	}{
-		{"MM", 40, false},
-		{"ADD", 0, true},
+		{"MM", 40, false, false},
+		{"ADD", 0, true, false},
+		{"MM", 40, false, true},
 	} {
-		t.Run(fmt.Sprintf("%s_%d", tc.kernel, tc.size), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s_%d_shared=%v", tc.kernel, tc.size, tc.shared), func(t *testing.T) {
 			stream := func(workers int) []byte {
 				k, _ := cmetiling.GetKernel(tc.kernel)
 				nest, err := k.Instance(tc.size)
@@ -143,6 +146,9 @@ func TestJSONLStreamWorkerInvariantCounters(t *testing.T) {
 				opt := cmetiling.Options{
 					Cache: cmetiling.DM8K, Seed: 7, SamplePoints: 64,
 					Workers: workers, Observer: sink,
+				}
+				if tc.shared {
+					opt.SharedCache = cmetiling.NewEvalCache(cmetiling.EvalCacheConfig{})
 				}
 				if tc.padTile {
 					_, err = cmetiling.OptimizePaddingThenTiling(context.Background(), nest, opt)
