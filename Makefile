@@ -136,9 +136,12 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'Classify$$|PointSolverTiled$$|IterspaceTraversal|EvaluateParallel|IslandSearch|EvalCacheSearch|FidelitySearch' -benchmem . | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
 # Short fuzz sweeps over the structured-input entry points, tilingd's
-# request decoder included.
+# request decoder and journal replay included, and over the point
+# solver's closed-form run solve against a brute-force scan.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAffine -fuzztime=30s ./internal/expr/
 	$(GO) test -run=^$$ -fuzz=FuzzNestValidate -fuzztime=30s ./internal/ir/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=30s ./internal/parser/
 	$(GO) test -run=^$$ -fuzz=FuzzNormalize -fuzztime=30s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=30s ./internal/journal/
+	$(GO) test -run=^$$ -fuzz=FuzzRunSolve -fuzztime=30s ./internal/cme/

@@ -89,16 +89,24 @@ type Analyzer struct {
 	// with exotic array bases) take the exact div/mod path instead.
 	lineShift uint
 	setMask   int64
+	cmask     int64 // NumSets·LineSize − 1, the set-mapping period's mask
 
 	refs []refInfo
 	// coordRefs[c] lists the references whose address depends on space
 	// coordinate c (rebuilt on every Rebind).
 	coordRefs [][]coordRef
+	// runRefs holds the congruence of each reference in coordRefs[last],
+	// in reference order, for the direct-mapped walk's run solve
+	// (runsolve.go; rebuilt on every Rebind).
+	runRefs []runSolve
 
 	// Scratch buffers.
 	walkPoint []int64
 	prevPoint []int64
 	liveAddr  []int64 // per-reference address at walkPoint
+	// pointAddr is the per-reference address at the point ClassifyAll is
+	// classifying, computed once and copied into each access's walk.
+	pointAddr []int64
 	// walkFloor is space.InnerFloor(walkPoint): while the last coordinate
 	// lies above it, one backward step only decrements that coordinate.
 	walkFloor int64
@@ -122,7 +130,7 @@ type Analyzer struct {
 	// scratch buffers (lineInt64s): the walk writes them on every access,
 	// so two analyzers classifying on different goroutines must not share
 	// a line. TestAnalyzerFillsCacheLines checks the size.
-	_ [32]byte
+	_ [40]byte
 }
 
 // cacheLine is the cache-line size the analyzer's written state is laid
@@ -160,6 +168,7 @@ func NewAnalyzer(nest *ir.Nest, space iterspace.Space, cfg cache.Config) (*Analy
 		nsets:     cfg.NumSets(),
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
 		setMask:   cfg.NumSets() - 1,
+		cmask:     cfg.NumSets()*cfg.LineSize - 1,
 		refs:      make([]refInfo, len(nest.Refs)),
 		conflicts: lineInt64s(cfg.Assoc)[:0],
 		pinned:    lineInt64s(nest.Depth()),
@@ -204,6 +213,7 @@ func (a *Analyzer) bindSpace(space iterspace.Space) error {
 	a.prevPoint = resizeInt64(a.prevPoint, nc)
 	a.minPoint = resizeInt64(a.minPoint, nc)
 	a.liveAddr = resizeInt64(a.liveAddr, len(a.refs))
+	a.pointAddr = resizeInt64(a.pointAddr, len(a.refs))
 	if cap(a.coordRefs) >= nc {
 		a.coordRefs = a.coordRefs[:nc]
 	} else {
@@ -229,6 +239,10 @@ func (a *Analyzer) bindSpace(space iterspace.Space) error {
 				a.coordRefs[c] = append(a.coordRefs[c], coordRef{ref: i, coef: co})
 			}
 		}
+	}
+	a.runRefs = a.runRefs[:0]
+	for _, cr := range a.coordRefs[nc-1] {
+		a.runRefs = append(a.runRefs, newRunSolve(cr.ref, cr.coef, a.cmask+1))
 	}
 	return nil
 }
@@ -273,7 +287,8 @@ func (a *Analyzer) Clone() *Analyzer {
 	out.conflicts = lineInt64s(cap(a.conflicts))[:0]
 	out.pinned = lineInt64s(len(a.pinned))
 	out.subsBuf = lineInt64s(len(a.subsBuf))
-	out.walkPoint, out.prevPoint, out.minPoint, out.liveAddr, out.coordRefs = nil, nil, nil, nil, nil
+	out.walkPoint, out.prevPoint, out.minPoint, out.liveAddr, out.pointAddr = nil, nil, nil, nil, nil
+	out.coordRefs, out.runRefs = nil, nil
 	out.pointBuf = nil
 	if err := out.bindSpace(a.space); err != nil {
 		// a.space was accepted when the parent bound it.
@@ -306,9 +321,12 @@ func (a *Analyzer) Config() cache.Config { return a.cfg }
 func (a *Analyzer) CapHits() uint64 { return a.capHits }
 
 // WalkStats reports the cumulative backward-walk steps and the number of
-// classified accesses — the empirical cost of the point solver. The
-// expected steps per access is O(assoc · sets / references-per-iteration),
-// independent of problem size (checked in tests).
+// classified accesses — the empirical cost of the point solver. A step is
+// one position (point, reference) the walk passed, scanned or solved: the
+// direct-mapped walk counts the positions its run solve skips, so the
+// count equals a point-by-point scan's. The expected steps per access is
+// O(assoc · sets / references-per-iteration), independent of problem size
+// (checked in tests).
 func (a *Analyzer) WalkStats() (steps, accesses uint64) {
 	return a.walkSteps, a.classified
 }
@@ -378,8 +396,13 @@ func (a *Analyzer) addrAt(point []int64, refIdx int) int64 {
 // Classify decides the outcome of the access performed by reference refIdx
 // at space point p. It is exact for LRU caches of the configured geometry.
 func (a *Analyzer) Classify(p []int64, refIdx int) cachesim.Outcome {
-	a.classified++
 	a.startWalk(p)
+	return a.classifyPrimed(p, refIdx)
+}
+
+// classifyPrimed is Classify from a walk state already primed at p.
+func (a *Analyzer) classifyPrimed(p []int64, refIdx int) cachesim.Outcome {
+	a.classified++
 	line := a.lineOf(a.liveAddr[refIdx])
 
 	if !a.touchedJustBefore(refIdx, line) && a.isFirstAccess(p, refIdx, line) {
@@ -420,8 +443,9 @@ func (a *Analyzer) touchedJustBefore(refIdx int, line int64) bool {
 
 // startWalk primes the backward interference walk at p: walkPoint holds
 // the current point, liveAddr the address every reference touches there
-// and walkFloor where the point's innermost run ends. From here stepBack
-// maintains all three incrementally.
+// and walkFloor where the point's innermost run ends. From here the walks
+// maintain all three incrementally. ClassifyAll primes the same state
+// from addresses it computes once per point.
 func (a *Analyzer) startWalk(p []int64) {
 	copy(a.walkPoint, p)
 	for r := range a.refs {
@@ -467,23 +491,88 @@ func (a *Analyzer) stepBack() bool {
 // landing in the target set evicts the reuse source, so no conflict list
 // is kept at all — the walk is a pure scan over live addresses. Like
 // walkAssoc, it continues from the state startWalk primed.
+//
+// Once it has scanned solveScanPoints whole points of an innermost run
+// and at least solveMinRemaining points remain, it solves the rest of the
+// run (solveRun) instead of scanning it: it stops where the first
+// reference lands in the target set, or jumps to the run's floor and
+// crosses into the previous run. The positions it passes that way count
+// as walk steps, and the walk cap trips at the same count, so outcomes and
+// accounting equal the scan's.
 func (a *Analyzer) walkDirect(refIdx int, line int64) cachesim.Outcome {
 	set := line % a.nsets
 	lineSize, nsets := a.cfg.LineSize, a.nsets
 	lineShift, setMask := a.lineShift, a.setMask
-	live := a.liveAddr
+	live, cur := a.liveAddr, a.walkPoint
+	last := len(cur) - 1
+	inner := a.coordRefs[last]
+	n := len(a.refs)
 	walkCap := a.walkCap
+	// Above stop a point step is one decrement inside the run; at stop
+	// the walk either solves the rest of the run or, at the floor,
+	// crosses into the previous one. The start point is scanned only in
+	// part, so the run's first whole point is the one below it.
+	floor := a.walkFloor
+	stop := solveStop(cur[last]-1, floor)
 	ref := refIdx
 	var steps uint64
 	for {
 		ref--
 		if ref < 0 {
-			if !a.stepBack() {
-				// No earlier access to the line exists, contradicting the
-				// first-access test: unreachable by construction.
-				panic("cme: walked past the start of a non-compulsory access")
+			ref = n - 1
+			switch {
+			case cur[last] > stop:
+				cur[last]--
+				for _, cr := range inner {
+					live[cr.ref] -= cr.coef
+				}
+			case cur[last] > floor:
+				rem := cur[last] - floor
+				s, j := a.solveRun(set, rem)
+				switch {
+				case s > 0:
+					rs := &a.runRefs[j]
+					skip := uint64(s-1)*uint64(n) + uint64(n-1-rs.ref)
+					if steps+skip >= walkCap {
+						a.walkSteps += walkCap
+						a.capHits++
+						return cachesim.ReplacementMiss
+					}
+					a.walkSteps += steps + skip
+					if (live[rs.ref]-s*rs.coef)>>lineShift == line {
+						return cachesim.Hit
+					}
+					return cachesim.ReplacementMiss
+				case s == 0:
+					if steps += uint64(rem) * uint64(n); steps >= walkCap {
+						a.walkSteps += walkCap
+						a.capHits++
+						return cachesim.ReplacementMiss
+					}
+					cur[last] = floor
+					for _, cr := range inner {
+						live[cr.ref] -= rem * cr.coef
+					}
+				default:
+					// An address could be negative in the stretch:
+					// scan the rest of the run.
+					stop = floor
+				}
+				// Every position of the walk point is passed: step
+				// again, from the floor into the previous run or on
+				// through the run being scanned.
+				ref = 0
+				continue
+			default:
+				if !a.stepBack() {
+					// No earlier access to the line exists,
+					// contradicting the first-access test: unreachable
+					// by construction.
+					panic("cme: walked past the start of a non-compulsory access")
+				}
+				floor = a.walkFloor
+				stop = solveStop(cur[last], floor)
 			}
-			ref = len(a.refs) - 1
 		}
 		if q := live[ref]; q >= 0 {
 			ql := q >> lineShift
@@ -513,6 +602,18 @@ func (a *Analyzer) walkDirect(refIdx int, line int64) cachesim.Outcome {
 			return cachesim.ReplacementMiss
 		}
 	}
+}
+
+// solveStop returns the value of the last coordinate at which the
+// direct-mapped walk solves the rest of a run whose first whole point has
+// last coordinate firstWhole: the point after which solveScanPoints whole
+// points are scanned, provided solveMinRemaining points remain below it.
+// Otherwise it returns the run's floor, and the run is scanned to its end.
+func solveStop(firstWhole, floor int64) int64 {
+	if at := firstWhole - (solveScanPoints - 1); at-floor >= solveMinRemaining {
+		return at
+	}
+	return floor
 }
 
 // walkAssoc is the k-way walk: scan accesses in reverse execution order
@@ -643,10 +744,19 @@ func (a *Analyzer) ClassifyReference(p []int64, refIdx int) cachesim.Outcome {
 }
 
 // ClassifyAll classifies every reference at point p, accumulating into st.
+// It computes the point's addresses and innermost floor once and primes
+// each access's walk from them.
 func (a *Analyzer) ClassifyAll(p []int64, st *cachesim.Stats) {
 	for r := range a.refs {
+		a.pointAddr[r] = a.addrAt(p, r)
+	}
+	floor := a.space.InnerFloor(p)
+	for r := range a.refs {
 		st.Accesses++
-		switch a.Classify(p, r) {
+		copy(a.walkPoint, p)
+		copy(a.liveAddr, a.pointAddr)
+		a.walkFloor = floor
+		switch a.classifyPrimed(p, r) {
 		case cachesim.Hit:
 			st.Hits++
 		case cachesim.CompulsoryMiss:

@@ -714,7 +714,7 @@ func (m *sharedMemo) Get(key string) (float64, bool) {
 }
 
 func (m *sharedMemo) Put(key string, v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) || v == math.MaxFloat64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v == ga.QuarantineValue {
 		return
 	}
 	m.c.PutFitness(m.scope+key, v)

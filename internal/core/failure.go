@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
+	"repro/internal/ga"
 	"repro/internal/telemetry"
 )
 
@@ -70,12 +70,6 @@ type QuarantinedEval struct {
 // reports this error.
 var ErrStalled = errors.New("core: evaluation stalled")
 
-// quarantineFitness is the objective value a quarantined candidate gets:
-// the worst finite float64, so the candidate never competes but — unlike
-// +Inf — keeps generation averages and checkpointed memo values
-// JSON-serialisable.
-func quarantineFitness() float64 { return math.MaxFloat64 }
-
 // evalGuard wraps a search's objective closures with the failure policy:
 // panics are recovered, errors are either noted for the post-run abort or
 // converted into a quarantine entry, and context cancellation always
@@ -133,7 +127,7 @@ func (g *evalGuard) fail(label string, v []int64, err error) float64 {
 	if g.obs != nil {
 		g.obs.Event(telemetry.EvaluationQuarantined{Search: label, Values: values, Reason: err.Error()})
 	}
-	return quarantineFitness()
+	return ga.QuarantineValue
 }
 
 // cancelled reports whether err is the search context ending

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -114,6 +115,33 @@ func TestQuarantineDeterministicPerSeedAndPlan(t *testing.T) {
 				t.Fatalf("workers=%d: quarantine %d diverged: %+v vs %+v", workers, i, a.Quarantined[i], b.Quarantined[i])
 			}
 		}
+	}
+}
+
+// TestQuarantineCheckpointsStayEncodable: two candidates of one
+// generation quarantined must not push the generation's average past the
+// largest float64, or the checkpoint written after it cannot be encoded
+// and the search fails at its first checkpoint. The average covers the
+// members that evaluated.
+func TestQuarantineCheckpointsStayEncodable(t *testing.T) {
+	opt := testOpt(7)
+	opt.FailurePolicy = FailQuarantine
+	written := 0
+	opt.Checkpoint = func(c *ga.Checkpoint) error {
+		written++
+		for _, st := range c.History {
+			if st.Avg >= ga.QuarantineValue {
+				t.Errorf("generation %d average %g reaches the quarantine value", st.Gen, st.Avg)
+			}
+		}
+		return ga.WriteCheckpoint(io.Discard, c)
+	}
+	res, err := OptimizeTiling(faultCtx(t, "eval.panic:after=4,times=2"), transpose(32), opt)
+	if err != nil {
+		t.Fatalf("quarantining search failed: %v", err)
+	}
+	if len(res.Quarantined) != 2 || written == 0 {
+		t.Fatalf("quarantined %d candidates and wrote %d checkpoints, want 2 and some", len(res.Quarantined), written)
 	}
 }
 

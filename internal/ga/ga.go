@@ -15,6 +15,12 @@ import (
 // MINIMISE (the paper minimises the number of replacement misses).
 type Objective func(values []int64) float64
 
+// QuarantineValue is the objective value of a candidate whose evaluation
+// failed and was set aside: the largest finite float64, so it never
+// competes yet stays JSON-encodable in checkpointed memos. A generation's
+// average (GenStats.Avg) covers only the members below it.
+const QuarantineValue = math.MaxFloat64
+
 // BatchEvaluator evaluates a deme's cohorts: each generation, the decoded
 // candidates that missed every memo tier, in batch order. Evaluate may
 // classify them concurrently and returns once every one has finished;
@@ -270,7 +276,7 @@ func (c Config) Validate() error {
 type GenStats struct {
 	Gen       int
 	Best      float64 // best (lowest) objective in the generation
-	Avg       float64 // population average objective
+	Avg       float64 // average objective of the members below QuarantineValue
 	BestEver  float64 // best seen so far across generations
 	Converged bool
 }
@@ -756,9 +762,12 @@ func (d *deme) evaluate(ctx context.Context, batch []individual, force bool) (in
 // record appends this generation's statistics to the deme history,
 // updates the deme best-ever and emits the GenerationDone event.
 func (d *deme) record() {
-	best, sum := math.Inf(1), 0.0
+	best, sum, counted := math.Inf(1), 0.0, 0
 	for i := range d.pop {
-		sum += d.pop[i].value
+		if d.pop[i].value < QuarantineValue {
+			sum += d.pop[i].value
+			counted++
+		}
 		if d.pop[i].value < best {
 			best = d.pop[i].value
 		}
@@ -781,7 +790,10 @@ func (d *deme) record() {
 		d.bestValue = d.pop[bi].value
 		d.best = d.spec.Decode(d.pop[bi].bits)
 	}
-	avg := sum / float64(len(d.pop))
+	avg := QuarantineValue
+	if counted > 0 {
+		avg = sum / float64(counted)
+	}
 	st := GenStats{Gen: d.gen, Best: best, Avg: avg, BestEver: d.bestValue}
 	// §3.3: converged when the best individual's objective differs from
 	// the population average by less than ConvergeFrac of the average.

@@ -15,7 +15,7 @@ import (
 //	<name>.evaluations          distinct objective evaluations
 //	<name>.memo_hits            GA memo-table recalls
 //	<name>.sampled_points       iteration points classified
-//	<name>.walk_steps           CME backward-walk steps
+//	<name>.walk_steps           CME backward-walk steps (positions passed, solved ones included)
 //	<name>.classified_accesses  accesses classified by the point solver
 //	<name>.walk_cap_hits        walk-cap trips (0 in normal operation)
 //	<name>.pool_hits            analyzer-pool rebinds (reuse)

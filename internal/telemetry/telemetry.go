@@ -162,6 +162,8 @@ type EvaluationBatch struct {
 	// WalkSteps is the number of backward interference-walk steps the
 	// batch cost, summed across evaluation workers (worker-count
 	// invariant: the sum covers the same points regardless of the split).
+	// A step is a position the walk passed, solved ones included
+	// (cme.Analyzer.WalkStats).
 	WalkSteps uint64
 	// Rung is the 1-based fidelity rung this batch was evaluated for; 0
 	// means a classic full-fidelity evaluation outside the ladder.
@@ -434,8 +436,9 @@ type Counters struct {
 	SampledPoints uint64
 	// WalkSteps and ClassifiedAccesses are the CME point solver's
 	// cumulative backward-walk steps and classified accesses
-	// (cme.WalkStats); their ratio is the empirical per-access solver
-	// cost.
+	// (cme.Analyzer.WalkStats); their ratio is the empirical per-access
+	// solver cost. A step is a position the walk passed, solved ones
+	// included.
 	WalkSteps          uint64
 	ClassifiedAccesses uint64
 	// WalkCapHits counts classifications that tripped the walk cap
