@@ -53,7 +53,10 @@ vet:
 # concrete sinks. An internal package importing internal/telemetry/sinks
 # breaks the nil-observer zero-cost contract and fails here. Evalcache:
 # the shared evaluation cache holds values, never solver state, so
-# internal/evalcache importing internal/cme fails here too.
+# internal/evalcache importing internal/cme fails here too. Polyhedra:
+# constraint systems are how the equation generator writes CMEs, and no
+# miss is decided from them, so only internal/cme may import
+# internal/polyhedra.
 depcheck:
 	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/... | grep -E ' repro/internal/telemetry/sinks( |$$)' || true); \
 	if [ -n "$$bad" ]; then \
@@ -63,6 +66,11 @@ depcheck:
 	@if $(GO) list -f '{{join .Imports " "}}' ./internal/evalcache | grep -qE '(^| )repro/internal/cme( |$$)'; then \
 		echo "depcheck: internal/evalcache must not import internal/cme (the shared cache holds values, not analyzers)"; \
 		exit 1; \
+	fi
+	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -E ' repro/internal/polyhedra( |$$)' | grep -v '^repro/internal/cme: ' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "depcheck: only internal/cme may import internal/polyhedra (constraint systems stay inside equation generation):"; \
+		echo "$$bad"; exit 1; \
 	fi
 	@echo "depcheck: ok"
 

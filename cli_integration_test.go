@@ -88,6 +88,26 @@ func TestCLIEndToEnd(t *testing.T) {
 	if !strings.Contains(out, "convex region") {
 		t.Fatalf("cmereport tiled output:\n%s", out)
 	}
+	// §2.4's accounting: tiling 20×20 by 3×3 makes 4 convex regions, so
+	// compulsory equations grow 4× and replacement equations 16×, and
+	// -dump prints every one of them.
+	out = run(t, tools["cmereport"], "-kernel", "T2D", "-size", "20", "-points", "32")
+	if !strings.Contains(out, "1 convex region(s), 4 compulsory, 8 replacement") {
+		t.Fatalf("cmereport untiled counts:\n%s", out)
+	}
+	out = run(t, tools["cmereport"], "-kernel", "T2D", "-size", "20", "-tile", "3,3", "-points", "32", "-dump")
+	if !strings.Contains(out, "4 convex region(s), 16 compulsory, 128 replacement") {
+		t.Fatalf("cmereport tiled counts:\n%s", out)
+	}
+	equations := 0
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "  compulsory ref") || strings.HasPrefix(line, "  replacement ref") {
+			equations++
+		}
+	}
+	if equations != 144 {
+		t.Fatalf("cmereport -dump printed %d equations, want 144:\n%s", equations, out)
+	}
 	runExpectError(t, tools["cmereport"], "-kernel", "MM", "-size", "64", "-points", "-5")
 	runExpectError(t, tools["cmereport"], "-kernel", "MM", "-size", "64", "-points", "0")
 	runExpectError(t, tools["cmereport"], "-kernel", "MM", "-size", "64", "-workers", "-3")

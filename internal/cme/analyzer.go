@@ -222,19 +222,15 @@ func (a *Analyzer) bindSpace(space iterspace.Space) error {
 	for c := range a.coordRefs {
 		a.coordRefs[c] = a.coordRefs[c][:0]
 	}
-	origMap := space.OrigMap()
 	for i := range a.refs {
 		ri := &a.refs[i]
 		ri.coefCoord = resizeInt64(ri.coefCoord, nc)
 		for c := range ri.coefCoord {
-			ri.coefCoord[c] = 0
-		}
-		for c, d := range origMap {
-			if d >= 0 {
-				ri.coefCoord[c] = ri.coef[d]
+			var co int64
+			if d := space.OrigDim(c); d >= 0 {
+				co = ri.coef[d]
 			}
-		}
-		for c, co := range ri.coefCoord {
+			ri.coefCoord[c] = co
 			if co != 0 {
 				a.coordRefs[c] = append(a.coordRefs[c], coordRef{ref: i, coef: co})
 			}

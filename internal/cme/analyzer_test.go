@@ -287,6 +287,31 @@ func TestPointScratch(t *testing.T) {
 	}
 }
 
+// TestRebindAllocatesNothing: once an analyzer has been bound to a space of
+// some shape, rebinding it to that space allocates nothing, on every space
+// type the search uses.
+func TestRebindAllocatesNothing(t *testing.T) {
+	nest := mmNest(12)
+	box := iterspace.NewBox([]int64{1, 1, 1}, []int64{12, 12, 12})
+	an, err := NewAnalyzer(nest, box, cache.DM8K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range []iterspace.Space{
+		box,
+		iterspace.NewTiled(box, []int64{4, 6, 5}),
+		iterspace.NewPermutedTiled(box, []int64{4, 6, 5}, []int{2, 0, 1}),
+		iterspace.NewPermutedBox(box, []int{1, 2, 0}),
+	} {
+		if err := an.Rebind(sp); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() { _ = an.Rebind(sp) }); n != 0 {
+			t.Errorf("Rebind to %T allocates %v times per call", sp, n)
+		}
+	}
+}
+
 // TestConstantSubscript covers refs like x(3,j).
 func TestConstantSubscript(t *testing.T) {
 	n := int64(16)

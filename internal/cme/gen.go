@@ -40,11 +40,14 @@ func (k EquationKind) String() string {
 //     trailing "wrap" variable n from the modulo-cache-size linearisation
 //     Mem_B(j) − Mem_A(ī) = n·CacheSize + b, |b| < LineSize.
 //
-// The lexicographic "j between ī−r and ī" condition is represented in its
-// componentwise (bounding-box) relaxation, a standard simplification: the
-// polyhedron is a superset of the exact miss set, so an EMPTY replacement
-// polyhedron proves the reuse is realised. The exact per-point answer comes
-// from the point solver (Analyzer.Classify).
+// The lexicographic "j between ī−r and ī" condition is relaxed
+// componentwise: dimensions before r's leading nonzero component are pinned
+// to ī's, the leading one spans [ī−r, ī] and inner ones their full extent.
+// The equations serve display and counting (cmereport, §2.4's region
+// accounting). On tiled spaces the relaxation is not a superset of the miss
+// set: between the reuse source and ī the tiled order also visits points
+// whose outer element coordinates differ from ī's. No miss is decided from
+// the equations; only the point solver (Analyzer.Classify) decides misses.
 type Equation struct {
 	Kind       EquationKind
 	Ref        int
@@ -54,7 +57,6 @@ type Equation struct {
 	// (replacement only, -1 otherwise). Untiled spaces have one region.
 	RegionA, RegionB int
 	System           *polyhedra.System
-	VarNames         []string
 }
 
 func (e Equation) String() string {
@@ -71,8 +73,6 @@ func (e Equation) String() string {
 // Set is the full system of CMEs generated for a nest under one cache
 // configuration and traversal space.
 type Set struct {
-	Nest        *ir.Nest
-	Cache       cache.Config
 	Vectors     []reuse.Vector
 	Compulsory  []Equation
 	Replacement []Equation
@@ -159,7 +159,7 @@ func generate(nest *ir.Nest, cfg cache.Config, box *iterspace.Box, tiled *itersp
 		}
 	}
 
-	set := &Set{Nest: nest, Cache: cfg, Vectors: vectors, NumRegions: len(regions)}
+	set := &Set{Vectors: vectors, NumRegions: len(regions)}
 	coords := k
 	if tiled != nil {
 		coords = 2 * k
@@ -228,8 +228,7 @@ func generate(nest *ir.Nest, cfg cache.Config, box *iterspace.Box, tiled *itersp
 					set.Compulsory = append(set.Compulsory, Equation{
 						Kind: Compulsory, Ref: vec.Ref, Vector: vec,
 						Interferer: -1, RegionA: ra, RegionB: -1,
-						System:   s,
-						VarNames: append(varNames(nest, tiled, 1), "m"),
+						System: s,
 					})
 				}
 			}
@@ -254,8 +253,7 @@ func generate(nest *ir.Nest, cfg cache.Config, box *iterspace.Box, tiled *itersp
 				set.Compulsory = append(set.Compulsory, Equation{
 					Kind: Compulsory, Ref: vec.Ref, Vector: vec,
 					Interferer: -1, RegionA: ra, RegionB: -1,
-					System:   s,
-					VarNames: varNames(nest, tiled, 1),
+					System: s,
 				})
 			}
 		}
@@ -308,8 +306,7 @@ func generate(nest *ir.Nest, cfg cache.Config, box *iterspace.Box, tiled *itersp
 						set.Replacement = append(set.Replacement, Equation{
 							Kind: Replacement, Ref: vec.Ref, Vector: vec,
 							Interferer: rb, RegionA: ra, RegionB: rbg,
-							System:   s,
-							VarNames: varNames(nest, tiled, 2),
+							System: s,
 						})
 					}
 				}
@@ -317,117 +314,6 @@ func generate(nest *ir.Nest, cfg cache.Config, box *iterspace.Box, tiled *itersp
 		}
 	}
 	return set, nil
-}
-
-// varNames builds diagnostic variable names for 1 or 2 point blocks (the
-// second block prefixed j_) plus the wrap variable for replacement systems.
-func varNames(nest *ir.Nest, tiled *iterspace.Tiled, blocks int) []string {
-	var base []string
-	if tiled != nil {
-		for _, l := range nest.Loops {
-			base = append(base, l.Var+l.Var) // ii, jj, ...
-		}
-	}
-	for _, l := range nest.Loops {
-		base = append(base, l.Var)
-	}
-	names := append([]string(nil), base...)
-	if blocks == 2 {
-		for _, b := range base {
-			names = append(names, "j_"+b)
-		}
-		names = append(names, "n")
-	}
-	return names
-}
-
-// PotentialMiss reports whether iteration point ī (space coordinates) is a
-// potential miss of reference ref according to the generated equations:
-// following §2.2, the point is a potential miss if for EVERY reuse vector
-// of the reference, substituting ī leaves some equation polyhedron
-// non-empty (the reuse is cold or potentially interfered with).
-func (set *Set) PotentialMiss(point []int64, ref int) bool {
-	hasVector := false
-	for _, vec := range set.Vectors {
-		if vec.Ref != ref {
-			continue
-		}
-		hasVector = true
-		if !set.potentialMissAlong(point, vec) {
-			return false // this reuse is provably realised: a hit
-		}
-	}
-	// All vectors remain potentially missing (or there is no reuse at
-	// all): the point is a potential miss.
-	_ = hasVector
-	return true
-}
-
-// ProvablyHit reports whether the equations prove the access at ī by ref
-// is a hit: some reuse vector's equations are all empty after substituting
-// ī (the source exists, no line boundary is crossed, and no interference
-// polyhedron is feasible). Because every polyhedron over-approximates its
-// miss condition, this is a sound hit proof — validated against the exact
-// point solver in tests.
-func (set *Set) ProvablyHit(point []int64, ref int) bool {
-	return !set.PotentialMiss(point, ref)
-}
-
-// potentialMissAlong checks whether any equation of (ref, vector) remains
-// feasible after substituting the iteration point.
-func (set *Set) potentialMissAlong(point []int64, vec reuse.Vector) bool {
-	for _, eq := range set.Compulsory {
-		if eq.Ref != vec.Ref || !sameVec(eq.Vector.R, vec.R) || eq.Vector.Source != vec.Source {
-			continue
-		}
-		if feasibleAfterPoint(eq.System, point) {
-			return true
-		}
-	}
-	for _, eq := range set.Replacement {
-		if eq.Ref != vec.Ref || !sameVec(eq.Vector.R, vec.R) || eq.Vector.Source != vec.Source {
-			continue
-		}
-		if feasibleAfterPoint(eq.System, point) {
-			return true
-		}
-	}
-	return false
-}
-
-func feasibleAfterPoint(s *polyhedra.System, point []int64) bool {
-	sub := s
-	for d, v := range point {
-		sub = sub.Substitute(d, v)
-	}
-	return !sub.IsEmpty()
-}
-
-// CountPotentialMisses implements the paper's first solution method (§2.2,
-// "Solver") for small spaces: enumerate the iteration points and count,
-// per reference, those inside Set_Misses = ∩ over reuse vectors of the
-// union of that vector's equation polyhedra. The counts over-approximate
-// the exact miss counts (every polyhedron over-approximates its miss
-// condition), which the tests verify against the point solver. It refuses
-// spaces larger than limit points.
-func (set *Set) CountPotentialMisses(box *iterspace.Box, limit uint64) ([]uint64, error) {
-	if box.Count() > limit {
-		return nil, fmt.Errorf("cme: %d points exceed limit %d", box.Count(), limit)
-	}
-	counts := make([]uint64, len(set.Nest.Refs))
-	p := make([]int64, box.NumCoords())
-	box.First(p)
-	for {
-		for r := range set.Nest.Refs {
-			if set.PotentialMiss(p, r) {
-				counts[r]++
-			}
-		}
-		if !box.Next(p) {
-			break
-		}
-	}
-	return counts, nil
 }
 
 // leadingDim returns the index of the first nonzero component of r, or -1
@@ -439,13 +325,4 @@ func leadingDim(r []int64) int {
 		}
 	}
 	return -1
-}
-
-func sameVec(a, b []int64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -5,9 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/cachesim"
-	"repro/internal/ir"
-	"repro/internal/iterspace"
 )
 
 func TestGenerateCounts(t *testing.T) {
@@ -80,72 +77,6 @@ func TestRegionScaling(t *testing.T) {
 	}
 }
 
-// TestProvablyHitSound: on an untiled nest, every access the equations
-// prove to be a hit must be classified Hit by the exact point solver —
-// equivalently, every actual miss is a PotentialMiss of the equations.
-func TestProvablyHitSound(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		nest func() *iterspaceNest
-		cfg  cache.Config
-	}{
-		{"transpose", func() *iterspaceNest { return wrapNest(transposeNest(8)) }, cache.Config{Size: 256, LineSize: 32, Assoc: 1}},
-		{"mm", func() *iterspaceNest { return wrapNest(mmNest(6)) }, cache.Config{Size: 256, LineSize: 32, Assoc: 1}},
-		// The stencil's two arrays are 512B each; a 1KB cache avoids
-		// whole-array aliasing so that provable hits exist at all.
-		{"stencil", func() *iterspaceNest { return wrapNest(stencilNest(6)) }, cache.Config{Size: 1024, LineSize: 32, Assoc: 1}},
-	} {
-		w := mk.nest()
-		cfg := mk.cfg
-		set, err := Generate(w.nest, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		an, err := NewAnalyzer(w.nest, w.box, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := make([]int64, w.box.NumCoords())
-		w.box.First(p)
-		checked, proved := 0, 0
-		for {
-			for r := range w.nest.Refs {
-				exact := an.Classify(p, r)
-				if set.ProvablyHit(p, r) {
-					proved++
-					if exact != cachesim.Hit {
-						t.Fatalf("%s: point %v ref %d: equations prove hit but solver says %v",
-							mk.name, p, r, exact)
-					}
-				}
-				checked++
-			}
-			if !w.box.Next(p) {
-				break
-			}
-		}
-		if proved == 0 {
-			t.Fatalf("%s: equations proved no hits at all over %d accesses (vacuous test)", mk.name, checked)
-		}
-		t.Logf("%s: %d/%d accesses proven hits by the symbolic layer", mk.name, proved, checked)
-	}
-}
-
-type iterspaceNest struct {
-	nest *ir.Nest
-	box  *iterspace.Box
-}
-
-func wrapNest(n *ir.Nest) *iterspaceNest {
-	lo := make([]int64, n.Depth())
-	hi := make([]int64, n.Depth())
-	for d, l := range n.Loops {
-		lo[d] = l.Lower.Eval(nil)
-		hi[d] = l.Upper.Eval(nil)
-	}
-	return &iterspaceNest{nest: n, box: iterspace.NewBox(lo, hi)}
-}
-
 func TestEquationString(t *testing.T) {
 	nest := transposeNest(4)
 	set, err := Generate(nest, cache.Config{Size: 256, LineSize: 32, Assoc: 1})
@@ -171,60 +102,5 @@ func TestGenerateRejectsNonRectangular(t *testing.T) {
 	nest.Loops[0].Step = 2
 	if _, err := Generate(nest, cache.DM8K); err == nil {
 		t.Fatal("non-rectangular nest accepted")
-	}
-}
-
-// TestCountPotentialMissesUpperBounds: the §2.2 "Solver" method's counts
-// are valid upper bounds on the exact per-reference miss counts, and not
-// vacuous (strictly below the access count where hits are provable).
-func TestCountPotentialMissesUpperBounds(t *testing.T) {
-	w := wrapNest(transposeNest(8))
-	cfg := cache.Config{Size: 256, LineSize: 32, Assoc: 1}
-	set, err := Generate(w.nest, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, err := set.CountPotentialMisses(w.box, 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an, err := NewAnalyzer(w.nest, w.box, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := make([]uint64, len(w.nest.Refs))
-	total := w.box.Count()
-	p := make([]int64, 2)
-	w.box.First(p)
-	for {
-		for r := range w.nest.Refs {
-			if an.Classify(p, r) != cachesim.Hit {
-				exact[r]++
-			}
-		}
-		if !w.box.Next(p) {
-			break
-		}
-	}
-	for r := range counts {
-		if counts[r] < exact[r] {
-			t.Fatalf("ref %d: potential %d < exact %d (unsound)", r, counts[r], exact[r])
-		}
-		if counts[r] > total {
-			t.Fatalf("ref %d: potential %d > points %d", r, counts[r], total)
-		}
-	}
-	// At least one reference must have a non-vacuous bound.
-	nonVacuous := false
-	for r := range counts {
-		if counts[r] < total {
-			nonVacuous = true
-		}
-	}
-	if !nonVacuous {
-		t.Fatal("all bounds vacuous")
-	}
-	if _, err := set.CountPotentialMisses(w.box, 3); err == nil {
-		t.Fatal("limit not enforced")
 	}
 }

@@ -318,7 +318,10 @@ func TestWalkCapInsideSolvedStretch(t *testing.T) {
 // divides such addresses exactly), so the run must be scanned. a(i−300)
 // lies below address 0 for i < 301, and modulo C it would land in the
 // set of b(5) at i = 84; the scan passes it and finds the hit on b(5)'s
-// own line further back.
+// own line further back. The nest's inner loop starts at 301, which keeps
+// a(i−300) inside a as Validate requires; the analyzer walks the wider
+// space i = 1..400 that it is given, so the negative addresses stay
+// reachable.
 func TestRunSolveScansNegativeAddresses(t *testing.T) {
 	a := &ir.Array{Name: "a", Dims: []int64{100}, Elem: 8}
 	b := &ir.Array{Name: "b", Dims: []int64{400}, Elem: 8, Base: 6400}
@@ -326,7 +329,7 @@ func TestRunSolveScansNegativeAddresses(t *testing.T) {
 		Name: "below-zero",
 		Loops: []ir.Loop{
 			{Var: "j", Lower: expr.Const(1), Upper: ir.BoundOf(expr.Const(2)), Step: 1},
-			{Var: "i", Lower: expr.Const(1), Upper: ir.BoundOf(expr.Const(400)), Step: 1},
+			{Var: "i", Lower: expr.Const(301), Upper: ir.BoundOf(expr.Const(400)), Step: 1},
 		},
 		Refs: []ir.Ref{
 			{Array: a, Subs: []expr.Affine{expr.VarPlus(1, -300)}},

@@ -108,19 +108,6 @@ func (a Affine) Eval(point []int64) int64 {
 	return v
 }
 
-// Substitute replaces variable i with the expression e, returning the new
-// affine expression.
-func (a Affine) Substitute(i int, e Affine) Affine {
-	c := a.Coeff(i)
-	if c == 0 {
-		return a
-	}
-	out := a
-	out.Coeffs = append([]int64(nil), a.Coeffs...)
-	out.Coeffs[i] = 0
-	return out.Add(e.Scale(c))
-}
-
 // ShiftVars returns the expression with every variable index increased by d.
 // It is used when embedding an expression written over inner loop variables
 // into a nest with d additional outer loops.

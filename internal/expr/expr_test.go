@@ -3,7 +3,6 @@ package expr
 import (
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
 func TestConstAndVar(t *testing.T) {
@@ -46,23 +45,6 @@ func TestAddSubScale(t *testing.T) {
 	sc := a.Scale(-4)
 	if got, want := sc.Eval(pt), -4*a.Eval(pt); got != want {
 		t.Fatalf("Scale eval = %d, want %d", got, want)
-	}
-}
-
-func TestSubstitute(t *testing.T) {
-	// a = 2*v0 + v1; substitute v0 := v2 + 3 -> 2*v2 + v1 + 6
-	a := Term(0, 2, 0).Add(Var(1))
-	s := a.Substitute(0, VarPlus(2, 3))
-	pt := []int64{99, 5, 4} // v0 ignored after substitution
-	if got := s.Eval(pt); got != 2*(4+3)+5 {
-		t.Fatalf("Substitute eval = %d, want %d", got, 2*(4+3)+5)
-	}
-	if s.Coeff(0) != 0 {
-		t.Fatalf("v0 coefficient should vanish, got %d", s.Coeff(0))
-	}
-	// substituting an absent variable is a no-op
-	if got := a.Substitute(5, Const(1)); !got.Equal(a) {
-		t.Fatalf("no-op substitution changed expression")
 	}
 }
 
@@ -144,22 +126,5 @@ func TestAffineArithmeticProperty(t *testing.T) {
 		if a.Scale(k).Eval(pt) != k*a.Eval(pt) {
 			t.Fatal("Scale property violated")
 		}
-	}
-}
-
-// Property: substitution then evaluation equals evaluation with the
-// substituted value plugged in.
-func TestSubstituteProperty(t *testing.T) {
-	f := func(c0 int8, c1 int8, k int8, x int8, y int8) bool {
-		a := Term(0, int64(c0), 3).Add(Term(1, int64(c1), 0))
-		e := Term(1, int64(k), -2) // v0 := k*v1 - 2
-		s := a.Substitute(0, e)
-		pt := []int64{0, int64(y)}
-		full := []int64{e.Eval(pt), int64(y)}
-		_ = x
-		return s.Eval(pt) == a.Eval(full)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

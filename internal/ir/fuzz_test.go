@@ -11,9 +11,10 @@ import (
 // FuzzNestValidate builds loop nests straight from fuzzer-chosen integers —
 // including extents, bounds, pads and element sizes far outside anything
 // the parser would produce — and checks that Validate never panics, that
-// overflowing shapes are rejected, and that every nest Validate accepts
+// overflowing shapes are rejected, that every nest Validate accepts
 // survives the downstream consumers (String, address arithmetic,
-// tiling.Box) without panicking.
+// tiling.Box) without panicking, and that its reference addresses only
+// bytes of its array's footprint at every corner of its box.
 func FuzzNestValidate(f *testing.F) {
 	f.Add(int64(100), int64(100), int64(8), int64(0), int64(1), int64(99), int64(1), int64(0))
 	f.Add(int64(1)<<45, int64(1)<<45, int64(8), int64(3), int64(1), int64(50), int64(2), int64(-7))
@@ -52,6 +53,14 @@ func FuzzNestValidate(f *testing.F) {
 		box, err := tiling.Box(nest)
 		if err != nil {
 			return // e.g. empty loop range — a clean rejection
+		}
+		start := arr.Base + arr.BasePad
+		for _, corner := range [][]int64{{lo, lo}, {lo, hi}, {hi, lo}, {hi, hi}} {
+			addr := nest.Refs[0].Address(corner)
+			if addr < start || addr > start+arr.SizeBytes()-arr.Elem {
+				t.Fatalf("accepted %v addresses byte %d at %v, outside [%d, %d)",
+					nest.Refs[0].String(), addr, corner, start, start+arr.SizeBytes())
+			}
 		}
 		if box.Extent(0) != hi-lo+1 {
 			t.Fatalf("box extent %d, want %d", box.Extent(0), hi-lo+1)

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/expr"
@@ -124,7 +125,8 @@ func affineInRange(e expr.Affine) bool {
 }
 
 // Validate checks the structural invariants of the nest, including the
-// MaxBoundMagnitude overflow caps on bounds and subscripts.
+// MaxBoundMagnitude overflow caps on bounds and subscripts, and that every
+// subscript stays inside its array's declared extent (see inExtent).
 func (n *Nest) Validate() error {
 	if len(n.Loops) == 0 {
 		return fmt.Errorf("nest %s: no loops", n.Name)
@@ -165,7 +167,94 @@ func (n *Nest) Validate() error {
 			return fmt.Errorf("nest %s: %w", n.Name, err)
 		}
 	}
+	return n.inExtent()
+}
+
+// span is the closed integer interval [lo, hi].
+type span struct{ lo, hi int64 }
+
+// inExtent rejects a reference whose subscript d, taken over the loop
+// bounds, leaves [1, Dims[d]]. Each loop variable gets the interval its
+// bounds allow over the outer variables' intervals: exact for constant
+// bounds and for the min(ii+T−1, U) element loops of tiling, a superset
+// otherwise. A subscript's interval over those is then exact for the
+// rectangular and tiled nests. A nest with a loop that never runs makes no
+// access and passes.
+func (n *Nest) inExtent() error {
+	vars := make([]span, len(n.Loops))
+	for d, l := range n.Loops {
+		v, ok := spanOf(l.Lower, vars)
+		v.hi = math.MaxInt64
+		for _, e := range l.Upper.Exprs {
+			up, upOK := spanOf(e, vars)
+			ok = ok && upOK
+			v.hi = min(v.hi, up.hi)
+		}
+		if !ok {
+			return fmt.Errorf("nest %s: loop %s bounds overflow int64", n.Name, l.Var)
+		}
+		if v.lo > v.hi {
+			return nil
+		}
+		if l.Lower.IsConst() {
+			// The values are lo, lo+Step, ...; the last one is the maximum.
+			v.hi -= int64((uint64(v.hi) - uint64(v.lo)) % uint64(l.Step))
+		}
+		vars[d] = v
+	}
+	for i := range n.Refs {
+		r := &n.Refs[i]
+		for d, sub := range r.Subs {
+			sp, ok := spanOf(sub, vars)
+			if ok && sp.lo >= 1 && sp.hi <= r.Array.Dims[d] {
+				continue
+			}
+			names := n.VarNames()
+			if !ok {
+				return fmt.Errorf("nest %s: %s: subscript %s overflows int64",
+					n.Name, r.StringVars(names), sub.StringVars(names))
+			}
+			return fmt.Errorf("nest %s: %s: subscript %s ranges over [%d, %d], outside [1, %d] of array %s",
+				n.Name, r.StringVars(names), sub.StringVars(names), sp.lo, sp.hi, r.Array.Dims[d], r.Array.Name)
+		}
+	}
 	return nil
+}
+
+// spanOf returns the interval e takes while each variable v ranges over
+// vars[v], and false when an end of it overflows int64.
+func spanOf(e expr.Affine, vars []span) (span, bool) {
+	out := span{e.Const, e.Const}
+	for v, c := range e.Coeffs {
+		if c == 0 {
+			continue
+		}
+		lo, loOK := mulInt64(c, vars[v].lo)
+		hi, hiOK := mulInt64(c, vars[v].hi)
+		if c < 0 {
+			lo, hi = hi, lo
+		}
+		var sumLoOK, sumHiOK bool
+		out.lo, sumLoOK = addInt64(out.lo, lo)
+		out.hi, sumHiOK = addInt64(out.hi, hi)
+		if !loOK || !hiOK || !sumLoOK || !sumHiOK {
+			return span{}, false
+		}
+	}
+	return out, true
+}
+
+// mulInt64 returns c·x and whether it fits in int64. c is a capped
+// coefficient, never math.MinInt64.
+func mulInt64(c, x int64) (int64, bool) {
+	p := c * x
+	return p, x == 0 || p/x == c
+}
+
+// addInt64 returns a+b and whether it fits in int64.
+func addInt64(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (s < a) == (b < 0)
 }
 
 // IsRectangular reports whether every loop has constant bounds and step 1:

@@ -62,6 +62,71 @@ func TestNestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestNestValidateSubscriptExtent: a subscript that leaves its array over
+// the loop bounds is rejected, naming the array, the subscript and its
+// range; one that reaches the array's edge exactly is accepted, also in a
+// strided loop and in a tiled element loop with a min bound.
+func TestNestValidateSubscriptExtent(t *testing.T) {
+	a := &Array{Name: "a", Dims: []int64{5, 28}, Elem: 8, Base: 4096}
+	nest := &Nest{
+		Name: "oob",
+		Loops: []Loop{
+			{Var: "i", Lower: expr.Const(3), Upper: BoundOf(expr.Const(7)), Step: 1},
+			{Var: "j", Lower: expr.Const(1), Upper: BoundOf(expr.Const(28)), Step: 1},
+		},
+		Refs: []Ref{
+			{Array: a, Subs: []expr.Affine{expr.Const(2), expr.VarPlus(0, -4)}},
+			{Array: a, Subs: []expr.Affine{expr.Var(1), expr.Const(1)}},
+		},
+	}
+	err := nest.Validate()
+	if err == nil {
+		t.Fatal("a(2,i-4) with i in [3,7] accepted")
+	}
+	for _, want := range []string{"array a", "i-4", "[-1, 3]"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	// a(2,i-2) stays inside, but a(j,1) reaches row 28 of 5.
+	nest.Refs[0].Subs[1] = expr.VarPlus(0, -2)
+	if err := nest.Validate(); err == nil || !strings.Contains(err.Error(), "[1, 28]") {
+		t.Fatalf("a(j,1) with j in [1,28] on a 5-row array: %v", err)
+	}
+	// With j in [28, 32], a(33-j,1) spans rows 5 down to 1 exactly.
+	nest.Loops[1].Lower, nest.Loops[1].Upper = expr.Const(28), BoundOf(expr.Const(32))
+	nest.Refs[1].Subs[0] = expr.Term(1, -1, 33)
+	if err := nest.Validate(); err != nil {
+		t.Fatalf("in-bounds nest rejected: %v", err)
+	}
+	// do i = 1, 10, 4 takes 1, 5, 9: a(i,1) fits 9 rows.
+	b := &Array{Name: "b", Dims: []int64{9, 1}, Elem: 8}
+	strided := &Nest{
+		Name:  "strided",
+		Loops: []Loop{{Var: "i", Lower: expr.Const(1), Upper: BoundOf(expr.Const(10)), Step: 4}},
+		Refs:  []Ref{{Array: b, Subs: []expr.Affine{expr.Var(0), expr.Const(1)}}},
+	}
+	if err := strided.Validate(); err != nil {
+		t.Fatalf("strided nest rejected: %v", err)
+	}
+	// do ii = 1, 9, 4 / do i = ii, min(ii+3, 9): i stays in [1, 9].
+	tiled := &Nest{
+		Name: "tiled",
+		Loops: []Loop{
+			{Var: "ii", Lower: expr.Const(1), Upper: BoundOf(expr.Const(9)), Step: 4},
+			{Var: "i", Lower: expr.Var(0), Upper: MinBound(expr.VarPlus(0, 3), expr.Const(9)), Step: 1},
+		},
+		Refs: []Ref{{Array: b, Subs: []expr.Affine{expr.Var(1), expr.Const(1)}}},
+	}
+	if err := tiled.Validate(); err != nil {
+		t.Fatalf("tiled nest rejected: %v", err)
+	}
+	tiled.Refs[0].Subs[0] = expr.VarPlus(1, 1)
+	if err := tiled.Validate(); err == nil {
+		t.Fatal("a(i+1,1) with i up to 9 accepted on a 9-row array")
+	}
+}
+
 func TestBoundEval(t *testing.T) {
 	b := MinBound(expr.VarPlus(0, 4), expr.Const(7))
 	if got := b.Eval([]int64{1}); got != 5 {

@@ -123,8 +123,8 @@ func (b *PermutedBox) FromOriginal(orig, p []int64) {
 	}
 }
 
-// OrigMap implements Space: coordinate pos carries dimension Order[pos].
-func (b *PermutedBox) OrigMap() []int { return append([]int(nil), b.Order...) }
+// OrigDim implements Space: coordinate pos carries dimension Order[pos].
+func (b *PermutedBox) OrigDim(pos int) int { return b.Order[pos] }
 
 // MinWithPinned implements Space: product set, so the coordinate-wise
 // minimum is the lexicographic minimum regardless of the order.

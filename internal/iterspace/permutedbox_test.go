@@ -47,10 +47,9 @@ func TestPermutedBoxRoundTripAndOrder(t *testing.T) {
 				t.Fatalf("iter %d: Prev mismatch at %d", iter, i)
 			}
 		}
-		// From/ToOriginal round trip; OrigMap consistency.
+		// From/ToOriginal round trip; OrigDim consistency.
 		orig := make([]int64, k)
 		lifted := make([]int64, k)
-		om := b.OrigMap()
 		for _, q := range seq {
 			if !b.Contains(q) {
 				t.Fatalf("iter %d: %v not contained", iter, q)
@@ -60,9 +59,9 @@ func TestPermutedBoxRoundTripAndOrder(t *testing.T) {
 			if Compare(q, lifted) != 0 {
 				t.Fatalf("iter %d: round trip failed", iter)
 			}
-			for pos, d := range om {
-				if q[pos] != orig[d] {
-					t.Fatalf("iter %d: OrigMap inconsistent", iter)
+			for pos := range q {
+				if q[pos] != orig[b.OrigDim(pos)] {
+					t.Fatalf("iter %d: OrigDim inconsistent", iter)
 				}
 			}
 		}

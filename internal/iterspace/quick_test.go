@@ -66,7 +66,8 @@ func TestQuickLiftRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: OrigMap is consistent with ToOriginal on every space type.
+// Property: the coordinate-to-dimension map, OrigDim, is consistent with
+// ToOriginal on every space type.
 func TestQuickOrigMapConsistent(t *testing.T) {
 	box := NewBox([]int64{1, 1}, []int64{8, 6})
 	spaces := []Space{
@@ -77,17 +78,22 @@ func TestQuickOrigMapConsistent(t *testing.T) {
 	}
 	r := rand.New(rand.NewPCG(55, 66))
 	for si, sp := range spaces {
-		om := sp.OrigMap()
-		if len(om) != sp.NumCoords() {
-			t.Fatalf("space %d: OrigMap len %d", si, len(om))
+		mapped := 0
+		for c := 0; c < sp.NumCoords(); c++ {
+			if sp.OrigDim(c) >= 0 {
+				mapped++
+			}
+		}
+		if mapped != sp.OrigDims() {
+			t.Fatalf("space %d: OrigDim maps %d coordinates, want %d", si, mapped, sp.OrigDims())
 		}
 		p := make([]int64, sp.NumCoords())
 		orig := make([]int64, sp.OrigDims())
 		for iter := 0; iter < 200; iter++ {
 			sp.Sample(r, p)
 			sp.ToOriginal(p, orig)
-			for c, d := range om {
-				if d >= 0 && p[c] != orig[d] {
+			for c := range p {
+				if d := sp.OrigDim(c); d >= 0 && p[c] != orig[d] {
 					t.Fatalf("space %d: coord %d claims dim %d but %d != %d",
 						si, c, d, p[c], orig[d])
 				}

@@ -50,10 +50,10 @@ type Space interface {
 	// aliases p; otherwise it may use an internal scratch buffer, valid
 	// until the next call.
 	OrigView(p []int64) []int64
-	// OrigMap returns, for each coordinate, the original dimension whose
-	// value it carries, or -1 for tile coordinates (which duplicate
-	// information already present in the element coordinates).
-	OrigMap() []int
+	// OrigDim returns the original dimension whose value coordinate c
+	// carries, or -1 for a tile coordinate (which duplicates information
+	// already present in the element coordinates).
+	OrigDim(c int) int
 	// FromOriginal writes the unique space point whose original
 	// coordinates equal orig.
 	FromOriginal(orig, p []int64)
@@ -156,14 +156,8 @@ func (b *Box) ToOriginal(p, orig []int64) { copy(orig, p) }
 // OrigView implements Space.
 func (b *Box) OrigView(p []int64) []int64 { return p }
 
-// OrigMap implements Space: the identity.
-func (b *Box) OrigMap() []int {
-	m := make([]int, len(b.Lo))
-	for i := range m {
-		m[i] = i
-	}
-	return m
-}
+// OrigDim implements Space: the identity.
+func (b *Box) OrigDim(c int) int { return c }
 
 // FromOriginal implements Space.
 func (b *Box) FromOriginal(orig, p []int64) { copy(p, orig) }

@@ -208,16 +208,13 @@ func (t *Tiled) ToOriginal(p, orig []int64) { copy(orig, p[t.k():]) }
 // OrigView implements Space.
 func (t *Tiled) OrigView(p []int64) []int64 { return p[t.k():] }
 
-// OrigMap implements Space: tile coordinates carry no original variable;
+// OrigDim implements Space: tile coordinates carry no original variable;
 // element coordinate k+d carries dimension d.
-func (t *Tiled) OrigMap() []int {
-	k := t.k()
-	m := make([]int, 2*k)
-	for i := 0; i < k; i++ {
-		m[i] = -1
-		m[k+i] = i
+func (t *Tiled) OrigDim(c int) int {
+	if c < t.k() {
+		return -1
 	}
-	return m
+	return c - t.k()
 }
 
 // FromOriginal implements Space.

@@ -165,6 +165,7 @@ func TestParseErrors(t *testing.T) {
 		"bad bound":         "array a(4) real8\ndo i = 1, x\n read a(i)\nend",
 		"unbalanced parens": "array a(4 real8\ndo i = 1, 2\n read a(i)\nend",
 		"unknown attribute": "array a(4) real8 huge\ndo i = 1, 2\n read a(i)\nend",
+		"subscript outside": "array a(5,28) real8 base 4096\ndo i = 3, 7\n do j = 1, 28\n  read a(2, i-4)\n  read a(j, 1)\n end\nend",
 	}
 	for name, src := range cases {
 		if _, err := ParseString(src, name); err == nil {

@@ -1,15 +1,12 @@
-// Package polyhedra implements the small integer linear-constraint systems
-// that Cache Miss Equations produce: conjunctions of affine equalities and
-// inequalities over loop (and auxiliary) variables. It provides the three
-// operations §2.3 of the paper relies on — substituting an iteration point,
-// computing per-variable domains, and deciding emptiness / counting integer
-// points — specialised for the very small systems CMEs generate (a handful
-// of variables, tens of constraints).
+// Package polyhedra holds the integer linear-constraint systems that Cache
+// Miss Equations are written as: conjunctions of affine equalities and
+// inequalities over loop (and auxiliary) variables. The equation generator
+// (internal/cme) builds them and cmereport prints them; no miss is decided
+// from them.
 package polyhedra
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/expr"
@@ -51,13 +48,6 @@ type System struct {
 // NewSystem creates an empty system over n variables.
 func NewSystem(n int) *System { return &System{NumVars: n} }
 
-// Clone deep-copies the system.
-func (s *System) Clone() *System {
-	out := &System{NumVars: s.NumVars, Cons: make([]Constraint, len(s.Cons))}
-	copy(out.Cons, s.Cons)
-	return out
-}
-
 // AddGE appends the constraint e ≥ 0.
 func (s *System) AddGE(e expr.Affine) { s.Cons = append(s.Cons, Constraint{GE, e}) }
 
@@ -68,69 +58,6 @@ func (s *System) AddEQ(e expr.Affine) { s.Cons = append(s.Cons, Constraint{EQ, e
 func (s *System) AddRange(i int, lo, hi int64) {
 	s.AddGE(expr.VarPlus(i, -lo)) // v - lo >= 0
 	s.AddGE(expr.Term(i, -1, hi)) // hi - v >= 0
-}
-
-// Substitute returns a copy of the system with variable i fixed to value.
-func (s *System) Substitute(i int, value int64) *System {
-	out := &System{NumVars: s.NumVars, Cons: make([]Constraint, len(s.Cons))}
-	for j, c := range s.Cons {
-		out.Cons[j] = Constraint{c.Kind, c.Expr.Substitute(i, expr.Const(value))}
-	}
-	return out
-}
-
-// Vars returns the set of variables with a nonzero coefficient somewhere.
-func (s *System) Vars() []int {
-	used := make([]bool, s.NumVars)
-	for _, c := range s.Cons {
-		for i := 0; i < s.NumVars; i++ {
-			if c.Expr.Coeff(i) != 0 {
-				used[i] = true
-			}
-		}
-	}
-	var out []int
-	for i, u := range used {
-		if u {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Satisfied reports whether the point satisfies every constraint.
-func (s *System) Satisfied(point []int64) bool {
-	for _, c := range s.Cons {
-		v := c.Expr.Eval(point)
-		if c.Kind == EQ && v != 0 {
-			return false
-		}
-		if c.Kind == GE && v < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Interval is a closed integer interval; Lo > Hi encodes emptiness.
-// Unbounded ends are math.MinInt64 / math.MaxInt64.
-type Interval struct {
-	Lo, Hi int64
-}
-
-// Empty reports whether the interval contains no integers.
-func (iv Interval) Empty() bool { return iv.Lo > iv.Hi }
-
-// Size returns the number of integers in the interval (0 if empty);
-// saturates for unbounded intervals.
-func (iv Interval) Size() uint64 {
-	if iv.Empty() {
-		return 0
-	}
-	if iv.Lo == math.MinInt64 || iv.Hi == math.MaxInt64 {
-		return math.MaxUint64
-	}
-	return uint64(iv.Hi - iv.Lo + 1)
 }
 
 func (s *System) String() string {

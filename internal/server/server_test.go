@@ -125,9 +125,16 @@ func TestInlineSourceRequest(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	_, ts, _ := testServer(t, Config{})
+	// a(2, i-4) for i in [3, 7] reads outside a: the parser refuses it.
+	outside, err := json.Marshal(TileRequest{Cache: "8k",
+		Source: "array a(5,28) real8 base 4096\ndo i = 3, 7\n do j = 1, 28\n  read a(2, i-4)\n  read a(j, 1)\n end\nend\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name, body string
 	}{
+		{"subscript outside its array", string(outside)},
 		{"unknown kernel", `{"kernel":"NOPE","cache":"8k"}`},
 		{"bad cache", `{"kernel":"MM","cache":"huge"}`},
 		{"no kernel", `{"cache":"8k"}`},
