@@ -145,7 +145,8 @@ bench-json:
 
 # Short fuzz sweeps over the structured-input entry points, tilingd's
 # request decoder and journal replay included, and over the point
-# solver's closed-form run solve against a brute-force scan.
+# solver's closed-form run solve against a brute-force scan and its
+# per-segment compulsory-miss test against the per-element one.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAffine -fuzztime=30s ./internal/expr/
 	$(GO) test -run=^$$ -fuzz=FuzzNestValidate -fuzztime=30s ./internal/ir/
@@ -153,3 +154,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzNormalize -fuzztime=30s ./internal/server/
 	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=30s ./internal/journal/
 	$(GO) test -run=^$$ -fuzz=FuzzRunSolve -fuzztime=30s ./internal/cme/
+	$(GO) test -run=^$$ -fuzz=FuzzFirstAccess -fuzztime=30s ./internal/cme/

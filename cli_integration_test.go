@@ -108,6 +108,12 @@ func TestCLIEndToEnd(t *testing.T) {
 	if equations != 144 {
 		t.Fatalf("cmereport -dump printed %d equations, want 144:\n%s", equations, out)
 	}
+	// Variables print by name: tile variables ii_i, ii_j, then i, j.
+	named := "\n  compulsory ref0 (vec [1 0]) region 0: {ii_i-1 >= 0 && -ii_i+16 >= 0 && -ii_i+i >= 0 && " +
+		"ii_i-i+2 >= 0 && ii_j-1 >= 0 && -ii_j+16 >= 0 && -ii_j+j >= 0 && ii_j-j+2 >= 0 && -i+1 >= 0}\n"
+	if !strings.Contains(out, named) {
+		t.Fatalf("cmereport -dump lacks the line%s:\n%s", named, out)
+	}
 	runExpectError(t, tools["cmereport"], "-kernel", "MM", "-size", "64", "-points", "-5")
 	runExpectError(t, tools["cmereport"], "-kernel", "MM", "-size", "64", "-points", "0")
 	runExpectError(t, tools["cmereport"], "-kernel", "MM", "-size", "64", "-workers", "-3")

@@ -25,6 +25,7 @@ package cme
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/cache"
@@ -68,6 +69,24 @@ type coordRef struct {
 	coef int64
 }
 
+// row is where the walk point's innermost run lies: the last coordinate
+// runs lo..hi while the others stay fixed, and coordinate Analyzer.mid
+// runs midLo..midHi (midLo is noFloor when the walk cannot cross rows
+// there).
+type row struct{ lo, hi, midLo, midHi int64 }
+
+// noFloor is row.midLo when no row crossing applies: no coordinate value
+// lies above it.
+const noFloor = math.MaxInt64
+
+// rowRef is a reference a row crossing moves: its coefficients on the
+// last coordinate and on coordinate Analyzer.mid, and delta, what a
+// crossing adds to its address for runs of Analyzer.rowLen+1 points.
+type rowRef struct {
+	ref              int
+	last, mid, delta int64
+}
+
 // Analyzer decides per-access cache outcomes for a loop nest traversed in
 // the order of a given iteration space. The nest's references must use
 // subscripts of the form c or ±a·v + c (single loop variable per
@@ -99,6 +118,22 @@ type Analyzer struct {
 	// in reference order, for the direct-mapped walk's run solve
 	// (runsolve.go; rebuilt on every Rebind).
 	runRefs []runSolve
+	// mid is coordinate last−1 when it carries an original dimension, so
+	// that at a run's floor the walk can step into the previous row
+	// without Space.Prev; otherwise it is last and no crossing applies.
+	// rowRefs holds the references a row crossing moves, with deltas for
+	// runs of rowLen+1 points (rowLen < 0 until the first crossing).
+	// Coordinates first..last all carry an original dimension; below mid
+	// stepBack crosses them without Space.Prev too.
+	mid     int
+	first   int
+	rowLen  int64
+	rowRefs []rowRef
+	// arrs lists the distinct arrays the references touch and origLo the
+	// lowest value of each original variable in the space, for the
+	// compulsory-miss test (firstaccess.go).
+	arrs   []*arrInfo
+	origLo []int64
 
 	// Scratch buffers.
 	walkPoint []int64
@@ -107,9 +142,9 @@ type Analyzer struct {
 	// pointAddr is the per-reference address at the point ClassifyAll is
 	// classifying, computed once and copied into each access's walk.
 	pointAddr []int64
-	// walkFloor is space.InnerFloor(walkPoint): while the last coordinate
-	// lies above it, one backward step only decrements that coordinate.
-	walkFloor int64
+	// row is rowAt(walkPoint): while the last coordinate lies above
+	// row.lo, one backward step only decrements that coordinate.
+	row       row
 	conflicts []int64
 	pinned    []int64
 	minPoint  []int64
@@ -130,7 +165,7 @@ type Analyzer struct {
 	// scratch buffers (lineInt64s): the walk writes them on every access,
 	// so two analyzers classifying on different goroutines must not share
 	// a line. TestAnalyzerFillsCacheLines checks the size.
-	_ [40]byte
+	_ [48]byte
 }
 
 // cacheLine is the cache-line size the analyzer's written state is laid
@@ -184,14 +219,17 @@ func NewAnalyzer(nest *ir.Nest, space iterspace.Space, cfg cache.Config) (*Analy
 		arr := nest.Refs[i].Array
 		if arrays[arr] == nil {
 			arrays[arr] = newArrInfo(arr)
+			a.arrs = append(a.arrs, arrays[arr])
 		}
 		ri.arr = arrays[arr]
+		ri.arr.refs = append(ri.arr.refs, i)
 		a.refs[i] = ri
 		if r := arr.Rank(); r > maxRank {
 			maxRank = r
 		}
 	}
 	a.subsBuf = lineInt64s(maxRank)
+	a.origLo = lineInt64s(nest.Depth())
 	if err := a.bindSpace(space); err != nil {
 		return nil, err
 	}
@@ -200,8 +238,9 @@ func NewAnalyzer(nest *ir.Nest, space iterspace.Space, cfg cache.Config) (*Analy
 
 // bindSpace points the analyzer at a traversal space, (re)building every
 // space-dependent structure: the per-coordinate address coefficients, their
-// transpose used by the incremental walk, and the point-sized scratch
-// buffers. Existing buffers are reused whenever they are large enough, so
+// transpose used by the incremental walk, the row-crossing references, the
+// original variables' lower bounds and the point-sized scratch buffers.
+// Existing buffers are reused whenever they are large enough, so
 // rebinding an analyzer between same-shape spaces allocates nothing.
 func (a *Analyzer) bindSpace(space iterspace.Space) error {
 	if space.OrigDims() != a.nest.Depth() {
@@ -209,6 +248,7 @@ func (a *Analyzer) bindSpace(space iterspace.Space) error {
 	}
 	a.space = space
 	nc := space.NumCoords()
+	last := nc - 1
 	a.walkPoint = resizeInt64(a.walkPoint, nc)
 	a.prevPoint = resizeInt64(a.prevPoint, nc)
 	a.minPoint = resizeInt64(a.minPoint, nc)
@@ -237,9 +277,27 @@ func (a *Analyzer) bindSpace(space iterspace.Space) error {
 		}
 	}
 	a.runRefs = a.runRefs[:0]
-	for _, cr := range a.coordRefs[nc-1] {
+	for _, cr := range a.coordRefs[last] {
 		a.runRefs = append(a.runRefs, newRunSolve(cr.ref, cr.coef, a.cmask+1))
 	}
+	a.mid, a.first, a.rowLen, a.rowRefs = last, last, -1, a.rowRefs[:0]
+	for a.first > 0 && space.OrigDim(a.first-1) >= 0 {
+		a.first--
+	}
+	if a.first < last {
+		a.mid = last - 1
+		for i := range a.refs {
+			co := a.refs[i].coefCoord
+			if co[last] != 0 || co[a.mid] != 0 {
+				a.rowRefs = append(a.rowRefs, rowRef{ref: i, last: co[last], mid: co[a.mid]})
+			}
+		}
+	}
+	for v := range a.pinned {
+		a.pinned[v] = iterspace.Free
+	}
+	space.MinWithPinned(a.pinned, a.minPoint)
+	space.ToOriginal(a.minPoint, a.origLo)
 	return nil
 }
 
@@ -271,8 +329,8 @@ func (a *Analyzer) Rebind(space iterspace.Space) error {
 // aggregate without double-counting the parent's history.
 func (a *Analyzer) Clone() *Analyzer {
 	out := *a
-	// Space-independent immutable state (nest, each ref's coef, arr and
-	// inv) is shared; every mutable buffer is re-created so the clone is
+	// Space-independent immutable state (nest, arrs, each ref's coef, arr
+	// and inv) is shared; every mutable buffer is re-created so the clone is
 	// fully independent of the parent, including under a later Rebind of
 	// either.
 	out.refs = make([]refInfo, len(a.refs))
@@ -283,8 +341,9 @@ func (a *Analyzer) Clone() *Analyzer {
 	out.conflicts = lineInt64s(cap(a.conflicts))[:0]
 	out.pinned = lineInt64s(len(a.pinned))
 	out.subsBuf = lineInt64s(len(a.subsBuf))
+	out.origLo = lineInt64s(len(a.origLo))
 	out.walkPoint, out.prevPoint, out.minPoint, out.liveAddr, out.pointAddr = nil, nil, nil, nil, nil
-	out.coordRefs, out.runRefs = nil, nil
+	out.coordRefs, out.runRefs, out.rowRefs = nil, nil, nil
 	out.pointBuf = nil
 	if err := out.bindSpace(a.space); err != nil {
 		// a.space was accepted when the parent bound it.
@@ -425,7 +484,7 @@ func (a *Analyzer) lineOf(addr int64) int64 {
 // true proves the access is no compulsory miss; false proves nothing.
 func (a *Analyzer) touchedJustBefore(refIdx int, line int64) bool {
 	last := len(a.walkPoint) - 1
-	if a.walkPoint[last] > a.walkFloor &&
+	if a.walkPoint[last] > a.row.lo &&
 		a.lineOf(a.liveAddr[refIdx]-a.refs[refIdx].coefCoord[last]) == line {
 		return true
 	}
@@ -439,33 +498,90 @@ func (a *Analyzer) touchedJustBefore(refIdx int, line int64) bool {
 
 // startWalk primes the backward interference walk at p: walkPoint holds
 // the current point, liveAddr the address every reference touches there
-// and walkFloor where the point's innermost run ends. From here the walks
+// and row where the point's innermost run lies. From here the walks
 // maintain all three incrementally. ClassifyAll primes the same state
-// from addresses it computes once per point.
+// from addresses and a row it computes once per point.
 func (a *Analyzer) startWalk(p []int64) {
 	copy(a.walkPoint, p)
 	for r := range a.refs {
 		a.liveAddr[r] = a.addrAt(p, r)
 	}
-	a.walkFloor = a.space.InnerFloor(p)
+	a.row = a.rowAt(p)
+}
+
+// rowAt returns the row of point p: the Span of the last coordinate and
+// the floor of coordinate mid.
+func (a *Analyzer) rowAt(p []int64) row {
+	last := len(p) - 1
+	r := row{midLo: noFloor}
+	r.lo, r.hi = a.space.Span(p, last)
+	if a.mid != last {
+		r.midLo, r.midHi = a.space.Span(p, a.mid)
+	}
+	return r
+}
+
+// moveCoord sets coordinate c of the walk point to v and moves the live
+// address of every reference depending on it.
+func (a *Analyzer) moveCoord(c int, v int64) {
+	d := v - a.walkPoint[c]
+	a.walkPoint[c] = v
+	for _, cr := range a.coordRefs[c] {
+		a.liveAddr[cr.ref] += cr.coef * d
+	}
 }
 
 // stepBack moves the walk one iteration point earlier and updates the live
 // addresses incrementally. Inside an innermost run the step is one
 // decrement of the last coordinate and touches only the references that
-// depend on it. At the end of a run space.Prev moves the point, typically
-// changing two or three coordinates, and only the references depending
-// on a changed coordinate are touched — O(changed coords) work instead of
-// recomputing every reference's full affine address.
+// depend on it. At a run's floor with coordinate mid above its own, the
+// step crosses into the previous row of the same tile: mid drops by one,
+// the last coordinate returns to the run's ceiling and each reference in
+// rowRefs moves by coef_last·(hi−lo) − coef_mid. Otherwise the deepest
+// coordinate of first..mid−1 above its floor (read through Span) drops
+// by one and every later coordinate returns to its ceiling, each move
+// applied through moveCoord. Span's contract puts Prev's result there and
+// keeps the row. Only a crossing that moves a tile coordinate calls
+// space.Prev, which touches the references depending on a changed
+// coordinate — O(changed coords) work instead of recomputing every
+// reference's full affine address — and re-reads the row.
 func (a *Analyzer) stepBack() bool {
 	cur := a.walkPoint
 	last := len(cur) - 1
-	if cur[last] > a.walkFloor {
+	if cur[last] > a.row.lo {
 		cur[last]--
 		for _, cr := range a.coordRefs[last] {
 			a.liveAddr[cr.ref] -= cr.coef
 		}
 		return true
+	}
+	if cur[a.mid] > a.row.midLo {
+		if n := a.row.hi - a.row.lo; n != a.rowLen {
+			a.rowLen = n
+			for i := range a.rowRefs {
+				rr := &a.rowRefs[i]
+				rr.delta = rr.last*n - rr.mid
+			}
+		}
+		cur[a.mid]--
+		cur[last] = a.row.hi
+		for i := range a.rowRefs {
+			rr := &a.rowRefs[i]
+			a.liveAddr[rr.ref] += rr.delta
+		}
+		return true
+	}
+	for c := a.mid - 1; c >= a.first; c-- {
+		if lo, _ := a.space.Span(cur, c); cur[c] > lo {
+			a.moveCoord(c, cur[c]-1)
+			for e := c + 1; e < a.mid; e++ {
+				_, hi := a.space.Span(cur, e)
+				a.moveCoord(e, hi)
+			}
+			a.moveCoord(a.mid, a.row.midHi)
+			a.moveCoord(last, a.row.hi)
+			return true
+		}
 	}
 	copy(a.prevPoint, cur)
 	if !a.space.Prev(cur) {
@@ -478,7 +594,7 @@ func (a *Analyzer) stepBack() bool {
 			}
 		}
 	}
-	a.walkFloor = a.space.InnerFloor(cur)
+	a.row = a.rowAt(cur)
 	return true
 }
 
@@ -508,7 +624,7 @@ func (a *Analyzer) walkDirect(refIdx int, line int64) cachesim.Outcome {
 	// the walk either solves the rest of the run or, at the floor,
 	// crosses into the previous one. The start point is scanned only in
 	// part, so the run's first whole point is the one below it.
-	floor := a.walkFloor
+	floor := a.row.lo
 	stop := solveStop(cur[last]-1, floor)
 	ref := refIdx
 	var steps uint64
@@ -566,7 +682,7 @@ func (a *Analyzer) walkDirect(refIdx int, line int64) cachesim.Outcome {
 					// by construction.
 					panic("cme: walked past the start of a non-compulsory access")
 				}
-				floor = a.walkFloor
+				floor = a.row.lo
 				stop = solveStop(cur[last], floor)
 			}
 		}
@@ -678,18 +794,19 @@ func (a *Analyzer) walkAssoc(refIdx int, line int64) cachesim.Outcome {
 
 // ClassifyReference is the retained pre-optimization interference walk: it
 // recomputes every reference's full affine address at every backward step
-// instead of maintaining live addresses incrementally, and runs the
-// general k-way path even for direct-mapped caches. It classifies exactly
-// like Classify and exists as the behavioural oracle for the differential
-// tests and the BenchmarkClassify baseline; production paths always use
-// Classify.
+// instead of maintaining live addresses incrementally, calls Prev at every
+// step, runs the general k-way path even for direct-mapped caches and
+// decides compulsory misses element by element (isFirstAccessByElement).
+// It classifies exactly like Classify and exists as the behavioural oracle
+// for the differential tests and the BenchmarkClassify baseline;
+// production paths always use Classify.
 func (a *Analyzer) ClassifyReference(p []int64, refIdx int) cachesim.Outcome {
 	a.classified++
 	addr := a.addrAt(p, refIdx)
 	line := a.cfg.LineOf(addr)
 	set := a.cfg.SetOfLine(line)
 
-	if a.isFirstAccess(p, refIdx, line) {
+	if a.isFirstAccessByElement(p, refIdx, line) {
 		return cachesim.CompulsoryMiss
 	}
 
@@ -740,18 +857,18 @@ func (a *Analyzer) ClassifyReference(p []int64, refIdx int) cachesim.Outcome {
 }
 
 // ClassifyAll classifies every reference at point p, accumulating into st.
-// It computes the point's addresses and innermost floor once and primes
-// each access's walk from them.
+// It computes the point's addresses and row once and primes each access's
+// walk from them.
 func (a *Analyzer) ClassifyAll(p []int64, st *cachesim.Stats) {
 	for r := range a.refs {
 		a.pointAddr[r] = a.addrAt(p, r)
 	}
-	floor := a.space.InnerFloor(p)
+	pr := a.rowAt(p)
 	for r := range a.refs {
 		st.Accesses++
 		copy(a.walkPoint, p)
 		copy(a.liveAddr, a.pointAddr)
-		a.walkFloor = floor
+		a.row = pr
 		switch a.classifyPrimed(p, r) {
 		case cachesim.Hit:
 			st.Hits++

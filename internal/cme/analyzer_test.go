@@ -332,6 +332,30 @@ func TestConstantSubscript(t *testing.T) {
 	}
 }
 
+// TestExtentOneDimension covers arrays with a dimension of extent 1,
+// whose stride equals the next dimension's: a(1,i) declared a(1,40) and
+// b(i,1) declared b(40,1) in row-major order. The first-access test must
+// delinearize their elements through the other dimension.
+func TestExtentOneDimension(t *testing.T) {
+	a := &ir.Array{Name: "a", Dims: []int64{1, 40}, Elem: 8}
+	b := &ir.Array{Name: "b", Dims: []int64{40, 1}, Elem: 8, Layout: ir.RowMajor, Base: 4096}
+	nest := &ir.Nest{
+		Name: "extent1",
+		Loops: []ir.Loop{
+			{Var: "j", Lower: expr.Const(1), Upper: ir.BoundOf(expr.Const(2)), Step: 1},
+			{Var: "i", Lower: expr.Const(1), Upper: ir.BoundOf(expr.Const(40)), Step: 1},
+		},
+		Refs: []ir.Ref{
+			{Array: a, Subs: []expr.Affine{expr.Const(1), expr.Var(1)}},
+			{Array: b, Subs: []expr.Affine{expr.Var(1), expr.Const(1)}},
+		},
+	}
+	box := iterspace.NewBox([]int64{1, 1}, []int64{2, 40})
+	for _, cfg := range smallCaches() {
+		lockstep(t, nest, box, cfg)
+	}
+}
+
 // TestWalkCostSizeIndependent anchors the complexity claim: the average
 // backward-walk length per access stays within a small multiple of the
 // set count as the problem grows 5x in linear size (125x in points).

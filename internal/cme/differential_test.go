@@ -98,6 +98,44 @@ func TestDifferentialRandomKernels(t *testing.T) {
 	}
 }
 
+// FuzzFirstAccess checks the per-segment compulsory-miss test against the
+// per-element one on fuzzed nests (randomNest, drawn from the seed), every
+// space type and lines around each access: the accessed line and up to 8
+// lines to either side, which reach the edges of arrays, their padding and
+// lines no reference touches.
+func FuzzFirstAccess(f *testing.F) {
+	f.Add(uint64(1), uint64(2), int8(0))
+	f.Add(uint64(28), uint64(5), int8(-3))
+	f.Add(uint64(7), uint64(99), int8(8))
+	f.Fuzz(func(t *testing.T, seed, draw uint64, lineOff int8) {
+		r := rand.New(rand.NewPCG(seed, draw))
+		nest := randomNest(r)
+		lo := make([]int64, nest.Depth())
+		hi := make([]int64, nest.Depth())
+		for d, l := range nest.Loops {
+			lo[d] = l.Lower.Eval(nil)
+			hi[d] = l.Upper.Eval(nil)
+		}
+		space := randomSpace(r, nest.Depth(), lo, hi)
+		an, err := NewAnalyzer(nest, space, randomCache(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := make([]int64, space.NumCoords())
+		for range 16 {
+			space.Sample(r, p)
+			for ri := range nest.Refs {
+				line := an.cfg.LineOf(an.addrAt(p, ri)) + int64(lineOff%9)
+				got := an.isFirstAccess(p, ri, line)
+				if want := an.isFirstAccessByElement(p, ri, line); got != want {
+					t.Fatalf("point %v ref %d line %d (cache %v, space %T): per segment %v, per element %v\nnest:\n%s",
+						p, ri, line, an.cfg, space, got, want, nest)
+				}
+			}
+		}
+	})
+}
+
 // TestDifferentialAssociativitySweep pins the equivalence on the suite's
 // named kernels across associativities 1..8 (1 exercises walkDirect, the
 // rest walkAssoc) and every traversal space type, complementing the

@@ -2,6 +2,7 @@ package cme
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/expr"
@@ -34,11 +35,17 @@ func (k EquationKind) String() string {
 // Equation is one Cache Miss Equation: a polyhedron whose integer points
 // are potential misses of reference Ref along reuse vector Vector.
 //
-// Variable layout of the system:
-//   - compulsory: the iteration-point variables ī (space coordinates).
-//   - replacement: ī, then the interfering point j (same count), then one
-//     trailing "wrap" variable n from the modulo-cache-size linearisation
+// Variable layout of the system, with the names String prints:
+//   - compulsory: the iteration-point variables ī (space coordinates):
+//     the loop variables, preceded on a tiled space by one tile variable
+//     per loop (ii_i for loop i, as tiling.Apply names it). A
+//     line-boundary equation appends the boundary line m.
+//   - replacement: ī, then the interfering point j (same count, primed
+//     names: i', ii_i'), then one trailing "wrap" variable n from the
+//     modulo-cache-size linearisation
 //     Mem_B(j) − Mem_A(ī) = n·CacheSize + b, |b| < LineSize.
+//
+// m and n take a trailing underscore while a loop variable has the name.
 //
 // The lexicographic "j between ī−r and ī" condition is relaxed
 // componentwise: dimensions before r's leading nonzero component are pinned
@@ -57,16 +64,18 @@ type Equation struct {
 	// (replacement only, -1 otherwise). Untiled spaces have one region.
 	RegionA, RegionB int
 	System           *polyhedra.System
+	vars             []string // the system's variable names, for String
 }
 
 func (e Equation) String() string {
+	sys := e.System.StringVars(e.vars)
 	switch e.Kind {
 	case Replacement:
 		return fmt.Sprintf("replacement ref%d (vec %v) vs ref%d regions(%d,%d): %s",
-			e.Ref, e.Vector.R, e.Interferer, e.RegionA, e.RegionB, e.System)
+			e.Ref, e.Vector.R, e.Interferer, e.RegionA, e.RegionB, sys)
 	default:
 		return fmt.Sprintf("compulsory ref%d (vec %v) region %d: %s",
-			e.Ref, e.Vector.R, e.RegionA, e.System)
+			e.Ref, e.Vector.R, e.RegionA, sys)
 	}
 }
 
@@ -170,6 +179,7 @@ func generate(nest *ir.Nest, cfg cache.Config, box *iterspace.Box, tiled *itersp
 		}
 		return base
 	}
+	pointVars, lineVars, replVars := varNames(nest, tiled != nil)
 
 	refInfos := make([]refInfo, len(nest.Refs))
 	for i := range nest.Refs {
@@ -228,7 +238,7 @@ func generate(nest *ir.Nest, cfg cache.Config, box *iterspace.Box, tiled *itersp
 					set.Compulsory = append(set.Compulsory, Equation{
 						Kind: Compulsory, Ref: vec.Ref, Vector: vec,
 						Interferer: -1, RegionA: ra, RegionB: -1,
-						System: s,
+						System: s, vars: lineVars,
 					})
 				}
 			}
@@ -253,7 +263,7 @@ func generate(nest *ir.Nest, cfg cache.Config, box *iterspace.Box, tiled *itersp
 				set.Compulsory = append(set.Compulsory, Equation{
 					Kind: Compulsory, Ref: vec.Ref, Vector: vec,
 					Interferer: -1, RegionA: ra, RegionB: -1,
-					System: s,
+					System: s, vars: pointVars,
 				})
 			}
 		}
@@ -306,7 +316,7 @@ func generate(nest *ir.Nest, cfg cache.Config, box *iterspace.Box, tiled *itersp
 						set.Replacement = append(set.Replacement, Equation{
 							Kind: Replacement, Ref: vec.Ref, Vector: vec,
 							Interferer: rb, RegionA: ra, RegionB: rbg,
-							System: s,
+							System: s, vars: replVars,
 						})
 					}
 				}
@@ -314,6 +324,31 @@ func generate(nest *ir.Nest, cfg cache.Config, box *iterspace.Box, tiled *itersp
 		}
 	}
 	return set, nil
+}
+
+// varNames returns the variable names of the three system layouts (see
+// Equation): a point ī, a point plus the boundary line m, and ī, the
+// interfering point and the wrap variable n.
+func varNames(nest *ir.Nest, tiled bool) (point, line, repl []string) {
+	loops := nest.VarNames()
+	if tiled {
+		for _, v := range loops {
+			point = append(point, "ii_"+v)
+		}
+	}
+	point = append(point, loops...)
+	aux := func(name string) string {
+		for slices.Contains(loops, name) {
+			name += "_"
+		}
+		return name
+	}
+	line = append(slices.Clip(point), aux("m"))
+	repl = slices.Clone(point)
+	for _, v := range point {
+		repl = append(repl, v+"'")
+	}
+	return point, line, append(repl, aux("n"))
 }
 
 // leadingDim returns the index of the first nonzero component of r, or -1

@@ -95,6 +95,21 @@ func TestEquationString(t *testing.T) {
 	if Compulsory.String() != "compulsory" || Replacement.String() != "replacement" {
 		t.Fatal("EquationKind strings")
 	}
+	// Variables print by name: the loop variables, the interferer's primed
+	// copy and the wrap variable n, which steps aside for a loop named n.
+	nest.Loops[1].Var = "n"
+	if set, err = Generate(nest, cache.Config{Size: 256, LineSize: 32, Assoc: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s := set.Replacement[0].String()
+	for _, want := range []string{"i'", "n'", "*n_", "&& n_-1 >= 0}"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("replacement String lacks %q: %s", want, s)
+		}
+	}
+	if strings.Contains(s, "v0") {
+		t.Errorf("replacement String prints an unnamed variable: %s", s)
+	}
 }
 
 func TestGenerateRejectsNonRectangular(t *testing.T) {

@@ -13,9 +13,11 @@ import (
 )
 
 // randomNest generates a random rectangular affine loop nest: 1–3 loops,
-// 1–3 arrays (with random padding and base alignment), 2–6 references with
-// random single-variable affine subscripts (including constants, reversed
-// and strided subscripts).
+// 1–3 arrays (column- or row-major, with random intra-array padding and
+// base alignment, and now and then a dimension of extent 1), 2–6
+// references with random single-variable affine subscripts (constants,
+// reversed, strided with coefficient 2, −2 or 3, and offset subscripts),
+// some of which use one loop variable in every subscript, as a(i,i) does.
 func randomNest(r *rand.Rand) *ir.Nest {
 	depth := 1 + int(r.Int64N(3))
 	loops := make([]ir.Loop, depth)
@@ -38,14 +40,20 @@ func randomNest(r *rand.Rand) *ir.Nest {
 		dims := make([]int64, rank)
 		for d := range dims {
 			// Big enough for any subscript the generator produces:
-			// coef up to 2, offset up to +3, lower bound up to 3,
-			// extent up to 10 -> max subscript value ~2*13+3 = 29.
-			dims[d] = 30 + r.Int64N(8)
+			// coef up to 3, offset up to +3, lower bound up to 3,
+			// extent up to 10 -> max subscript value 3*12-2 = 34.
+			dims[d] = 36 + r.Int64N(8)
+			if rank > 1 && r.Int64N(8) == 0 {
+				dims[d] = 1 // only subscript 1 reaches it
+			}
 		}
 		arr := &ir.Array{
 			Name: string(rune('a' + a)),
 			Dims: dims,
 			Elem: 8,
+		}
+		if r.Int64N(3) == 0 {
+			arr.Layout = ir.RowMajor
 		}
 		if r.Int64N(3) == 0 {
 			arr.Pad = make([]int64, rank)
@@ -63,19 +71,30 @@ func randomNest(r *rand.Rand) *ir.Nest {
 	for i := range refs {
 		arr := arrays[r.Int64N(int64(nArrays))]
 		subs := make([]expr.Affine, arr.Rank())
+		same := -1 // the variable of every subscript, as in a(i,i)
+		if r.Int64N(4) == 0 {
+			same = int(r.Int64N(int64(depth)))
+		}
 		for d := range subs {
-			switch r.Int64N(5) {
-			case 0: // constant subscript
+			v := same
+			if v < 0 {
+				v = int(r.Int64N(int64(depth)))
+			}
+			hi := loops[v].Upper.Eval(nil)
+			switch kind := r.Int64N(7); {
+			case arr.Dims[d] == 1:
+				subs[d] = expr.Const(1)
+			case kind == 0: // constant subscript
 				subs[d] = expr.Const(1 + r.Int64N(4))
-			case 1: // reversed: c - v
-				v := int(r.Int64N(int64(depth)))
-				hi := loops[v].Upper.Eval(nil)
+			case kind == 1: // reversed: c - v
 				subs[d] = expr.Term(v, -1, hi+1)
-			case 2: // strided: 2v - 1
-				v := int(r.Int64N(int64(depth)))
+			case kind == 2: // strided: 2v - 1
 				subs[d] = expr.Term(v, 2, -1)
+			case kind == 3: // reversed strided: c - 2v
+				subs[d] = expr.Term(v, -2, 2*hi+2)
+			case kind == 4: // strided: 3v - 2
+				subs[d] = expr.Term(v, 3, -2)
 			default: // plain v + c
-				v := int(r.Int64N(int64(depth)))
 				subs[d] = expr.VarPlus(v, r.Int64N(4))
 			}
 		}

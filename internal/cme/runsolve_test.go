@@ -113,9 +113,11 @@ func FuzzRunSolve(f *testing.F) {
 
 // longRunNest generates a random rectangular nest whose innermost loop
 // runs 40–340 iterations, long enough for the direct-mapped walk to solve
-// most of each run: 1–3 loops, 1–3 arrays with element sizes 4, 8 or 16,
-// and 2–6 references with constant, reversed, strided and offset
-// subscripts, every one inside its array (the first-access test is exact
+// most of each run: 1–3 loops, 1–3 column- or row-major arrays with
+// element sizes 4, 8 or 16 and random intra-array padding, and 2–6
+// references with constant, reversed, strided (coefficient 2, −2 or 3)
+// and offset subscripts, some using one variable in every subscript as
+// a(i,i) does, every one inside its array (the first-access test is exact
 // only there).
 func longRunNest(r *rand.Rand) *ir.Nest {
 	depth := 1 + int(r.Int64N(3))
@@ -136,9 +138,17 @@ func longRunNest(r *rand.Rand) *ir.Nest {
 	for a := range arrays {
 		dims := make([]int64, 1+r.Int64N(2))
 		for d := range dims {
-			dims[d] = 2*maxHi + 8 + r.Int64N(40)
+			dims[d] = 3*maxHi + 8 + r.Int64N(40)
 		}
-		arrays[a] = &ir.Array{Name: string(rune('a' + a)), Dims: dims, Elem: elems[r.Int64N(3)]}
+		arr := &ir.Array{Name: string(rune('a' + a)), Dims: dims, Elem: elems[r.Int64N(3)]}
+		if r.Int64N(3) == 0 {
+			arr.Layout = ir.RowMajor
+		}
+		if r.Int64N(3) == 0 {
+			arr.Pad = make([]int64, len(dims))
+			arr.Pad[r.Int64N(int64(len(dims)))] = 1 + r.Int64N(5)
+		}
+		arrays[a] = arr
 	}
 	aligns := []int64{16, 256, 1024, 4096, 8}
 	ir.LayoutArrays(r.Int64N(3)*16, aligns[r.Int64N(int64(len(aligns)))], arrays...)
@@ -147,20 +157,29 @@ func longRunNest(r *rand.Rand) *ir.Nest {
 	for i := range refs {
 		arr := arrays[r.Int64N(int64(len(arrays)))]
 		subs := make([]expr.Affine, arr.Rank())
+		same := r.Int64N(4) == 0 // one variable in every subscript
+		v := depth - 1
 		for d := range subs {
-			v := int(r.Int64N(int64(depth)))
-			if r.Int64N(2) == 0 {
-				v = depth - 1 // favour the innermost loop
+			if !same || d == 0 {
+				v = int(r.Int64N(int64(depth)))
+				if r.Int64N(2) == 0 {
+					v = depth - 1 // favour the innermost loop
+				}
 			}
-			switch r.Int64N(6) {
+			hi := loops[v].Upper.Eval(nil)
+			switch r.Int64N(8) {
 			case 0:
 				subs[d] = expr.Const(1 + r.Int64N(4))
 			case 1:
-				subs[d] = expr.Term(v, -1, loops[v].Upper.Eval(nil)+1+r.Int64N(3))
+				subs[d] = expr.Term(v, -1, hi+1+r.Int64N(3))
 			case 2:
 				subs[d] = expr.Term(v, 2, -1)
 			case 3:
 				subs[d] = expr.VarPlus(v, -r.Int64N(loops[v].Lower.Eval(nil)))
+			case 4:
+				subs[d] = expr.Term(v, -2, 2*hi+2+r.Int64N(3))
+			case 5:
+				subs[d] = expr.Term(v, 3, -2)
 			default:
 				subs[d] = expr.VarPlus(v, r.Int64N(4))
 			}

@@ -74,9 +74,11 @@ func (b *PermutedBox) Prev(p []int64) bool {
 	return false
 }
 
-// InnerFloor implements Space: the innermost position iterates original
-// dimension Order[last].
-func (b *PermutedBox) InnerFloor([]int64) int64 { return b.Box.Lo[b.Order[len(b.Order)-1]] }
+// Span implements Space: position c iterates original dimension Order[c].
+func (b *PermutedBox) Span(_ []int64, c int) (lo, hi int64) {
+	d := b.Order[c]
+	return b.Box.Lo[d], b.Box.Hi[d]
+}
 
 // Contains implements Space.
 func (b *PermutedBox) Contains(p []int64) bool {

@@ -32,11 +32,16 @@ type Space interface {
 	Next(p []int64) bool
 	// Prev moves p to the previous point; false at the beginning.
 	Prev(p []int64) bool
-	// InnerFloor returns the lowest value the last coordinate takes while
-	// every other coordinate of p stays fixed: Prev only decrements
-	// p[last] while p[last] > InnerFloor(p), and changes another
-	// coordinate (or reports false) once p[last] reaches it.
-	InnerFloor(p []int64) int64
+	// Span returns the range lo..hi that coordinate c takes, in steps of
+	// 1, while every coordinate before it stays fixed. Coordinate c must
+	// carry an original dimension (OrigDim(c) >= 0). Span reads p only at
+	// the coordinates before c that carry none (tile coordinates), so
+	// moving any coordinate that does carry one leaves every Span
+	// unchanged. Once every coordinate after c sits at the lo of its Span,
+	// Prev decrements p[c] while p[c] > lo and moves each later coordinate
+	// to the hi of its Span; at p[c] == lo it changes an earlier
+	// coordinate or reports false.
+	Span(p []int64, c int) (lo, hi int64)
 	// Contains reports whether p is a valid point of the space.
 	Contains(p []int64) bool
 	// Count returns the total number of points.
@@ -59,7 +64,12 @@ type Space interface {
 	FromOriginal(orig, p []int64)
 	// MinWithPinned writes the lexicographically smallest point whose
 	// original coordinate d equals pinned[d] for every pinned[d] != Free.
-	// It reports false when a pinned value lies outside the space.
+	// It reports false when a pinned value lies outside the space. The
+	// values dimension d can be pinned to form one range, whatever the
+	// other pins, starting at d's value in the all-Free minimum; and
+	// raising one pinned value within it never yields an earlier point.
+	// The compulsory-miss test relies on both: the earliest point among
+	// several values of one dimension is the one at the least value.
 	MinWithPinned(pinned, p []int64) bool
 }
 
@@ -121,8 +131,8 @@ func (b *Box) Prev(p []int64) bool {
 	return false
 }
 
-// InnerFloor implements Space.
-func (b *Box) InnerFloor([]int64) int64 { return b.Lo[len(b.Lo)-1] }
+// Span implements Space.
+func (b *Box) Span(_ []int64, c int) (lo, hi int64) { return b.Lo[c], b.Hi[c] }
 
 // Contains implements Space.
 func (b *Box) Contains(p []int64) bool {

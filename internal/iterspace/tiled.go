@@ -169,10 +169,13 @@ func (t *Tiled) Prev(p []int64) bool {
 	return false
 }
 
-// InnerFloor implements Space: the innermost element loop (original
-// dimension k-1) runs down to its tile start, wherever the tile order put
-// that tile coordinate.
-func (t *Tiled) InnerFloor(p []int64) int64 { return p[t.inv[t.k()-1]] }
+// Span implements Space: element coordinate k+d runs over its tile, from
+// the tile start held at tile position inv[d] to the tile's end.
+func (t *Tiled) Span(p []int64, c int) (lo, hi int64) {
+	d := c - t.k()
+	ii := p[t.inv[d]]
+	return ii, t.tileEnd(d, ii)
+}
 
 // Contains implements Space.
 func (t *Tiled) Contains(p []int64) bool {

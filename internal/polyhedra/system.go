@@ -60,10 +60,14 @@ func (s *System) AddRange(i int, lo, hi int64) {
 	s.AddGE(expr.Term(i, -1, hi)) // hi - v >= 0
 }
 
-func (s *System) String() string {
+func (s *System) String() string { return s.StringVars(nil) }
+
+// StringVars renders the system with variable names; a variable past the
+// end of names prints as v<index>.
+func (s *System) StringVars(names []string) string {
 	parts := make([]string, len(s.Cons))
 	for i, c := range s.Cons {
-		parts[i] = c.String()
+		parts[i] = c.StringVars(names)
 	}
 	return "{" + strings.Join(parts, " && ") + "}"
 }
