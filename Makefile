@@ -56,7 +56,9 @@ vet:
 # internal/evalcache importing internal/cme fails here too. Polyhedra:
 # constraint systems are how the equation generator writes CMEs, and no
 # miss is decided from them, so only internal/cme may import
-# internal/polyhedra.
+# internal/polyhedra. Evaluation: a search classifies each candidate whole
+# on one analyzer and fans out only by cohort and island, so no non-test
+# file of internal/core may call sampling's point-chunked EvaluateWith.
 depcheck:
 	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/... | grep -E ' repro/internal/telemetry/sinks( |$$)' || true); \
 	if [ -n "$$bad" ]; then \
@@ -70,6 +72,11 @@ depcheck:
 	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -E ' repro/internal/polyhedra( |$$)' | grep -v '^repro/internal/cme: ' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "depcheck: only internal/cme may import internal/polyhedra (constraint systems stay inside equation generation):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(cd internal/core && grep -nE '\.EvaluateWith\(' $$($(GO) list -f '{{join .GoFiles " "}}' .) || true); \
+	if [ -n "$$bad" ]; then \
+		echo "depcheck: internal/core must not call sampling.EvaluateWith (a search evaluates each candidate on one analyzer):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "depcheck: ok"

@@ -23,8 +23,7 @@ import (
 // stats tier and the fault-plan draws before the fan-out; telemetry,
 // failure handling and stats stores at its commit. So the results, the
 // event stream and the fault schedule are those of serial evaluation at
-// any worker count. A cohort with one candidate to classify is a lone
-// evaluation instead, splitting the sample points across the whole pool.
+// any worker count.
 type cohort struct {
 	ev     *evaluator
 	guard  *evalGuard
@@ -87,12 +86,7 @@ func (c *cohort) Evaluate(ctx context.Context, values [][]int64) {
 		}
 		c.run = append(c.run, i)
 	}
-	switch len(c.run) {
-	case 0:
-	case 1:
-		j := &c.jobs[c.run[0]]
-		j.st, j.err = e.lone(ctx, c.recorder(j), j.nest, j.space, 0, len(e.sample.Points), 0)
-	default:
+	if len(c.run) > 0 {
 		c.fanOut(ctx)
 	}
 }
@@ -113,12 +107,11 @@ func (c *cohort) fanOut(ctx context.Context) {
 	e := c.ev
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if first := &c.jobs[c.run[0]]; e.poolEmpty() {
-		// One pool miss builds the pool, as for a lone evaluation.
-		first.built = true
-		if err := e.buildPool(first.nest, first.space); err != nil {
-			first.err = err
-		}
+	// One pool miss builds the pool for the first job.
+	first := &c.jobs[c.run[0]]
+	first.built = e.pool[0] == nil
+	if err := e.fill(first.nest, first.space); err != nil {
+		first.err = err
 	}
 	for _, k := range c.run {
 		c.jobs[k].faults = sampling.DrawEntryFaults(ctx)
@@ -161,20 +154,13 @@ func (c *cohort) classify(ctx context.Context, w int, j *cohortJob) (st cachesim
 			err = fmt.Errorf("core: objective panic: %v", r)
 		}
 	}()
-	an := e.pool[w]
-	reused := an != nil && an.Nest() == j.nest
-	if reused {
-		err = an.Rebind(j.space)
-	} else {
-		an, err = cme.NewAnalyzer(j.nest, j.space, e.cfg)
-		e.pool[w] = an
-	}
+	an, reused, err := e.bind(w, j.nest, j.space)
 	if err != nil {
 		return st, err
 	}
 	rec := c.recorder(j)
 	countPool(rec, reused && !j.built)
-	ans, faults := []*cme.Analyzer{an}, j.faults
+	faults := j.faults
 	// A truly hung evaluation still holds this worker's analyzer: drop it
 	// alone, so the worker's next job rebuilds one.
 	return e.watchedEval(ctx, rec, func() { e.pool[w] = nil },
@@ -182,7 +168,7 @@ func (c *cohort) classify(ctx context.Context, w int, j *cohortJob) (st cachesim
 			if err := faults.Run(ctx); err != nil {
 				return cachesim.Stats{}, err
 			}
-			return e.sample.EvaluateObserved(faultinject.Without(ctx), ans, obs, e.island, 0)
+			return e.sample.EvaluateObserved(faultinject.Without(ctx), an, obs, e.island, 0)
 		})
 }
 
@@ -218,15 +204,24 @@ func (c *cohort) Commit(i int) (float64, bool) {
 	return float64(j.st.Replacement), false
 }
 
-// poolEmpty reports whether no worker holds an analyzer. Callers hold
-// e.mu.
-func (e *evaluator) poolEmpty() bool {
-	for _, an := range e.pool {
-		if an != nil {
-			return false
+// fill gives every empty pool slot an analyzer: pool[0], when empty, is
+// built for (nest, space), and the other empty slots clone it. A lone
+// evaluation binds pool[0] alone, so the slots it left empty see what
+// pool[0] analyses, as one worker would. Callers hold e.mu.
+func (e *evaluator) fill(nest *ir.Nest, space iterspace.Space) error {
+	if e.pool[0] == nil {
+		an, err := cme.NewAnalyzer(nest, space, e.cfg)
+		if err != nil {
+			return err
+		}
+		e.pool[0] = an
+	}
+	for w, an := range e.pool {
+		if an == nil {
+			e.pool[w] = e.pool[0].Clone()
 		}
 	}
-	return true
+	return nil
 }
 
 // recording holds one candidate's telemetry, in emission order, until

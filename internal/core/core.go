@@ -62,12 +62,12 @@ type Options struct {
 	Seed uint64
 	// Workers bounds the evaluation goroutines of a search, one analyzer
 	// each (0 = DefaultWorkers, min(8, NumCPU)). A generation's fresh
-	// candidates spread one per analyzer; a lone evaluation (finalisation,
-	// TileObjective, a fidelity rung, a generation with one fresh
-	// candidate) splits its sample points across them. Either way the
-	// per-point outcomes are those of serial evaluation and candidates are
-	// committed in batch order, so the worker count never changes a search
-	// result or its event stream — only how fast it arrives.
+	// candidates spread one per analyzer (one pool per cache level in the
+	// multi-level search); a lone evaluation (finalisation, TileObjective,
+	// a fidelity rung) classifies on one analyzer. Every candidate is
+	// classified whole on one analyzer and committed in batch order, so the
+	// worker count never changes a search result or its event stream — only
+	// how fast it arrives.
 	Workers int
 	// Fidelity enables deterministic multi-fidelity evaluation by
 	// successive halving: fresh candidates are scored on a coarse prefix
@@ -398,19 +398,17 @@ func poison() float64 { return math.Inf(1) }
 // (common random numbers: the fitness is deterministic and comparisons are
 // low-variance) and a pool of reusable analyzers, one per worker, rebound
 // to each candidate's iteration space instead of paying NewAnalyzer
-// allocation churn on all 450+ evaluations of a GA run. The pool is built
-// once per nest (one primary plus workers−1 clones). A lone evaluation
-// binds the whole pool to its candidate and splits the sample points
-// across it; a cohort (cohort.go) gives worker w pool[w] alone, and a
+// allocation churn on all 450+ evaluations of a GA run. Every evaluation
+// classifies its whole sample range on one analyzer: a cohort (cohort.go)
+// gives worker w pool[w], a lone evaluation takes pool[0], and a
 // candidate on a different nest (the padding searches mutate array
-// layouts per candidate) rebuilds only that worker's analyzer.
+// layouts per candidate) rebuilds only its analyzer.
 type evaluator struct {
-	nest    *ir.Nest
-	box     *iterspace.Box
-	cfg     cache.Config
-	sample  *sampling.Sample
-	workers int
-	obs     telemetry.Recorder
+	nest   *ir.Nest
+	box    *iterspace.Box
+	cfg    cache.Config
+	sample *sampling.Sample
+	obs    telemetry.Recorder
 	// stall arms the per-evaluation watchdog (0 = disabled).
 	stall time.Duration
 	// island tags this evaluator's telemetry batches with a 1-based
@@ -443,14 +441,13 @@ func newEvaluator(nest *ir.Nest, opt Options) (*evaluator, error) {
 	}
 	rng := rand.New(rand.NewPCG(opt.Seed, opt.Seed^0xda3e39cb94b95bdb))
 	e := &evaluator{
-		nest:    nest,
-		box:     box,
-		cfg:     opt.Cache,
-		sample:  sampling.Draw(box, opt.SamplePoints, rng),
-		workers: opt.Workers,
-		obs:     opt.Observer,
-		stall:   opt.StallTimeout,
-		pool:    make([]*cme.Analyzer, max(opt.Workers, 1)),
+		nest:   nest,
+		box:    box,
+		cfg:    opt.Cache,
+		sample: sampling.Draw(box, opt.SamplePoints, rng),
+		obs:    opt.Observer,
+		stall:  opt.StallTimeout,
+		pool:   make([]*cme.Analyzer, max(opt.Workers, 1)),
 	}
 	if opt.SharedCache != nil {
 		e.shared = opt.SharedCache
@@ -461,56 +458,29 @@ func newEvaluator(nest *ir.Nest, opt Options) (*evaluator, error) {
 	return e, nil
 }
 
-// fork returns an island-private view of the evaluator: its own mutex
-// and (initially empty) analyzer pool, sharing the immutable pieces —
-// nest, box, sample, cache geometry, observer — so every fork evaluates
-// the identical objective while islands run concurrently.
-func (e *evaluator) fork(island int) *evaluator {
+// fork returns a private view of the evaluator over cache geometry cfg:
+// its own mutex and (initially empty) analyzer pool, sharing the
+// immutable pieces — nest, box, sample, observer — so every fork of one
+// geometry evaluates the identical objective while islands (tagged island)
+// or cache levels run concurrently.
+func (e *evaluator) fork(island int, cfg cache.Config) *evaluator {
 	return &evaluator{
-		nest: e.nest, box: e.box, cfg: e.cfg, sample: e.sample,
-		workers: e.workers, obs: e.obs, stall: e.stall,
+		nest: e.nest, box: e.box, cfg: cfg, sample: e.sample,
+		obs: e.obs, stall: e.stall,
 		island: island, pool: make([]*cme.Analyzer, len(e.pool)),
 	}
 }
 
-// analyzers returns the whole pool bound to (nest, space) for a lone
-// evaluation: rebound in place when every analyzer already analyses nest
-// (reused=true), rebuilt otherwise. Callers hold e.mu.
-func (e *evaluator) analyzers(nest *ir.Nest, space iterspace.Space) (ans []*cme.Analyzer, reused bool, err error) {
-	if e.poolAnalyses(nest) {
-		for _, an := range e.pool {
-			if err := an.Rebind(space); err != nil {
-				return nil, false, err
-			}
-		}
-		return e.pool, true, nil
+// bind returns pool[w] bound to (nest, space): rebound in place when it
+// already analyses nest (reused=true), rebuilt otherwise. Callers hold
+// e.mu.
+func (e *evaluator) bind(w int, nest *ir.Nest, space iterspace.Space) (an *cme.Analyzer, reused bool, err error) {
+	if an = e.pool[w]; an != nil && an.Nest() == nest {
+		return an, true, an.Rebind(space)
 	}
-	return e.pool, false, e.buildPool(nest, space)
-}
-
-// poolAnalyses reports whether every pooled analyzer analyses nest.
-// Callers hold e.mu.
-func (e *evaluator) poolAnalyses(nest *ir.Nest) bool {
-	for _, an := range e.pool {
-		if an == nil || an.Nest() != nest {
-			return false
-		}
-	}
-	return true
-}
-
-// buildPool fills the pool with analyzers of (nest, space): one primary
-// plus clones. Callers hold e.mu.
-func (e *evaluator) buildPool(nest *ir.Nest, space iterspace.Space) error {
-	an, err := cme.NewAnalyzer(nest, space, e.cfg)
-	if err != nil {
-		return err
-	}
-	e.pool[0] = an
-	for w := 1; w < len(e.pool); w++ {
-		e.pool[w] = an.Clone()
-	}
-	return nil
+	an, err = cme.NewAnalyzer(nest, space, e.cfg)
+	e.pool[w] = an
+	return an, false, err
 }
 
 // evalSpace evaluates the whole sample over nest traversed in space
@@ -533,31 +503,25 @@ func (e *evaluator) evalSpace(ctx context.Context, nest *ir.Nest, space iterspac
 }
 
 // evalRange evaluates the half-open sample range [lo, hi) over nest
-// traversed in space order as a lone evaluation: its points split across
-// the whole pool, under the stall watchdog when armed. A ladder rung
-// covers only the newly classified range; the caller accumulates it into
-// the candidate's running prefix total.
+// traversed in space order as a lone evaluation on pool[0], under the
+// stall watchdog when armed, reporting the batch (tagged with its
+// fidelity rung, 0 = the full sample) and the pool hit or miss. A ladder
+// rung covers only the newly classified range; the caller accumulates it
+// into the candidate's running prefix total.
 func (e *evaluator) evalRange(ctx context.Context, nest *ir.Nest, space iterspace.Space, lo, hi, rung int) (cachesim.Stats, error) {
-	return e.lone(ctx, e.obs, nest, space, lo, hi, rung)
-}
-
-// lone is evalRange reporting to obs: the evaluation batch, tagged with
-// its fidelity rung (0 = the full sample), and the pool hit/miss counter.
-func (e *evaluator) lone(ctx context.Context, obs telemetry.Recorder, nest *ir.Nest, space iterspace.Space, lo, hi, rung int) (cachesim.Stats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ans, reused, err := e.analyzers(nest, space)
+	an, reused, err := e.bind(0, nest, space)
 	if err != nil {
 		return cachesim.Stats{}, err
 	}
-	countPool(obs, reused)
+	countPool(e.obs, reused)
 	sub := e.sample.Range(lo, hi)
-	// Under the watchdog a truly hung evaluation leaks its workers, which
-	// still hold the pooled analyzers — abandon the pool (the caller holds
-	// e.mu) so the next evaluation rebuilds a fresh one.
-	return e.watchedEval(ctx, obs, func() { e.pool = make([]*cme.Analyzer, len(e.pool)) },
+	// A truly hung evaluation still holds pool[0]: drop it (the caller
+	// holds e.mu) so the next evaluation rebuilds one.
+	return e.watchedEval(ctx, e.obs, func() { e.pool[0] = nil },
 		func(ctx context.Context, obs telemetry.Recorder) (cachesim.Stats, error) {
-			return sub.EvaluateObserved(ctx, ans, obs, e.island, rung)
+			return sub.EvaluateObserved(ctx, an, obs, e.island, rung)
 		})
 }
 
@@ -661,28 +625,6 @@ func (e *evaluator) watchedEval(ctx context.Context, obs telemetry.Recorder, onH
 	return st, err
 }
 
-// evalFresh evaluates the sample on a one-off analyzer — the multi-level
-// and interchange paths, whose per-candidate cache configurations cannot
-// reuse the pool — fanning out over worker clones and reporting the batch
-// to the observer.
-func (e *evaluator) evalFresh(ctx context.Context, an *cme.Analyzer) (cachesim.Stats, error) {
-	workers := e.workers
-	if n := len(e.sample.Points); workers > n {
-		workers = n
-	}
-	ans := make([]*cme.Analyzer, 1, max(workers, 1))
-	ans[0] = an
-	if len(e.sample.Points) >= 64 {
-		for len(ans) < cap(ans) {
-			ans = append(ans, an.Clone())
-		}
-	}
-	// One-off analyzers: nothing shared to abandon on a hang.
-	return e.watchedEval(ctx, e.obs, nil, func(ctx context.Context, obs telemetry.Recorder) (cachesim.Stats, error) {
-		return e.sample.EvaluateObserved(ctx, ans, obs, e.island, 0)
-	})
-}
-
 // tiled evaluates a tile vector over (a possibly padded copy of) the nest.
 func (e *evaluator) tiled(ctx context.Context, nest *ir.Nest, tile []int64) (cachesim.Stats, error) {
 	return e.evalSpace(ctx, nest, iterspace.NewTiled(e.box, tile))
@@ -746,14 +688,14 @@ type problem struct {
 	// geometry and sample.
 	memoScope []string
 	// decode maps a genome to the nest and iteration space whose sampled
-	// replacement misses are its fitness. The one-at-a-time objective and
-	// the fidelity ladder both use it, so rung scores and full-fidelity
-	// fitness come from the same machinery.
+	// replacement misses are its fitness. The cohorts and the fidelity
+	// ladder both use it, so rung scores and full-fidelity fitness come
+	// from the same machinery.
 	decode func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error)
-	// cost, when set, scores a genome instead of decode. The fidelity
-	// ladder cannot resume a custom cost over sample prefixes, so such a
-	// search refuses it.
-	cost func(ctx context.Context, e *evaluator, v []int64) (float64, error)
+	// levels, when set, makes the fitness the penalty-weighted sum of the
+	// decoded space's replacement misses over each level's cache, scored
+	// by a levelBatch (the multi-level search).
+	levels []Level
 }
 
 // search hands a finished GA run to the finalisation of its search.
@@ -793,9 +735,6 @@ func runSearch[R any](ctx context.Context, nest *ir.Nest, opt Options,
 		return zero, err
 	}
 	p := mk(ev)
-	if p.cost != nil && opt.Fidelity.Enabled() {
-		return zero, badOption("Fidelity", "multi-fidelity evaluation is not supported by the %s search", p.label)
-	}
 	started := opt.emitStart(nest, p.label)
 	guard := opt.newGuard()
 	// Each deme evaluates on its own evaluator: the search's own for a
@@ -805,12 +744,9 @@ func runSearch[R any](ctx context.Context, nest *ir.Nest, opt Options,
 	// and memo sharing stay sound.
 	demeEval := func(i int) *evaluator {
 		if opt.Islands > 1 {
-			return ev.fork(i + 1)
+			return ev.fork(i+1, ev.cfg)
 		}
 		return ev
-	}
-	fidelity := func(e *evaluator) ga.FidelityEvaluator {
-		return &fidelityEval{ev: e, ctx: ctx, guard: guard, label: p.label, decode: p.decode}
 	}
 	gaCfg := ga.Config{
 		Params:         withMutationFloor(opt.GA, p.spec),
@@ -826,21 +762,19 @@ func runSearch[R any](ctx context.Context, nest *ir.Nest, opt Options,
 	// Fidelity pruning records cohort-dependent scaled fitness, which must
 	// never leak into the cross-search memo tier.
 	if opt.Fidelity.Enabled() {
-		gaCfg.FidelityEval = fidelity(ev)
-		if opt.Islands > 1 {
-			gaCfg.IslandFidelityEval = func(i int) ga.FidelityEvaluator { return fidelity(demeEval(i)) }
+		gaCfg.FidelityEval = func(i int) ga.FidelityEvaluator {
+			return &fidelityEval{ev: demeEval(i), ctx: ctx, guard: guard, label: p.label, decode: p.decode}
 		}
 	} else {
 		gaCfg.SharedMemo = ev.sharedFitnessMemo(p.label, p.memoScope...)
-		gaCfg.Batch = func(i int) ga.BatchEvaluator {
-			e := demeEval(i)
-			if p.cost != nil {
-				// A custom cost builds its own analyzers per candidate.
-				return ga.Serial(guard.objective(p.label, func(v []int64) (float64, error) {
-					return p.cost(ctx, e, v)
-				}))
-			}
+		newCohort := func(e *evaluator) *cohort {
 			return &cohort{ev: e, guard: guard, label: p.label, decode: p.decode}
+		}
+		gaCfg.Batch = func(i int) ga.BatchEvaluator {
+			if p.levels != nil {
+				return newLevelBatch(demeEval(i), p.levels, newCohort)
+			}
+			return newCohort(demeEval(i))
 		}
 	}
 	res, err := ga.Run(ctx, p.spec, nil, gaCfg)

@@ -70,11 +70,12 @@ type QuarantinedEval struct {
 // reports this error.
 var ErrStalled = errors.New("core: evaluation stalled")
 
-// evalGuard wraps a search's objective closures with the failure policy:
-// panics are recovered, errors are either noted for the post-run abort or
-// converted into a quarantine entry, and context cancellation always
-// passes through as a plain poison value. The guard is shared across the
-// phases of one search, accumulating every quarantined candidate.
+// evalGuard applies a search's failure policy to failed evaluations:
+// errors (recovered panics included) are either noted for the post-run
+// abort or converted into a quarantine entry, and context cancellation
+// always passes through as a plain poison value. The guard is shared
+// across the phases of one search, accumulating every quarantined
+// candidate.
 type evalGuard struct {
 	policy FailurePolicy
 	obs    telemetry.Recorder
@@ -87,24 +88,6 @@ type evalGuard struct {
 // newGuard builds the guard for one search run.
 func (o Options) newGuard() *evalGuard {
 	return &evalGuard{policy: o.FailurePolicy, obs: o.Observer}
-}
-
-// objective wraps fn — the raw (value, error) evaluation of one candidate
-// — into the ga.Objective the engine calls. label tags quarantine entries
-// with the search phase.
-func (g *evalGuard) objective(label string, fn func(v []int64) (float64, error)) func([]int64) float64 {
-	return func(v []int64) (val float64) {
-		defer func() {
-			if r := recover(); r != nil {
-				val = g.fail(label, v, fmt.Errorf("core: objective panic: %v", r))
-			}
-		}()
-		f, err := fn(v)
-		if err != nil {
-			return g.fail(label, v, err)
-		}
-		return f
-	}
 }
 
 // fail applies the policy to one failed evaluation and returns the

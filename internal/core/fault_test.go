@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/faultinject"
 	"repro/internal/ga"
 	"repro/internal/telemetry"
@@ -25,17 +28,91 @@ func faultCtx(t *testing.T, spec string) context.Context {
 	return faultinject.With(context.Background(), plan)
 }
 
+// faultCase is one search a fault test runs.
+type faultCase struct {
+	name       string
+	fidelity   ga.Fidelity
+	workers    int
+	multiLevel bool
+}
+
 // fidelityCases runs a fault test on cohort evaluation at the default
-// worker count and at 4 workers, and on the fidelity ladder, whose partial
-// evaluations route their failures through the same guard.
-var fidelityCases = []struct {
-	name     string
-	fidelity ga.Fidelity
-	workers  int
-}{
-	{"fidelity-off", ga.Fidelity{}, 0},
-	{"rungs3", ga.Fidelity{Rungs: 3}, 0},
-	{"fidelity-off-workers4", ga.Fidelity{}, 4},
+// worker count and at 4 workers, on the fidelity ladder, whose partial
+// evaluations route their failures through the same guard, and on the
+// multi-level search's level cohorts at 1 and 4 workers.
+var fidelityCases = []faultCase{
+	{"fidelity-off", ga.Fidelity{}, 0, false},
+	{"rungs3", ga.Fidelity{Rungs: 3}, 0, false},
+	{"fidelity-off-workers4", ga.Fidelity{}, 4, false},
+	{"multilevel", ga.Fidelity{}, 1, true},
+	{"multilevel-workers4", ga.Fidelity{}, 4, true},
+}
+
+// faultRun is what a fault test checks of one search.
+type faultRun struct {
+	phase       string
+	tile        []int64
+	ga          ga.Result
+	quarantined []QuarantinedEval
+}
+
+// run runs the case's search on transpose(32) under the fault plan spec:
+// OptimizeTiling, or OptimizeTilingMultiLevel over twoLevels. Under
+// FailQuarantine every checkpoint is encoded, so a quarantined candidate
+// whose value reaches the memo as +Inf fails the search.
+func (tc faultCase) run(t *testing.T, opt Options, spec string) (faultRun, error) {
+	t.Helper()
+	opt.Fidelity, opt.Workers = tc.fidelity, tc.workers
+	if opt.FailurePolicy == FailQuarantine {
+		opt.Checkpoint = func(c *ga.Checkpoint) error { return ga.WriteCheckpoint(io.Discard, c) }
+	}
+	ctx := faultCtx(t, spec)
+	if tc.multiLevel {
+		res, err := OptimizeTilingMultiLevel(ctx, transpose(32), twoLevels(), opt)
+		if err != nil {
+			return faultRun{}, err
+		}
+		return faultRun{"multilevel", res.Tile, res.GA, res.Quarantined}, nil
+	}
+	res, err := OptimizeTiling(ctx, transpose(32), opt)
+	if err != nil {
+		return faultRun{}, err
+	}
+	return faultRun{"tiling", res.Tile, res.GA, res.Quarantined}, nil
+}
+
+// twoLevels is a hierarchy over testOpt's 2 KB cache and a 16 KB level.
+func twoLevels() []Level {
+	return []Level{
+		{Cache: testOpt(0).Cache, MissPenalty: 10},
+		{Cache: cache.Config{Size: 16 * 1024, LineSize: 32, Assoc: 1}, MissPenalty: 100},
+	}
+}
+
+// checkDegraded asserts a quarantining run's outcome: a tile, a finite
+// best value, one quarantine entry of the run's phase whose reason
+// contains want, and the same list as the case's other worker count, which
+// sameLists holds by search and fidelity.
+func checkDegraded(t *testing.T, tc faultCase, r faultRun, want string, sameLists map[string][]QuarantinedEval) {
+	t.Helper()
+	if len(r.tile) != 2 {
+		t.Fatalf("degraded run has no tile: %+v", r)
+	}
+	if v := r.ga.BestValue; math.IsInf(v, 0) || v >= ga.QuarantineValue {
+		t.Fatalf("best value %v is not a finite fitness", v)
+	}
+	if len(r.quarantined) != 1 {
+		t.Fatalf("quarantined = %+v, want exactly one entry", r.quarantined)
+	}
+	q := r.quarantined[0]
+	if q.Phase != r.phase || !strings.Contains(q.Reason, want) || len(q.Values) == 0 {
+		t.Fatalf("quarantine entry = %+v, want phase %s and a %q reason", q, r.phase, want)
+	}
+	key := fmt.Sprint(tc.multiLevel, tc.fidelity)
+	if prev, ok := sameLists[key]; ok && !reflect.DeepEqual(prev, r.quarantined) {
+		t.Fatalf("quarantine list %+v differs from %+v at another worker count", r.quarantined, prev)
+	}
+	sameLists[key] = r.quarantined
 }
 
 // TestQuarantineCompletesUnderInjectedPanic: with FailQuarantine an
@@ -43,34 +120,24 @@ var fidelityCases = []struct {
 // valid tile, the offending candidate on the quarantine list, and the
 // matching telemetry event.
 func TestQuarantineCompletesUnderInjectedPanic(t *testing.T) {
+	lists := map[string][]QuarantinedEval{}
 	for _, tc := range fidelityCases {
 		t.Run(tc.name, func(t *testing.T) {
-			nest := transpose(32)
 			opt := testOpt(7)
-			opt.Fidelity = tc.fidelity
-			opt.Workers = tc.workers
 			opt.FailurePolicy = FailQuarantine
 			var cap telemetry.Capture
 			opt.Observer = &cap
-			res, err := OptimizeTiling(faultCtx(t, "eval.panic:after=3,times=1"), nest, opt)
+			res, err := tc.run(t, opt, "eval.panic:after=3,times=1")
 			if err != nil {
 				t.Fatalf("quarantine run failed: %v", err)
 			}
-			if len(res.Tile) != 2 {
-				t.Fatalf("degraded run has no tile: %+v", res)
-			}
-			if len(res.Quarantined) != 1 {
-				t.Fatalf("quarantined = %v, want exactly one entry", res.Quarantined)
-			}
-			q := res.Quarantined[0]
-			if q.Phase != "tiling" || !strings.Contains(q.Reason, "panic") || len(q.Values) == 0 {
-				t.Fatalf("quarantine entry = %+v", q)
-			}
+			checkDegraded(t, tc, res, "panic", lists)
+			q := res.quarantined[0]
 			events := 0
 			for _, e := range cap.Events() {
 				if qe, ok := e.(telemetry.EvaluationQuarantined); ok {
 					events++
-					if qe.Search != "tiling" || qe.Reason != q.Reason {
+					if qe.Search != res.phase || qe.Reason != q.Reason {
 						t.Fatalf("event %+v does not match entry %+v", qe, q)
 					}
 				}
@@ -150,10 +217,7 @@ func TestQuarantineCheckpointsStayEncodable(t *testing.T) {
 func TestAbortPolicyFailsOnInjectedPanic(t *testing.T) {
 	for _, tc := range fidelityCases {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := testOpt(7)
-			opt.Fidelity = tc.fidelity
-			opt.Workers = tc.workers
-			res, err := OptimizeTiling(faultCtx(t, "eval.panic:after=3,times=1"), transpose(32), opt)
+			res, err := tc.run(t, testOpt(7), "eval.panic:after=3,times=1")
 			if err == nil {
 				t.Fatalf("abort policy swallowed the fault: %+v", res)
 			}
@@ -189,26 +253,20 @@ func TestPoliciesAgreeOnCleanRuns(t *testing.T) {
 // trips the StallTimeout watchdog; under FailQuarantine the search
 // degrades to best-so-far instead of hanging.
 func TestWatchdogQuarantinesStalledEvaluation(t *testing.T) {
+	lists := map[string][]QuarantinedEval{}
 	for _, tc := range fidelityCases {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := testOpt(7)
-			opt.Fidelity = tc.fidelity
-			opt.Workers = tc.workers
 			opt.FailurePolicy = FailQuarantine
 			// Far above a genuine evaluation's time under the race
 			// detector on a loaded host, so only the injected stall trips
 			// the watchdog.
 			opt.StallTimeout = 500 * time.Millisecond
-			res, err := OptimizeTiling(faultCtx(t, "eval.stall:after=5,times=1"), transpose(32), opt)
+			res, err := tc.run(t, opt, "eval.stall:after=5,times=1")
 			if err != nil {
 				t.Fatalf("stalled run did not degrade: %v", err)
 			}
-			if len(res.Quarantined) != 1 || !strings.Contains(res.Quarantined[0].Reason, "stalled") {
-				t.Fatalf("quarantined = %+v, want one stalled entry", res.Quarantined)
-			}
-			if len(res.Tile) != 2 {
-				t.Fatalf("degraded run has no tile: %+v", res)
-			}
+			checkDegraded(t, tc, res, "stalled", lists)
 		})
 	}
 }

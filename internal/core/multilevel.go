@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"repro/internal/cache"
-	"repro/internal/cme"
 	"repro/internal/evalcache"
 	"repro/internal/ga"
 	"repro/internal/ir"
@@ -62,7 +61,11 @@ func OptimizeTilingMultiLevel(ctx context.Context, nest *ir.Nest, levels []Level
 			return nil, badOption("levels", "level %d: non-positive miss penalty %v", i, l.MissPenalty)
 		}
 	}
-	opt.Cache = levels[0].Cache // evaluator's cfg is unused per-level below
+	if opt.Fidelity.Enabled() {
+		// The ladder cannot resume a sum over levels across sample prefixes.
+		return nil, badOption("Fidelity", "multi-fidelity evaluation is not supported by the multilevel search")
+	}
+	opt.Cache = levels[0].Cache // each level evaluates on a fork over its own cache
 	return runSearch(ctx, nest, opt, func(ev *evaluator) problem {
 		// The multi-level fitness depends on every level's geometry and
 		// penalty, not just the evaluator's level-0 geometry: widen the
@@ -78,23 +81,9 @@ func OptimizeTilingMultiLevel(ctx context.Context, nest *ir.Nest, levels []Level
 			spec:      ev.tileSpec(),
 			seeds:     tileSeeds(nest, ev.box, levels[0].Cache),
 			memoScope: scope,
-			// The per-level one-off analyzers cannot resume partial prefix
-			// evaluations across rungs, so this search refuses fidelity.
-			cost: func(ctx context.Context, e *evaluator, v []int64) (float64, error) {
-				space := iterspace.NewTiled(e.box, tileFromGenome(e.box, v))
-				var c float64
-				for _, l := range levels {
-					an, err := cme.NewAnalyzer(nest, space, l.Cache)
-					if err != nil {
-						return 0, err
-					}
-					st, err := e.evalFresh(ctx, an)
-					if err != nil {
-						return 0, err
-					}
-					c += l.MissPenalty * float64(st.Replacement)
-				}
-				return c, nil
+			levels:    levels,
+			decode: func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error) {
+				return nest, iterspace.NewTiled(e.box, tileFromGenome(e.box, v)), nil
 			},
 		}
 	}, func(s *search) (*MultiLevelResult, error) {
@@ -111,19 +100,12 @@ func OptimizeTilingMultiLevel(ctx context.Context, nest *ir.Nest, levels []Level
 		accesses := float64(len(ev.sample.Points) * len(nest.Refs))
 		fin := s.finalize()
 		for _, l := range levels {
-			anU, err := cme.NewAnalyzer(nest, ev.box, l.Cache)
+			f := ev.fork(ev.island, l.Cache)
+			before, err := f.untiled(fin, nest)
 			if err != nil {
 				return nil, err
 			}
-			anT, err := cme.NewAnalyzer(nest, space, l.Cache)
-			if err != nil {
-				return nil, err
-			}
-			before, err := ev.evalFresh(fin, anU)
-			if err != nil {
-				return nil, err
-			}
-			after, err := ev.evalFresh(fin, anT)
+			after, err := f.evalSpace(fin, nest, space)
 			if err != nil {
 				return nil, err
 			}
@@ -137,6 +119,47 @@ func OptimizeTilingMultiLevel(ctx context.Context, nest *ir.Nest, levels []Level
 		}
 		return out, nil
 	})
+}
+
+// levelBatch is a multi-level deme's ga.BatchEvaluator: one cohort per
+// cache level, each on its own fork's analyzer pool, classifies the
+// generation level by level, and Commit sums candidate i's penalty-weighted
+// replacement misses in level order.
+type levelBatch struct {
+	levels  []Level
+	cohorts []*cohort
+}
+
+// newLevelBatch builds a deme's level batch over forks of its evaluator
+// e, one per level's cache.
+func newLevelBatch(e *evaluator, levels []Level, newCohort func(*evaluator) *cohort) *levelBatch {
+	b := &levelBatch{levels: levels}
+	for _, l := range levels {
+		b.cohorts = append(b.cohorts, newCohort(e.fork(e.island, l.Cache)))
+	}
+	return b
+}
+
+// Evaluate implements ga.BatchEvaluator.
+func (b *levelBatch) Evaluate(ctx context.Context, values [][]int64) {
+	for _, c := range b.cohorts {
+		c.Evaluate(ctx, values)
+	}
+}
+
+// Commit implements ga.BatchEvaluator. A level that failed or was cut
+// short ends the commit with its own value: a quarantine or poison value
+// is never scaled, and the failure is handled once.
+func (b *levelBatch) Commit(i int) (float64, bool) {
+	var cost float64
+	for l, c := range b.cohorts {
+		v, cut := c.Commit(i)
+		if cut || c.jobs[i].err != nil {
+			return v, cut
+		}
+		cost += b.levels[l].MissPenalty * v
+	}
+	return cost, false
 }
 
 // BestInterchange evaluates every loop order of the nest under the shared
@@ -164,12 +187,7 @@ func BestInterchange(ctx context.Context, nest *ir.Nest, opt Options) (float64, 
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			space := iterspace.NewPermutedBox(ev.box, cur)
-			an, err := cme.NewAnalyzer(nest, space, ev.cfg)
-			if err != nil {
-				return err
-			}
-			st, err := ev.evalFresh(ctx, an)
+			st, err := ev.evalSpace(ctx, nest, iterspace.NewPermutedBox(ev.box, cur))
 			if err != nil {
 				return err
 			}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ga"
 	"repro/internal/ir"
+	"repro/internal/iterspace"
 	"repro/internal/kernels"
 	"repro/internal/telemetry"
 )
@@ -138,8 +139,8 @@ func (c *cancelAtGen) Event(e telemetry.Event) {
 func (c *cancelAtGen) Add(telemetry.Counters) {}
 
 // TestWorkerPanicIsError: a corrupted sample point makes an evaluation
-// worker panic; the panic must surface as an error from the evaluation (and
-// hence the search), never crash the process or hang the WaitGroup.
+// panic; the panic must surface as an error from the evaluation (and
+// hence the search), never crash the process.
 func TestWorkerPanicIsError(t *testing.T) {
 	nest := transpose(64)
 	opt := testOpt(5).withDefaults()
@@ -147,8 +148,8 @@ func TestWorkerPanicIsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A too-short point makes exactly one worker's shard panic on index;
-	// the others must drain and the panic must come back as an error.
+	// A too-short point mid-sample panics on index; the panic must come
+	// back as an error.
 	ev.sample.Points[len(ev.sample.Points)/2] = []int64{}
 	_, err = ev.tiled(context.Background(), nest, []int64{16, 16})
 	if err == nil {
@@ -273,12 +274,13 @@ func TestCheckpointResumeBitForBit(t *testing.T) {
 
 // TestWorkerCountInvariant: the Workers knob changes only how fast a
 // search runs, never what it finds. A generation's candidates are
-// classified concurrently, one per analyzer, and committed in batch
-// order, and a lone evaluation sums the same per-point outcomes whatever
-// the fan-out, so searches differing only in worker count must match
-// result for result and checkpoint for checkpoint. The padding-then-tiling
-// case rebuilds one worker's analyzer per padded candidate; the budget
-// case halts in the middle of generation 1.
+// classified concurrently, each whole on one analyzer, and committed in
+// batch order, and a lone evaluation classifies on pool[0] alone, so
+// searches differing only in worker count must match result for result
+// and checkpoint for checkpoint. The padding-then-tiling case rebuilds one
+// worker's analyzer per padded candidate; the budget case halts in the
+// middle of generation 1; the multi-level case runs one cohort per cache
+// level and sums each candidate's levels at its commit.
 func TestWorkerCountInvariant(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -298,6 +300,9 @@ func TestWorkerCountInvariant(t *testing.T) {
 				t.Fatalf("budget run stopped %v after %d evaluations, want budget after 41", res.Stopped, res.GA.Evaluations)
 			}
 			return res, err
+		}},
+		{"multilevel", func(o *Options) { o.SamplePoints = 64 }, func(o Options) (any, error) {
+			return OptimizeTilingMultiLevel(ctx, transpose(64), twoLevels(), o)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -332,6 +337,53 @@ func TestWorkerCountInvariant(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLoneEvaluationBindsOneAnalyzer: a lone evaluation classifies its
+// whole sample on pool[0], leaving the other workers' slots empty, and
+// reports one pool miss. A cohort after it fills the empty slots from
+// pool[0] without a miss, so its pool counters match one worker's.
+func TestLoneEvaluationBindsOneAnalyzer(t *testing.T) {
+	nest := transpose(64)
+	var counters []telemetry.Counters
+	for _, workers := range []int{1, 4} {
+		var cap telemetry.Capture
+		opt := testOpt(5)
+		opt.Workers, opt.Observer = workers, &cap
+		ev, err := newEvaluator(nest, opt.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ev.tiled(context.Background(), nest, []int64{8, 8}); err != nil {
+			t.Fatal(err)
+		}
+		if ev.pool[0] == nil {
+			t.Fatalf("workers=%d: the lone evaluation left pool[0] empty", workers)
+		}
+		for w, an := range ev.pool[1:] {
+			if an != nil {
+				t.Fatalf("workers=%d: the lone evaluation bound pool[%d]", workers, w+1)
+			}
+		}
+		if got := cap.Counters(); got.PoolHits != 0 || got.PoolMisses != 1 {
+			t.Fatalf("workers=%d: lone evaluation counted %d pool hits and %d misses, want 0 and 1", workers, got.PoolHits, got.PoolMisses)
+		}
+		c := &cohort{ev: ev, guard: opt.newGuard(), label: "tiling",
+			decode: func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error) {
+				return nest, iterspace.NewTiled(e.box, v), nil
+			}}
+		tiles := [][]int64{{4, 4}, {16, 8}, {2, 32}, {64, 1}, {5, 7}}
+		c.Evaluate(context.Background(), tiles)
+		for i := range tiles {
+			if v, _ := c.Commit(i); v >= ga.QuarantineValue {
+				t.Fatalf("workers=%d: candidate %v failed", workers, tiles[i])
+			}
+		}
+		counters = append(counters, cap.Counters())
+	}
+	if counters[0].PoolHits != counters[1].PoolHits || counters[0].PoolMisses != counters[1].PoolMisses {
+		t.Fatalf("pool counters differ across worker counts: %+v vs %+v", counters[0], counters[1])
 	}
 }
 

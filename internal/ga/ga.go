@@ -189,19 +189,16 @@ type Config struct {
 	// incompatible with SharedMemo (pruned candidates record
 	// cohort-dependent scaled fitness a cross-run tier must never serve).
 	// With the ladder on, MaxEvaluations is accounted in sample points:
-	// the budget is MaxEvaluations × FidelityEval.Points() points
+	// the budget is MaxEvaluations × the evaluator's Points() points
 	// classified, so the knob keeps its full-fidelity meaning
 	// proportionally.
 	Fidelity Fidelity
-	// FidelityEval opens partial evaluations when Fidelity is enabled;
-	// obj is then unused by the run.
-	FidelityEval FidelityEvaluator
-	// IslandFidelityEval, like IslandObjective, supplies island i's
-	// fidelity evaluator (0-based index) so demes evaluate concurrently.
-	// The evaluators MUST compute identical values for identical inputs.
-	// When nil, every island shares FidelityEval, which must then be safe
-	// for concurrent use.
-	IslandFidelityEval func(island int) FidelityEvaluator
+	// FidelityEval supplies deme i's fidelity evaluator (0-based, like
+	// Batch), which opens its partial evaluations when Fidelity is
+	// enabled; obj is then unused by the run. Separate evaluators let
+	// demes evaluate concurrently, and must compute identical values for
+	// identical inputs.
+	FidelityEval func(deme int) FidelityEvaluator
 
 	// SharedMemo, when non-nil, is a second memo tier behind the run's
 	// own memo table: finished objective values shared across runs (and
@@ -512,9 +509,9 @@ type deme struct {
 }
 
 // newDeme builds deme i of a run. A lone deme draws from the run's own
-// (Seed1, Seed2) stream and evaluates with FidelityEval; island demes take
-// islandSeeds and the per-island fidelity evaluator. Every deme takes its
-// own batch evaluator.
+// (Seed1, Seed2) stream; island demes take islandSeeds. Every deme takes
+// its own batch evaluator and, with fidelity on, its own fidelity
+// evaluator.
 func newDeme(spec Spec, obj Objective, cfg Config, i, size, budget int, start time.Time) (*deme, error) {
 	d := &deme{
 		idx: i, spec: spec, cfg: cfg, size: size,
@@ -540,13 +537,10 @@ func newDeme(spec Spec, obj Objective, cfg Config, i, size, budget int, start ti
 		}
 	}
 	if cfg.Fidelity.Enabled() {
-		fe := cfg.FidelityEval
-		if cfg.Islands > 1 && cfg.IslandFidelityEval != nil {
-			fe = cfg.IslandFidelityEval(i)
-		}
-		if fe == nil {
+		if cfg.FidelityEval == nil {
 			return nil, fmt.Errorf("ga: fidelity enabled but no FidelityEval supplied")
 		}
+		fe := cfg.FidelityEval(i)
 		npts := fe.Points()
 		if npts <= 0 {
 			return nil, fmt.Errorf("ga: fidelity evaluator reports %d sample points", npts)

@@ -19,9 +19,13 @@ import (
 // fakeFidelity is a deterministic FidelityEvaluator over an n-point
 // "sample": point i of a candidate costs |v[i mod len(v)] - 17| plus a
 // small position-dependent term, so coarse prefixes rank candidates
-// roughly like the full sample does. It holds no mutable state, so demes
-// may share it.
+// roughly like the full sample does.
 type fakeFidelity struct{ n int }
+
+// fakeFidelities gives every deme its own fakeFidelity over n points.
+func fakeFidelities(n int) func(int) FidelityEvaluator {
+	return func(int) FidelityEvaluator { return fakeFidelity{n: n} }
+}
 
 func (f fakeFidelity) Points() int { return f.n }
 
@@ -97,13 +101,13 @@ var goldenConfigs = []struct {
 	{"fidelity3", func() Config {
 		c := PaperConfig(42)
 		c.Fidelity = Fidelity{Rungs: 3}
-		c.FidelityEval = fakeFidelity{n: 24}
+		c.FidelityEval = fakeFidelities(24)
 		return c
 	}},
 	{"fidelity3-budget45", func() Config {
 		c := PaperConfig(42)
 		c.Fidelity = Fidelity{Rungs: 3}
-		c.FidelityEval = fakeFidelity{n: 24}
+		c.FidelityEval = fakeFidelities(24)
 		c.MaxEvaluations = 45
 		return c
 	}},

@@ -43,12 +43,11 @@ func TestEvaluateObservedRungTagsBatch(t *testing.T) {
 	s := Draw(box, 64, rand.New(rand.NewPCG(1, 2)))
 
 	var cap telemetry.Capture
-	ans := []*cme.Analyzer{an}
-	tagged, err := s.EvaluateObserved(context.Background(), ans, &cap, 2, 3)
+	tagged, err := s.EvaluateObserved(context.Background(), an, &cap, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic, err := s.EvaluateObserved(context.Background(), ans, &cap, 2, 0)
+	classic, err := s.EvaluateObserved(context.Background(), an, &cap, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -253,12 +253,12 @@ func (s *Sample) Evaluate(an *cme.Analyzer) cachesim.Stats {
 
 // EvaluateWith is Evaluate fanned out over the caller's analyzers (all
 // observing the same nest, space and cache), one goroutine per analyzer,
-// each classifying a contiguous slice of the sample; it is the package's
-// one parallel evaluation path. The counts are sums over the same points,
-// so the result equals Evaluate at every analyzer count and parallelism
-// never perturbs a search result. A single analyzer, or a sample under 64
-// points, is classified serially on ans[0]. Callers that Rebind and reuse
-// a fixed analyzer pool across candidates pay no per-call Clone.
+// each classifying a contiguous slice of the sample. The counts are sums
+// over the same points, so the result equals Evaluate at every analyzer
+// count. A single analyzer, or a sample under 64 points, is classified
+// serially on ans[0]. The searches never split a candidate's points
+// (they call EvaluateObserved, one analyzer per evaluation); cmereport
+// and the benchmark's layer replay do.
 //
 // It honours ctx cancellation between points and converts a panic in any
 // worker into an error instead of crashing the process. Every worker
@@ -271,18 +271,68 @@ func (s *Sample) Evaluate(an *cme.Analyzer) cachesim.Stats {
 // consulted once at entry, before any worker starts: each evaluation
 // draws one eval.stall and one eval.panic hit (DrawEntryFaults) and
 // carries them out here, in the serial section, so their hit counts equal
-// the number of evaluation batches regardless of the worker count — which
-// batch a scripted fault lands on is deterministic. Any panic, injected
-// or genuine, surfaces as an error, never a crash.
-func (s *Sample) EvaluateWith(ctx context.Context, ans []*cme.Analyzer) (cachesim.Stats, error) {
-	return s.evaluateWith(ctx, ans, 0)
+// the number of evaluations regardless of the worker count. Any panic,
+// injected or genuine, surfaces as an error, never a crash.
+func (s *Sample) EvaluateWith(ctx context.Context, ans []*cme.Analyzer) (st cachesim.Stats, err error) {
+	if len(ans) == 0 {
+		return cachesim.Stats{}, fmt.Errorf("sampling: EvaluateWith needs at least one analyzer")
+	}
+	ctx, err = enter(ctx)
+	if err != nil {
+		return cachesim.Stats{}, err
+	}
+	n := len(s.Points)
+	workers := min(len(ans), n)
+	labels := profileLabels.Load()
+	if workers < 2 || n < 64 {
+		err = classifyLabelled(ctx, labels, 0, ans[0], s.Points, &st)
+		return st, err
+	}
+	partial := make([]cachesim.Stats, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	chunk := (n + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		lo := w * chunk
+		hi := min(lo+chunk, n)
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			errs[w] = classifyLabelled(ctx, labels, 0, ans[w], s.Points[lo:hi], &partial[w])
+		}(w, lo, hi)
+	}
+	wg.Wait()
+	for _, ps := range partial {
+		st.Add(ps)
+	}
+	for _, err := range errs {
+		if err != nil {
+			return st, err
+		}
+	}
+	// Every worker finished its slice: the result is complete and valid
+	// even if ctx expired after the last point was classified.
+	return st, nil
+}
+
+// enter is an evaluation's serial entry section: it defaults a nil ctx
+// and carries out the entry faults the plan ctx carries.
+func enter(ctx context.Context) (context.Context, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return ctx, DrawEntryFaults(ctx).Run(ctx)
 }
 
 // EntryFaults are one evaluation's drawn entry hits: eval.stall, then
-// eval.panic. EvaluateWith draws and runs its own. A caller evaluating
-// several candidates concurrently draws each candidate's hits in a fixed
-// order with DrawEntryFaults, runs them where that candidate is evaluated,
-// and evaluates under faultinject.Without so no hit is drawn twice.
+// eval.panic. EvaluateWith and EvaluateObserved draw and run their own. A
+// caller evaluating several candidates concurrently draws each
+// candidate's hits in a fixed order with DrawEntryFaults, runs them where
+// that candidate is evaluated, and evaluates under faultinject.Without so
+// no hit is drawn twice.
 type EntryFaults struct{ stall, panic *faultinject.Hit }
 
 // DrawEntryFaults draws one evaluation's entry hits from the plan ctx
@@ -312,128 +362,35 @@ func (f EntryFaults) Run(ctx context.Context) (err error) {
 	return f.panic.Do(ctx)
 }
 
-// evalScratch is one parallel evaluation's per-worker result arrays,
-// pooled so the multi-worker path stays near-zero-alloc across the
-// thousands of batches a search runs.
-type evalScratch struct {
-	partial []cachesim.Stats
-	errs    []error
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
-
-// take sizes the scratch for n workers, zeroing reused entries.
-func (sc *evalScratch) take(n int) {
-	if cap(sc.partial) < n {
-		sc.partial = make([]cachesim.Stats, n)
-		sc.errs = make([]error, n)
-		return
-	}
-	sc.partial = sc.partial[:n]
-	sc.errs = sc.errs[:n]
-	for i := range sc.partial {
-		sc.partial[i] = cachesim.Stats{}
-		sc.errs[i] = nil
-	}
-}
-
-// evaluateWith is the core of EvaluateWith; rung (1-based, 0 = a
-// full-fidelity evaluation) tags the workers' pprof labels so profiles
-// attribute time per fidelity rung.
-func (s *Sample) evaluateWith(ctx context.Context, ans []*cme.Analyzer, rung int) (st cachesim.Stats, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if len(ans) == 0 {
-		return cachesim.Stats{}, fmt.Errorf("sampling: EvaluateWith needs at least one analyzer")
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			st, err = cachesim.Stats{}, fmt.Errorf("sampling: evaluation panic: %v", r)
-		}
-	}()
-	if ferr := DrawEntryFaults(ctx).Run(ctx); ferr != nil {
-		return cachesim.Stats{}, ferr
-	}
-	n := len(s.Points)
-	workers := len(ans)
-	if workers > n {
-		workers = n
-	}
-	labels := profileLabels.Load()
-	if workers < 2 || n < 64 {
-		err = classifyLabelled(ctx, labels, rung, ans[0], s.Points, &st)
-		return st, err
-	}
-	sc := scratchPool.Get().(*evalScratch)
-	sc.take(workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			sc.errs[w] = classifyLabelled(ctx, labels, rung, ans[w], s.Points[lo:hi], &sc.partial[w])
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, ps := range sc.partial {
-		st.Add(ps)
-	}
-	err = nil
-	for _, werr := range sc.errs {
-		if werr != nil {
-			err = werr
-			break
-		}
-	}
-	// Every worker has drained (wg.Wait above), so the scratch can be
-	// recycled; a panic path simply drops it.
-	scratchPool.Put(sc)
-	if err != nil {
-		return st, err
-	}
-	// Every worker finished its slice: the result is complete and valid
-	// even if ctx expired after the last point was classified.
-	return st, nil
-}
-
-// EvaluateObserved is EvaluateWith plus telemetry: on success it emits one
+// EvaluateObserved classifies the whole sample view serially on one
+// analyzer, the searches' unit of evaluation, and on success emits one
 // EvaluationBatch event and the matching counter deltas (sampled points,
 // walk steps, classified accesses, cap hits) to obs. The walk accounting
-// is computed as before/after deltas over the supplied analyzers, so it is
-// correct even when the caller Rebinds pooled analyzers (which zeroes
-// their counters) between batches. A nil obs is exactly EvaluateWith —
-// the hot path pays only a nil check. Failed or cancelled evaluations
-// record nothing: their partial counts are discarded by the caller too.
+// is a before/after delta over the analyzer, so it is correct even when
+// the caller Rebinds a pooled analyzer (which zeroes its counters)
+// between batches. A nil obs records nothing. Failed or cancelled
+// evaluations record nothing either: their partial counts are discarded
+// by the caller too. Entry faults, cancellation and panics behave as in
+// EvaluateWith.
 //
 // The batch is tagged with its 1-based island index (0 = single
 // population), so a stream consumer can attribute evaluation work per
 // deme, and with its 1-based fidelity rung (0 = full-fidelity
-// evaluation), which also labels the workers' pprof samples. The emitted
-// batch covers exactly this sample view's points — for a ladder
-// extension, the newly classified range, not the cumulative prefix.
-func (s *Sample) EvaluateObserved(ctx context.Context, ans []*cme.Analyzer, obs telemetry.Recorder, island, rung int) (cachesim.Stats, error) {
-	if obs == nil {
-		return s.evaluateWith(ctx, ans, rung)
+// evaluation), which also labels the pprof samples. The emitted batch
+// covers exactly this sample view's points — for a ladder extension, the
+// newly classified range, not the cumulative prefix.
+func (s *Sample) EvaluateObserved(ctx context.Context, an *cme.Analyzer, obs telemetry.Recorder, island, rung int) (st cachesim.Stats, err error) {
+	if ctx, err = enter(ctx); err != nil {
+		return cachesim.Stats{}, err
 	}
-	before := make([]cme.WalkCounts, len(ans))
-	for i, an := range ans {
-		before[i] = an.WalkCounts()
-	}
-	st, err := s.evaluateWith(ctx, ans, rung)
-	if err != nil {
+	before := an.WalkCounts()
+	if err := classifyLabelled(ctx, profileLabels.Load(), rung, an, s.Points, &st); err != nil {
 		return st, err
 	}
-	var wc cme.WalkCounts
-	for i, an := range ans {
-		wc = wc.Plus(an.WalkCounts().Sub(before[i]))
+	if obs == nil {
+		return st, nil
 	}
+	wc := an.WalkCounts().Sub(before)
 	obs.Event(telemetry.EvaluationBatch{
 		Island:      island,
 		Points:      len(s.Points),

@@ -46,9 +46,9 @@ type TileRequest struct {
 	// an error: the best-so-far tile is returned, tagged stopped=deadline.
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 	// Workers bounds the search's evaluation goroutines (0 = server
-	// default): a generation's candidates spread one per analyzer, and a
-	// lone evaluation splits its sample points. Never changes the result,
-	// so it is excluded from the result-cache key.
+	// default): a generation's candidates spread one per analyzer, each
+	// classified whole on it. Never changes the result, so it is excluded
+	// from the result-cache key.
 	Workers int `json:"workers,omitempty"`
 	// Islands splits the GA population into concurrently evolving demes
 	// with elite migration (0 = the server default, 1 = single

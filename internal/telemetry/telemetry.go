@@ -424,8 +424,9 @@ func (SearchStop) Kind() Kind { return KindSearchStop }
 
 // Counters are the monotonic work counters of a search, delivered to
 // Recorder.Add as deltas; a sink owns the accumulation. All fields are
-// invariant under the evaluation worker count: parallel workers split the
-// same points, so the sums match a serial run exactly.
+// invariant under the evaluation worker count: each candidate is
+// classified whole on one analyzer and committed in batch order, so the
+// sums match a serial run exactly.
 type Counters struct {
 	// Evaluations counts distinct objective evaluations (GA memo misses).
 	Evaluations uint64

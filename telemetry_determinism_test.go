@@ -121,20 +121,32 @@ func checkStreamSchema(t *testing.T, stream []byte) {
 // search_start's workers field tells the streams apart. The padded nests
 // of a padding-then-tiling search rebuild one worker's analyzer per
 // candidate; with a shared cache, a candidate whose tile an earlier one
-// of its generation already scored recalls that one's statistics.
+// of its generation already scored recalls that one's statistics; the
+// multi-level search classifies each generation on one cohort per cache
+// level and commits each candidate's levels in order.
 func TestJSONLStreamWorkerInvariantCounters(t *testing.T) {
 	workersField := regexp.MustCompile(`"workers":\d+`)
+	levels := []cmetiling.Level{
+		{Cache: cmetiling.DM8K, MissPenalty: 10},
+		{Cache: cmetiling.DM32K, MissPenalty: 100},
+	}
 	for _, tc := range []struct {
-		kernel  string
-		size    int64
-		padTile bool
-		shared  bool
+		kernel     string
+		size       int64
+		padTile    bool
+		shared     bool
+		multiLevel bool
 	}{
-		{"MM", 40, false, false},
-		{"ADD", 0, true, false},
-		{"MM", 40, false, true},
+		{"MM", 40, false, false, false},
+		{"ADD", 0, true, false, false},
+		{"MM", 40, false, true, false},
+		{"MM", 40, false, false, true},
 	} {
-		t.Run(fmt.Sprintf("%s_%d_shared=%v", tc.kernel, tc.size, tc.shared), func(t *testing.T) {
+		name := fmt.Sprintf("%s_%d_shared=%v", tc.kernel, tc.size, tc.shared)
+		if tc.multiLevel {
+			name += "_multilevel"
+		}
+		t.Run(name, func(t *testing.T) {
 			stream := func(workers int) []byte {
 				k, _ := cmetiling.GetKernel(tc.kernel)
 				nest, err := k.Instance(tc.size)
@@ -150,9 +162,12 @@ func TestJSONLStreamWorkerInvariantCounters(t *testing.T) {
 				if tc.shared {
 					opt.SharedCache = cmetiling.NewEvalCache(cmetiling.EvalCacheConfig{})
 				}
-				if tc.padTile {
+				switch {
+				case tc.multiLevel:
+					_, err = cmetiling.OptimizeTilingMultiLevel(context.Background(), nest, levels, opt)
+				case tc.padTile:
 					_, err = cmetiling.OptimizePaddingThenTiling(context.Background(), nest, opt)
-				} else {
+				default:
 					_, err = cmetiling.OptimizeTiling(context.Background(), nest, opt)
 				}
 				if err != nil {
