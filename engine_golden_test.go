@@ -21,7 +21,10 @@ import (
 // five GA searches were folded into one search skeleton; the catalog/*
 // entries before the point solver took its innermost-run fast step; the
 // */workers4* entries while every evaluation still split its sample
-// points across the workers.
+// points across the workers. The multilevel/* entries at Islands <= 1
+// were re-recorded when that search moved onto per-level analyzer pools
+// and began counting pool hits and misses; only their counters line
+// changed.
 var facadeGoldenDigests = map[string]string{
 	"catalog/ADD":                  "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
 	"catalog/ADI":                  "1ad9b16a460d396a7281041159e45fe3ad6ea06115eb2610e5b16a6c247b9638",
@@ -49,13 +52,13 @@ var facadeGoldenDigests = map[string]string{
 	"joint/sharedcache":            "6dd540dc4453f60cee876bf740bf8aa2c6df47feed3d156575a475a4e8923088",
 	"joint/workers4":               "e899d47ebe7282411c98cf457aa76b1a533c17332cc234b55fda54d53f989682",
 	"joint/workers4-budget41":      "f36426d4a2ca53c770e32788aa39b86a11ddd479ca6ac11cd20a3fcb286f0384",
-	"multilevel/base":              "a23b5656d3fdf1039fdeeb3f8f4ec7cca5b5cf9c8ad7ac2b91e8446a845b068a",
-	"multilevel/budget41":          "516b2a3e6ef675925c4be9be463665c934045e9c9d6ccc6606181404467c856a",
-	"multilevel/islands1":          "a23b5656d3fdf1039fdeeb3f8f4ec7cca5b5cf9c8ad7ac2b91e8446a845b068a",
+	"multilevel/base":              "44e3026d07acbba1c05db86acf58e8c48cc343bf1996b91603423db96784c56f",
+	"multilevel/budget41":          "bcffd4d7d340ab409236343c8de9953647b04bf006c01b232d78e90558607c52",
+	"multilevel/islands1":          "44e3026d07acbba1c05db86acf58e8c48cc343bf1996b91603423db96784c56f",
 	"multilevel/islands2":          "4bcb13e85422960b961926bc9de51541f3bc0c06acbdb8a19dfbdeeacc5bfc09",
-	"multilevel/sharedcache":       "a23b5656d3fdf1039fdeeb3f8f4ec7cca5b5cf9c8ad7ac2b91e8446a845b068a",
-	"multilevel/workers4":          "e07628df5608af998e5f8d967c4106373c401f9fb2fd249e581f04ecf1bfd196",
-	"multilevel/workers4-budget41": "5b3ea2162e656c90a8c638db32f2c1af26ab73645a939b9188e727e4c9c31e4d",
+	"multilevel/sharedcache":       "44e3026d07acbba1c05db86acf58e8c48cc343bf1996b91603423db96784c56f",
+	"multilevel/workers4":          "55362f44e2611d26187b1ae74324947d2acc415b24cda06df19ad5e404092ada",
+	"multilevel/workers4-budget41": "562eefddd5a41dac6734668d7fa8c3b2e99d36a9a3c37eff8e4fe97f5d373822",
 	"order/base":                   "690d42195c7ff27f9d52f02ec4a03cda485e7c80404bd17b74e1af5caaa2baab",
 	"order/budget41":               "0e5a2494e2993a417a9f9d1cf48050d83e3e5afcb461ca99eb2a237a675ba035",
 	"order/fidelity3":              "ae3581f17b2bd5de7124fa3656dee20a079afcda38cc4c472fcbbd27bff8e992",
