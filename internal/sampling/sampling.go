@@ -277,6 +277,7 @@ func (s *Sample) EvaluateWith(ctx context.Context, ans []*cme.Analyzer) (st cach
 	if len(ans) == 0 {
 		return cachesim.Stats{}, fmt.Errorf("sampling: EvaluateWith needs at least one analyzer")
 	}
+	defer recovered(&st, &err)
 	ctx, err = enter(ctx)
 	if err != nil {
 		return cachesim.Stats{}, err
@@ -325,6 +326,14 @@ func enter(ctx context.Context) (context.Context, error) {
 		ctx = context.Background()
 	}
 	return ctx, DrawEntryFaults(ctx).Run(ctx)
+}
+
+// recovered, deferred by an evaluation, turns a panic on the calling
+// goroutine into the evaluation's error.
+func recovered(st *cachesim.Stats, err *error) {
+	if r := recover(); r != nil {
+		*st, *err = cachesim.Stats{}, fmt.Errorf("sampling: evaluation panic: %v", r)
+	}
 }
 
 // EntryFaults are one evaluation's drawn entry hits: eval.stall, then
@@ -380,6 +389,7 @@ func (f EntryFaults) Run(ctx context.Context) (err error) {
 // covers exactly this sample view's points — for a ladder extension, the
 // newly classified range, not the cumulative prefix.
 func (s *Sample) EvaluateObserved(ctx context.Context, an *cme.Analyzer, obs telemetry.Recorder, island, rung int) (st cachesim.Stats, err error) {
+	defer recovered(&st, &err)
 	if ctx, err = enter(ctx); err != nil {
 		return cachesim.Stats{}, err
 	}
