@@ -21,10 +21,11 @@ import (
 // five GA searches were folded into one search skeleton; the catalog/*
 // entries before the point solver took its innermost-run fast step; the
 // */workers4* entries while every evaluation still split its sample
-// points across the workers. The multilevel/* entries at Islands <= 1
-// were re-recorded when that search moved onto per-level analyzer pools
-// and began counting pool hits and misses; only their counters line
-// changed.
+// points across the workers; the */fidelity3-workers4 entries while
+// every fidelity rung still ran on one analyzer. The multilevel/* entries
+// at Islands <= 1 were re-recorded when that search moved onto per-level
+// analyzer pools and began counting pool hits and misses; only their
+// counters line changed.
 var facadeGoldenDigests = map[string]string{
 	"catalog/ADD":                  "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
 	"catalog/ADI":                  "1ad9b16a460d396a7281041159e45fe3ad6ea06115eb2610e5b16a6c247b9638",
@@ -47,6 +48,7 @@ var facadeGoldenDigests = map[string]string{
 	"joint/budget41":               "b478cae87c2d01140246522a3c09510219fc05ea7831c25774c6a50ffbfab5ee",
 	"joint/fidelity3":              "4414545f01e7664123bb8e344c359ec4bb2f987e933ba3275ccb3be12f8ea942",
 	"joint/fidelity3-islands2":     "64d91efcb498b666fd25b9530e9a282eac3b92c2fbdad6bc3347f9b2e158398f",
+	"joint/fidelity3-workers4":     "26f5034cbacea3588ba24ac31839418ac345c5e1c05e941f0bb90feed39ed195",
 	"joint/islands1":               "6dd540dc4453f60cee876bf740bf8aa2c6df47feed3d156575a475a4e8923088",
 	"joint/islands2":               "cbc94145b170b2ddfe01b0b138c88248b2db16609ed7b4ac43260317111449cb",
 	"joint/sharedcache":            "6dd540dc4453f60cee876bf740bf8aa2c6df47feed3d156575a475a4e8923088",
@@ -63,6 +65,7 @@ var facadeGoldenDigests = map[string]string{
 	"order/budget41":               "0e5a2494e2993a417a9f9d1cf48050d83e3e5afcb461ca99eb2a237a675ba035",
 	"order/fidelity3":              "ae3581f17b2bd5de7124fa3656dee20a079afcda38cc4c472fcbbd27bff8e992",
 	"order/fidelity3-islands2":     "39b803112b85a0a7cff1cc89bc502963d85da4c0ca76f5f7cab2199dc6bd2884",
+	"order/fidelity3-workers4":     "c786fd85199425c80463aba444f0cc4f4822929aa201483b4d2cc975e4b5149f",
 	"order/islands1":               "690d42195c7ff27f9d52f02ec4a03cda485e7c80404bd17b74e1af5caaa2baab",
 	"order/islands2":               "500e0231cc915afca5fa48e8e6e00698feadbc98c76783fc095ae34f635f8fe5",
 	"order/sharedcache":            "ad7294b0b346364baa6a59cc2a7c83901afef6f033c8bf4ca3f2d70cde11065a",
@@ -72,6 +75,7 @@ var facadeGoldenDigests = map[string]string{
 	"padding/budget41":             "557f7ca092f0e201314e0fe7dbeb40ca6993e4d24b4f62cf34978d80e66d2b21",
 	"padding/fidelity3":            "4d84f0f745ad7ef76f29eda622ba99923d415ebc56951eadbeb1fd10f0f0236e",
 	"padding/fidelity3-islands2":   "7f01ad55f112ea18ff5fbbc2424d415aad08e61756f8d80ce8562872927403d8",
+	"padding/fidelity3-workers4":   "f71ab4498f8c6572f85c7428138c7fda0a674711865b0c7ee3ae1b88d820fb4c",
 	"padding/islands1":             "fbca6ca4484afcaaf5e3264a30319df096c2c792ff432f913df162262d59e477",
 	"padding/islands2":             "e356da70657aa1a0cd0ffc5dbe353120d6e98125a2eb1b7b3651c9bce4047858",
 	"padding/sharedcache":          "fbca6ca4484afcaaf5e3264a30319df096c2c792ff432f913df162262d59e477",
@@ -81,6 +85,7 @@ var facadeGoldenDigests = map[string]string{
 	"padtile/budget41":             "8e9aae0e0beaea487480f07632e409f99a9cc3ca81ca7c98031157f708741664",
 	"padtile/fidelity3":            "1c3c72e06e0c173a2579cb56802ce39b18eb2ca51991875a55d700a23e4d910f",
 	"padtile/fidelity3-islands2":   "69599107b2c2529858b63ddf3e42f94279ee7471b7016a1c4b8d6082c8168e55",
+	"padtile/fidelity3-workers4":   "c5ac073c2b9bf1bddd01dbf5be59ac8269a3244b37b78c8cc53b07c384cbfaff",
 	"padtile/islands1":             "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
 	"padtile/islands2":             "885d7c2dea78a009e890902156dfa3cb5a99647d513e43faef2a07ab97b4f2ae",
 	"padtile/sharedcache":          "05f7d08993f601222cb9cea05d8b05a0386297eec1e778b10e319371acd816d0",
@@ -90,6 +95,7 @@ var facadeGoldenDigests = map[string]string{
 	"tiling/budget41":              "94fb06269c2a35459c3afc6dad50d5d10170922d32157447caa7bad64ae96842",
 	"tiling/fidelity3":             "fcb868673c4302edf294bd1c56e67e5920ec07034a176d6c3bd82adcc2fbbf3f",
 	"tiling/fidelity3-islands2":    "d898da01dd37e8ab0409e08d37e739ff9612c50b0383ce0277db1348e090f6dc",
+	"tiling/fidelity3-workers4":    "ba7a05842ccbb94e1e393d883ff3f531c90d2f6935cefc9732062d7e60decfcf",
 	"tiling/islands1":              "500690e83a959edc7e9a67a3bb6c9f88b550271c009740067e279c0a05a6e8dc",
 	"tiling/islands2":              "2dc1e1a16c348ba0cc7ed13e2d2fb33128fd2aab72df98aade02c62f8d6db2ea",
 	"tiling/sharedcache":           "f1b0bc75afdbdd49239701ecb7c208e8ca14b6018d5d2ac408114dd06c52507c",
@@ -109,7 +115,7 @@ func TestFacadeGolden(t *testing.T) {
 		t.Skip("digests are amd64-specific: other architectures may fuse a*x+b in the GA's fitness scaling")
 	}
 	if raceEnabled {
-		// The race detector slows the 69 searches to minutes and cannot
+		// The race detector slows the 74 searches to minutes and cannot
 		// change a value; the island suites cover the concurrent paths.
 		t.Skip("values are checked by the non-race run")
 	}
@@ -155,6 +161,10 @@ func TestFacadeGolden(t *testing.T) {
 		{"fidelity3-islands2", func(o *cmetiling.Options) {
 			o.Fidelity = cmetiling.Fidelity{Rungs: 3}
 			o.Islands = 2
+		}},
+		{"fidelity3-workers4", func(o *cmetiling.Options) {
+			o.Fidelity = cmetiling.Fidelity{Rungs: 3}
+			o.Workers = 4
 		}},
 		{"budget41", func(o *cmetiling.Options) { o.MaxEvaluations = 41 }},
 		{"sharedcache", func(o *cmetiling.Options) { o.SharedCache = cmetiling.NewEvalCache(cmetiling.EvalCacheConfig{}) }},
