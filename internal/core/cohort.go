@@ -9,6 +9,7 @@ import (
 	"repro/internal/cachesim"
 	"repro/internal/cme"
 	"repro/internal/faultinject"
+	"repro/internal/ga"
 	"repro/internal/ir"
 	"repro/internal/iterspace"
 	"repro/internal/sampling"
@@ -16,14 +17,14 @@ import (
 )
 
 // cohort is one deme's ga.BatchEvaluator: it classifies a generation's
-// fresh candidates concurrently, each whole on one analyzer of the
-// evaluator's pool (worker w owns pool[w]), and holds every outcome until
-// the deme commits it in batch order. Everything a candidate does outside
-// its own analyzer happens serially in batch order: decoding, the shared
-// stats tier and the fault-plan draws before the fan-out; telemetry,
-// failure handling and stats stores at its commit. So the results, the
-// event stream and the fault schedule are those of serial evaluation at
-// any worker count.
+// fresh candidates, or one fidelity rung's, concurrently over the rung's
+// sample range, each on one analyzer of the evaluator's pool (worker w
+// owns pool[w]), and holds every outcome until the deme commits it in
+// batch order. Everything a candidate does outside its own analyzer
+// happens serially in batch order: decoding, the shared stats tier and
+// the fault-plan draws before the fan-out; telemetry, failure handling
+// and stats stores at its commit. So the results, the event stream and
+// the fault schedule are those of serial evaluation at any worker count.
 type cohort struct {
 	ev     *evaluator
 	guard  *evalGuard
@@ -31,6 +32,7 @@ type cohort struct {
 	decode func(*evaluator, []int64) (*ir.Nest, iterspace.Space, error)
 
 	ctx  context.Context
+	rung ga.Rung // the sample range, resolved by evaluator.span
 	jobs []cohortJob
 	run  []int // indices of the jobs to classify, in batch order
 	next atomic.Int32
@@ -56,9 +58,9 @@ type cohortJob struct {
 }
 
 // Evaluate implements ga.BatchEvaluator.
-func (c *cohort) Evaluate(ctx context.Context, values [][]int64) {
+func (c *cohort) Evaluate(ctx context.Context, values [][]int64, r ga.Rung) {
 	e := c.ev
-	c.ctx = ctx
+	c.ctx, c.rung = ctx, e.span(r)
 	c.run = c.run[:0]
 	if cap(c.jobs) < len(values) {
 		c.jobs = make([]cohortJob, len(values))
@@ -71,7 +73,7 @@ func (c *cohort) Evaluate(ctx context.Context, values [][]int64) {
 		if j.nest, j.space, j.err = c.decodeSafe(v); j.err != nil {
 			continue
 		}
-		if j.key = e.statsKey(j.nest, j.space); j.key != "" {
+		if j.key = e.statsKey(j.nest, j.space, c.rung); j.key != "" {
 			if j.repeat = keys[j.key]; j.repeat {
 				continue
 			}
@@ -144,9 +146,10 @@ func (c *cohort) work(ctx context.Context, w int) {
 	}
 }
 
-// classify evaluates one job on pool[w]: rebound when it already analyses
-// the job's nest, rebuilt alone otherwise. The job's drawn entry faults
-// run inside the watchdog, and the evaluation itself fires no plan.
+// classify evaluates one job over the cohort's range on pool[w]: rebound
+// when it already analyses the job's nest, rebuilt alone otherwise. The
+// job's drawn entry faults run inside the watchdog, and the evaluation
+// itself fires no plan.
 func (c *cohort) classify(ctx context.Context, w int, j *cohortJob) (st cachesim.Stats, err error) {
 	e := c.ev
 	defer func() {
@@ -160,7 +163,7 @@ func (c *cohort) classify(ctx context.Context, w int, j *cohortJob) (st cachesim
 	}
 	rec := c.recorder(j)
 	countPool(rec, reused && !j.built)
-	faults := j.faults
+	faults, sub, rung := j.faults, e.sample.Range(c.rung.Lo, c.rung.Hi), c.rung.Index
 	// A truly hung evaluation still holds this worker's analyzer: drop it
 	// alone, so the worker's next job rebuilds one.
 	return e.watchedEval(ctx, rec, func() { e.pool[w] = nil },
@@ -168,7 +171,7 @@ func (c *cohort) classify(ctx context.Context, w int, j *cohortJob) (st cachesim
 			if err := faults.Run(ctx); err != nil {
 				return cachesim.Stats{}, err
 			}
-			return e.sample.EvaluateObserved(faultinject.Without(ctx), an, obs, e.island, 0)
+			return sub.EvaluateObserved(faultinject.Without(ctx), an, obs, e.island, rung)
 		})
 }
 
@@ -184,12 +187,13 @@ func (c *cohort) recorder(j *cohortJob) telemetry.Recorder {
 // Commit implements ga.BatchEvaluator: it replays job i's telemetry,
 // applies the failure policy and stores its statistics in the shared
 // tier. A repeat of an earlier job's stats key looks the key up again
-// now, as serial evaluation would, and is evaluated alone on a miss.
+// now, as serial evaluation would, and evaluates the same range alone on
+// a miss.
 func (c *cohort) Commit(i int) (float64, bool) {
 	e := c.ev
 	j := &c.jobs[i]
 	if j.repeat {
-		j.st, j.err = e.evalSpace(c.ctx, j.nest, j.space)
+		j.st, j.err = e.evalRange(c.ctx, j.nest, j.space, c.rung)
 		j.stored = true
 	}
 	if e.obs != nil {

@@ -62,26 +62,27 @@ type Options struct {
 	Seed uint64
 	// Workers bounds the evaluation goroutines of a search, one analyzer
 	// each (0 = DefaultWorkers, min(8, NumCPU)). A generation's fresh
-	// candidates spread one per analyzer (one pool per cache level in the
-	// multi-level search); a lone evaluation (finalisation, TileObjective,
-	// a fidelity rung) classifies on one analyzer. Every candidate is
-	// classified whole on one analyzer and committed in batch order, so the
-	// worker count never changes a search result or its event stream — only
-	// how fast it arrives.
+	// candidates, or a fidelity rung's, spread one per analyzer (one pool
+	// per cache level in the multi-level search); a lone evaluation
+	// (finalisation, TileObjective) classifies on one analyzer. Every
+	// candidate's sample range is classified on one analyzer and committed
+	// in batch order, so the worker count never changes a search result or
+	// its event stream — only how fast it arrives.
 	Workers int
 	// Fidelity enables deterministic multi-fidelity evaluation by
 	// successive halving: fresh candidates are scored on a coarse prefix
 	// of the fixed sample, ranked, the bottom fraction pruned at scaled
 	// fitness, and survivors promoted rung by rung — only finalists pay
 	// the full sample, and a promoted candidate evaluates only points it
-	// has not seen. The zero value (off) keeps every search byte-identical
-	// to earlier releases. With the ladder on, MaxEvaluations is charged
-	// in sample points (budget = MaxEvaluations × sample size), so the
-	// cap buys the same classification work either way. The ladder halves
-	// the cohort and doubles the sample prefix at each rung, with a
-	// 16-point floor on the coarsest prefix. Its pruned fitness never
-	// enters the shared fitness tier of SharedCache. The multi-level
-	// search refuses it.
+	// has not seen. Each rung's candidates are classified concurrently,
+	// like a generation's. The zero value (off) keeps every search
+	// byte-identical to earlier releases. With the ladder on,
+	// MaxEvaluations is charged in sample points (budget = MaxEvaluations
+	// × sample size), so the cap buys the same classification work either
+	// way. The ladder halves the cohort and doubles the sample prefix at
+	// each rung, with a 16-point floor on the coarsest prefix. Its pruned
+	// fitness never enters the shared fitness tier of SharedCache. The
+	// multi-level search refuses it.
 	Fidelity ga.Fidelity
 	// Islands splits the GA population into this many concurrently
 	// evolving demes, each sending its best individual to its ring
@@ -239,110 +240,6 @@ func (o Options) sharedScoped(ctx context.Context) Options {
 	return o
 }
 
-// fidelityEval implements ga.FidelityEvaluator over one search's fixed
-// sample: Open decodes a candidate into its (nest, space) pair lazily and
-// returns the partial evaluation that accumulates classified prefix
-// ranges across rungs.
-type fidelityEval struct {
-	ev     *evaluator
-	ctx    context.Context
-	guard  *evalGuard
-	label  string
-	decode func(*evaluator, []int64) (*ir.Nest, iterspace.Space, error)
-}
-
-// Points implements ga.FidelityEvaluator.
-func (f *fidelityEval) Points() int { return len(f.ev.sample.Points) }
-
-// Open implements ga.FidelityEvaluator.
-func (f *fidelityEval) Open(values []int64) ga.PartialEval {
-	return &partialEval{f: f, values: append([]int64(nil), values...)}
-}
-
-// partialEval is one candidate's resumable evaluation: classified
-// statistics accumulate over cumulative sample prefixes, so promotion to
-// a finer rung pays only for the unseen range and no point is classified
-// twice. Failures run through the search's evalGuard exactly like a
-// one-at-a-time evaluation — the failure fitness latches and every later
-// rung reports it unchanged.
-type partialEval struct {
-	f      *fidelityEval
-	values []int64
-
-	opened bool
-	nest   *ir.Nest
-	space  iterspace.Space
-	seen   int
-	st     cachesim.Stats
-
-	failed bool
-	failV  float64
-}
-
-// Score implements ga.PartialEval: extend the evaluation through the
-// first upTo sample points and return the raw objective over them.
-func (p *partialEval) Score(upTo, rung int) (score float64) {
-	if p.failed {
-		return p.failV
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			score = p.fail(fmt.Errorf("core: objective panic: %v", r))
-		}
-	}()
-	if !p.opened {
-		nest, space, err := p.f.decode(p.f.ev, p.values)
-		if err != nil {
-			return p.fail(err)
-		}
-		p.nest, p.space = nest, space
-		p.opened = true
-	}
-	if upTo > p.seen {
-		e := p.f.ev
-		if key := e.prefixKey(p.nest, p.space, upTo); key != "" {
-			if st, ok := e.shared.GetStats(key); ok {
-				// Prefix statistics are cumulative, so a recalled entry
-				// replaces the accumulated state wholesale.
-				p.st, p.seen = st, upTo
-				return float64(p.st.Replacement)
-			}
-		}
-		part, err := e.evalRange(p.f.ctx, p.nest, p.space, p.seen, upTo, rung)
-		if err != nil {
-			return p.fail(err)
-		}
-		p.st.Add(part)
-		p.seen = upTo
-		if key := e.prefixKey(p.nest, p.space, upTo); key != "" {
-			e.shared.PutStats(key, p.st)
-		}
-	}
-	return float64(p.st.Replacement)
-}
-
-// Fitness implements ga.PartialEval: the exact objective at full
-// fidelity, or the deterministic N/upTo extrapolation for a candidate
-// pruned below it.
-func (p *partialEval) Fitness(upTo int) float64 {
-	if p.failed {
-		return p.failV
-	}
-	v := float64(p.st.Replacement)
-	if n := len(p.f.ev.sample.Points); upTo > 0 && upTo < n {
-		return v * float64(n) / float64(upTo)
-	}
-	return v
-}
-
-// fail routes a failed partial evaluation through the search's failure
-// policy and latches the resulting fitness.
-func (p *partialEval) fail(err error) float64 {
-	p.failed = true
-	p.failV = p.f.guard.fail(p.f.label, p.values, err)
-	return p.failV
-}
-
 // emitStart announces a search to the observer: label, kernel, cache
 // geometry and the reproducibility-relevant knobs.
 func (o Options) emitStart(nest *ir.Nest, label string) time.Time {
@@ -484,31 +381,26 @@ func (e *evaluator) bind(w int, nest *ir.Nest, space iterspace.Space) (an *cme.A
 }
 
 // evalSpace evaluates the whole sample over nest traversed in space
-// order. With the shared cache enabled, finalized statistics for the
-// search's base nest are recalled and stored by content key, so repeated
-// requests skip the classification work entirely (the recalled value is
-// the one an evaluation would compute, so results never change).
+// order, as a lone evaluation.
 func (e *evaluator) evalSpace(ctx context.Context, nest *ir.Nest, space iterspace.Space) (cachesim.Stats, error) {
-	statsKey := e.statsKey(nest, space)
-	if statsKey != "" {
-		if st, ok := e.shared.GetStats(statsKey); ok {
+	return e.evalRange(ctx, nest, space, ga.Rung{})
+}
+
+// evalRange evaluates the sample range r covers over nest traversed in
+// space order as a lone evaluation on pool[0], under the stall watchdog
+// when armed, reporting the batch (tagged with r's rung) and the pool hit
+// or miss. With the shared cache enabled, statistics for the search's
+// base nest are recalled and stored by content key, so repeated requests
+// skip the classification work entirely (the recalled value is the one an
+// evaluation would compute, so results never change).
+func (e *evaluator) evalRange(ctx context.Context, nest *ir.Nest, space iterspace.Space, r ga.Rung) (cachesim.Stats, error) {
+	r = e.span(r)
+	key := e.statsKey(nest, space, r)
+	if key != "" {
+		if st, ok := e.shared.GetStats(key); ok {
 			return st, nil
 		}
 	}
-	st, err := e.evalRange(ctx, nest, space, 0, len(e.sample.Points), 0)
-	if err == nil && statsKey != "" {
-		e.shared.PutStats(statsKey, st)
-	}
-	return st, err
-}
-
-// evalRange evaluates the half-open sample range [lo, hi) over nest
-// traversed in space order as a lone evaluation on pool[0], under the
-// stall watchdog when armed, reporting the batch (tagged with its
-// fidelity rung, 0 = the full sample) and the pool hit or miss. A ladder
-// rung covers only the newly classified range; the caller accumulates it
-// into the candidate's running prefix total.
-func (e *evaluator) evalRange(ctx context.Context, nest *ir.Nest, space iterspace.Space, lo, hi, rung int) (cachesim.Stats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	an, reused, err := e.bind(0, nest, space)
@@ -516,13 +408,26 @@ func (e *evaluator) evalRange(ctx context.Context, nest *ir.Nest, space iterspac
 		return cachesim.Stats{}, err
 	}
 	countPool(e.obs, reused)
-	sub := e.sample.Range(lo, hi)
+	sub := e.sample.Range(r.Lo, r.Hi)
 	// A truly hung evaluation still holds pool[0]: drop it (the caller
 	// holds e.mu) so the next evaluation rebuilds one.
-	return e.watchedEval(ctx, e.obs, func() { e.pool[0] = nil },
+	st, err := e.watchedEval(ctx, e.obs, func() { e.pool[0] = nil },
 		func(ctx context.Context, obs telemetry.Recorder) (cachesim.Stats, error) {
-			return sub.EvaluateObserved(ctx, an, obs, e.island, rung)
+			return sub.EvaluateObserved(ctx, an, obs, e.island, r.Index)
 		})
+	if err == nil && key != "" {
+		e.shared.PutStats(key, st)
+	}
+	return st, err
+}
+
+// span resolves a batch's rung to its sample range: the zero Rung is the
+// whole sample.
+func (e *evaluator) span(r ga.Rung) ga.Rung {
+	if r == (ga.Rung{}) {
+		r.Hi = len(e.sample.Points)
+	}
+	return r
 }
 
 // countPool reports one evaluation's pool hit (its analyzers were
@@ -537,27 +442,13 @@ func countPool(obs telemetry.Recorder, reused bool) {
 	}
 }
 
-// prefixKey returns the shared-cache key for cumulative statistics over
-// the first n sample points, or "" when not shareable (same rules as
-// statsKey). The full-sample prefix is exactly a full evaluation, so it
-// shares evalSpace's key — a fidelity search warms the cache for searches
-// without fidelity over the same nest, and vice versa.
-func (e *evaluator) prefixKey(nest *ir.Nest, space iterspace.Space, n int) string {
-	base := e.statsKey(nest, space)
-	if base == "" {
-		return ""
-	}
-	if n >= len(e.sample.Points) {
-		return base
-	}
-	return evalcache.Scope(base, "pfx", strconv.Itoa(n))
-}
-
-// statsKey returns the shared-cache key for finalized statistics of the
-// search's base nest over space, or "" when the evaluation is not
-// shareable: sharing disabled, a per-candidate mutated (padded) nest, or
-// an iteration-space shape without a canonical encoding.
-func (e *evaluator) statsKey(nest *ir.Nest, space iterspace.Space) string {
+// statsKey returns the shared-cache key for statistics of the search's
+// base nest over space and the sample range r (resolved by span), or ""
+// when the evaluation is not shareable: sharing disabled, a per-candidate
+// mutated (padded) nest, or an iteration-space shape without a canonical
+// encoding. The whole sample has one key whichever rung covers it; a
+// partial rung is keyed by its own range.
+func (e *evaluator) statsKey(nest *ir.Nest, space iterspace.Space, r ga.Rung) string {
 	if e.shared == nil || nest != e.nest {
 		return ""
 	}
@@ -565,7 +456,11 @@ func (e *evaluator) statsKey(nest *ir.Nest, space iterspace.Space) string {
 	if !ok {
 		return ""
 	}
-	return evalcache.Scope("stats", e.nestKey, e.cfgKey, e.sampleFP, shape)
+	key := evalcache.Scope("stats", e.nestKey, e.cfgKey, e.sampleFP, shape)
+	if r.Lo == 0 && r.Hi == len(e.sample.Points) {
+		return key
+	}
+	return evalcache.Scope(key, "range", strconv.Itoa(r.Lo), strconv.Itoa(r.Hi))
 }
 
 // spaceKey canonically encodes the iteration-space shapes the searches
@@ -688,9 +583,8 @@ type problem struct {
 	// geometry and sample.
 	memoScope []string
 	// decode maps a genome to the nest and iteration space whose sampled
-	// replacement misses are its fitness. The cohorts and the fidelity
-	// ladder both use it, so rung scores and full-fidelity fitness come
-	// from the same machinery.
+	// replacement misses are its fitness. The cohorts use it for whole
+	// generations and fidelity rungs alike.
 	decode func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error)
 	// levels, when set, makes the fitness the penalty-weighted sum of the
 	// decoded space's replacement misses over each level's cache, scored
@@ -748,11 +642,21 @@ func runSearch[R any](ctx context.Context, nest *ir.Nest, opt Options,
 		}
 		return ev
 	}
+	newCohort := func(e *evaluator) *cohort {
+		return &cohort{ev: e, guard: guard, label: p.label, decode: p.decode}
+	}
 	gaCfg := ga.Config{
-		Params:         withMutationFloor(opt.GA, p.spec),
-		SeedValues:     p.seeds,
-		Islands:        opt.Islands,
+		Params:     withMutationFloor(opt.GA, p.spec),
+		SeedValues: p.seeds,
+		Islands:    opt.Islands,
+		Batch: func(i int) ga.BatchEvaluator {
+			if p.levels != nil {
+				return newLevelBatch(demeEval(i), p.levels, newCohort)
+			}
+			return newCohort(demeEval(i))
+		},
 		Fidelity:       opt.Fidelity,
+		Points:         len(ev.sample.Points),
 		MaxEvaluations: opt.MaxEvaluations,
 		Observer:       opt.Observer,
 		Checkpoint:     opt.Checkpoint,
@@ -761,21 +665,8 @@ func runSearch[R any](ctx context.Context, nest *ir.Nest, opt Options,
 	}
 	// Fidelity pruning records cohort-dependent scaled fitness, which must
 	// never leak into the cross-search memo tier.
-	if opt.Fidelity.Enabled() {
-		gaCfg.FidelityEval = func(i int) ga.FidelityEvaluator {
-			return &fidelityEval{ev: demeEval(i), ctx: ctx, guard: guard, label: p.label, decode: p.decode}
-		}
-	} else {
+	if !opt.Fidelity.Enabled() {
 		gaCfg.SharedMemo = ev.sharedFitnessMemo(p.label, p.memoScope...)
-		newCohort := func(e *evaluator) *cohort {
-			return &cohort{ev: e, guard: guard, label: p.label, decode: p.decode}
-		}
-		gaCfg.Batch = func(i int) ga.BatchEvaluator {
-			if p.levels != nil {
-				return newLevelBatch(demeEval(i), p.levels, newCohort)
-			}
-			return newCohort(demeEval(i))
-		}
 	}
 	res, err := ga.Run(ctx, p.spec, nil, gaCfg)
 	if err != nil {

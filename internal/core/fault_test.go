@@ -37,13 +37,14 @@ type faultCase struct {
 }
 
 // fidelityCases runs a fault test on cohort evaluation at the default
-// worker count and at 4 workers, on the fidelity ladder, whose partial
-// evaluations route their failures through the same guard, and on the
-// multi-level search's level cohorts at 1 and 4 workers.
+// worker count and at 4 workers, on the fidelity ladder, whose rungs are
+// cohorts too, at the same two worker counts, and on the multi-level
+// search's level cohorts at 1 and 4 workers.
 var fidelityCases = []faultCase{
 	{"fidelity-off", ga.Fidelity{}, 0, false},
 	{"rungs3", ga.Fidelity{Rungs: 3}, 0, false},
 	{"fidelity-off-workers4", ga.Fidelity{}, 4, false},
+	{"rungs3-workers4", ga.Fidelity{Rungs: 3}, 4, false},
 	{"multilevel", ga.Fidelity{}, 1, true},
 	{"multilevel-workers4", ga.Fidelity{}, 4, true},
 }

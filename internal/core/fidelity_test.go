@@ -24,9 +24,9 @@ func fidOpt(seed uint64) Options {
 	return opt
 }
 
-// TestFidelityWorkerCountInvariant: the ladder schedules work per rung,
-// but worker fan-out still sums the same per-point outcomes — every
-// worker count must reproduce the same search bit for bit.
+// TestFidelityWorkerCountInvariant: each rung is a cohort, classified
+// concurrently and committed in batch order — every worker count must
+// reproduce the same search bit for bit.
 func TestFidelityWorkerCountInvariant(t *testing.T) {
 	nest := transpose(64)
 	opt := fidOpt(3)
@@ -273,7 +273,7 @@ func TestFidelityRungTelemetry(t *testing.T) {
 	}
 }
 
-// TestFidelitySharedCacheTransparent: prefix-statistics caching is
+// TestFidelitySharedCacheTransparent: per-range statistics caching is
 // result-transparent — a fidelity search returns bit-identical results
 // with no cache, a cold cache, and a cache pre-warmed by an identical
 // earlier search.
@@ -344,8 +344,9 @@ func TestFidelityOptionsValidate(t *testing.T) {
 	}
 }
 
-// TestFidelityMultiLevelRejected: the multi-level search cannot resume
-// partial prefix evaluations and must refuse the ladder explicitly.
+// TestFidelityMultiLevelRejected: the ladder is not a supported
+// configuration of the multi-level search, which must refuse it
+// explicitly rather than run it untested.
 func TestFidelityMultiLevelRejected(t *testing.T) {
 	nest := transpose(64)
 	opt := fidOpt(1)

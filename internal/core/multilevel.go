@@ -62,7 +62,9 @@ func OptimizeTilingMultiLevel(ctx context.Context, nest *ir.Nest, levels []Level
 		}
 	}
 	if opt.Fidelity.Enabled() {
-		// The ladder cannot resume a sum over levels across sample prefixes.
+		// Level cohorts could run the ladder, since each level's range
+		// costs add up across rungs; it stays unsupported here, a
+		// configuration without golden or fault coverage.
 		return nil, badOption("Fidelity", "multi-fidelity evaluation is not supported by the multilevel search")
 	}
 	opt.Cache = levels[0].Cache // each level evaluates on a fork over its own cache
@@ -141,9 +143,9 @@ func newLevelBatch(e *evaluator, levels []Level, newCohort func(*evaluator) *coh
 }
 
 // Evaluate implements ga.BatchEvaluator.
-func (b *levelBatch) Evaluate(ctx context.Context, values [][]int64) {
+func (b *levelBatch) Evaluate(ctx context.Context, values [][]int64, r ga.Rung) {
 	for _, c := range b.cohorts {
-		c.Evaluate(ctx, values)
+		c.Evaluate(ctx, values, r)
 	}
 }
 

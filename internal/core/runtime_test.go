@@ -343,14 +343,18 @@ func TestWorkerCountInvariant(t *testing.T) {
 // TestLoneEvaluationBindsOneAnalyzer: a lone evaluation classifies its
 // whole sample on pool[0], leaving the other workers' slots empty, and
 // reports one pool miss. A cohort after it fills the empty slots from
-// pool[0] without a miss, so its pool counters match one worker's.
+// pool[0] without a miss, so its pool counters match one worker's. A
+// cohort over one fidelity rung's range fills them too, scores each
+// candidate as a lone evaluation of that range does, and tags its
+// batches with the rung.
 func TestLoneEvaluationBindsOneAnalyzer(t *testing.T) {
 	nest := transpose(64)
-	var counters []telemetry.Counters
-	for _, workers := range []int{1, 4} {
-		var cap telemetry.Capture
+	tiles := [][]int64{{4, 4}, {16, 8}, {2, 32}, {64, 1}, {5, 7}}
+	lone := func(workers int) (*evaluator, *cohort, *telemetry.Capture) {
+		t.Helper()
+		cap := &telemetry.Capture{}
 		opt := testOpt(5)
-		opt.Workers, opt.Observer = workers, &cap
+		opt.Workers, opt.Observer = workers, cap
 		ev, err := newEvaluator(nest, opt.withDefaults())
 		if err != nil {
 			t.Fatal(err)
@@ -369,12 +373,15 @@ func TestLoneEvaluationBindsOneAnalyzer(t *testing.T) {
 		if got := cap.Counters(); got.PoolHits != 0 || got.PoolMisses != 1 {
 			t.Fatalf("workers=%d: lone evaluation counted %d pool hits and %d misses, want 0 and 1", workers, got.PoolHits, got.PoolMisses)
 		}
-		c := &cohort{ev: ev, guard: opt.newGuard(), label: "tiling",
+		return ev, &cohort{ev: ev, guard: opt.newGuard(), label: "tiling",
 			decode: func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error) {
 				return nest, iterspace.NewTiled(e.box, v), nil
-			}}
-		tiles := [][]int64{{4, 4}, {16, 8}, {2, 32}, {64, 1}, {5, 7}}
-		c.Evaluate(context.Background(), tiles)
+			}}, cap
+	}
+	var counters []telemetry.Counters
+	for _, workers := range []int{1, 4} {
+		_, c, cap := lone(workers)
+		c.Evaluate(context.Background(), tiles, ga.Rung{})
 		for i := range tiles {
 			if v, _ := c.Commit(i); v >= ga.QuarantineValue {
 				t.Fatalf("workers=%d: candidate %v failed", workers, tiles[i])
@@ -384,6 +391,41 @@ func TestLoneEvaluationBindsOneAnalyzer(t *testing.T) {
 	}
 	if counters[0].PoolHits != counters[1].PoolHits || counters[0].PoolMisses != counters[1].PoolMisses {
 		t.Fatalf("pool counters differ across worker counts: %+v vs %+v", counters[0], counters[1])
+	}
+
+	ev, c, cap := lone(4)
+	rung := ga.Rung{Lo: 16, Hi: 32, Index: 2}
+	c.Evaluate(context.Background(), tiles, rung)
+	for w, an := range ev.pool {
+		if an == nil {
+			t.Fatalf("the range cohort left pool[%d] empty", w)
+		}
+	}
+	from := len(cap.Events())
+	got := make([]float64, len(tiles))
+	for i := range tiles {
+		got[i], _ = c.Commit(i)
+	}
+	batches := 0
+	for _, e := range cap.Events()[from:] {
+		if b, ok := e.(telemetry.EvaluationBatch); ok {
+			batches++
+			if b.Rung != 2 || b.Points != 16 {
+				t.Fatalf("range cohort batch tagged rung %d over %d points, want rung 2 over 16", b.Rung, b.Points)
+			}
+		}
+	}
+	if batches != len(tiles) {
+		t.Fatalf("range cohort reported %d batches, want %d", batches, len(tiles))
+	}
+	for i, tile := range tiles {
+		st, err := ev.evalRange(context.Background(), nest, iterspace.NewTiled(ev.box, tile), rung)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(st.Replacement); got[i] != want {
+			t.Fatalf("tile %v: range cohort scored %v, a lone evaluation of the range %v", tile, got[i], want)
+		}
 	}
 }
 

@@ -16,13 +16,14 @@ import (
 // promoted rung by rung — only the finalists pay the full sample. A
 // promoted candidate keeps its partial result and evaluates only the
 // points it has not seen, so no sample point is ever classified twice.
+// Each rung is one cohort of the deme's batch evaluator.
 //
-// The zero value disables the ladder entirely: Rungs <= 1 evaluates one
-// candidate at a time over the full sample. With the ladder on, a run is
-// still a pure function of (spec, evaluator, config): the schedule is
-// fixed up front, pruning ranks ties by batch position, and nothing
-// depends on goroutine scheduling, so fixed seed + fixed schedule is
-// bit-identical at any worker or island count.
+// The zero value disables the ladder entirely: Rungs <= 1 evaluates each
+// generation as one cohort over the full sample. With the ladder on, a
+// run is still a pure function of (spec, evaluator, config): the schedule
+// is fixed up front, pruning ranks ties by batch position, and commits
+// run in batch order, so fixed seed + fixed schedule is bit-identical at
+// any worker or island count.
 type Fidelity struct {
 	// Rungs is the number of fidelity rungs; 0 or 1 disables the ladder.
 	Rungs int
@@ -79,41 +80,25 @@ func (f Fidelity) Schedule(n int) []int {
 	return sched
 }
 
-// FidelityEvaluator opens partial evaluations for the ladder. The
-// sampling layer implements it over the search's fixed sample; Points
-// is the full sample size the schedule is built from.
-type FidelityEvaluator interface {
-	// Points is the full-fidelity sample size.
-	Points() int
-	// Open starts one candidate's evaluation. values is the decoded
-	// genome; the returned PartialEval accumulates classified points
-	// across rungs.
-	Open(values []int64) PartialEval
-}
-
-// PartialEval is one candidate's resumable evaluation state.
-type PartialEval interface {
-	// Score extends the evaluation through the first upTo sample points
-	// — only the unseen range is computed; previously classified points
-	// are kept — and returns the raw objective over those points. rung
-	// is the 1-based rung index, for telemetry and profiling attribution
-	// only; it must not change the result. A failed evaluation reports
-	// its failure fitness (poison or quarantine sentinel) and latches.
-	Score(upTo, rung int) float64
-	// Fitness returns the value recorded for a candidate whose ladder
-	// stopped after upTo points: the exact objective at full fidelity,
-	// and a deterministic extrapolation (score scaled by N/upTo) below
-	// it, so pruned candidates still rank sensibly in the memo.
-	Fitness(upTo int) float64
-}
-
 // rungCand tracks one distinct fresh genome through the ladder.
 type rungCand struct {
-	first   int   // first batch index carrying this genome (rank tie-break)
-	members []int // every batch index carrying it
-	pe      PartialEval
-	seen    int
-	score   float64
+	first   int     // first batch index carrying this genome (rank tie-break)
+	members []int   // every batch index carrying it
+	values  []int64 // the decoded genome, from its first dispatch on
+	seen    int     // sample points committed so far
+	score   float64 // objective over those points
+	failed  bool    // score is a failure value, latched
+}
+
+// fitness is the value a candidate whose ladder stopped records: a
+// failure value as committed, the exact objective over the whole sample,
+// and below it a deterministic extrapolation (score scaled by
+// points/seen), so pruned candidates still rank sensibly in the memo.
+func (c *rungCand) fitness(points int) float64 {
+	if c.failed || c.seen >= points {
+		return c.score
+	}
+	return c.score * float64(points) / float64(c.seen)
 }
 
 // ladder evaluates one generation's batch by successive halving and
@@ -124,9 +109,21 @@ type rungCand struct {
 // and the caller discards or truncates accordingly. force skips the halt
 // check for the first fresh candidate's coarsest rung, so the very first
 // individual of a run always gets a fitness and a best-so-far exists.
+//
+// Each rung is one cohort of the deme's batch evaluator over the rung's
+// new sample range, so no sample point is classified twice. Dispatch
+// walks the rung's candidates in batch order: the halt check, the
+// candidate's decoding on its first rung, and the charge of its points.
+// The evaluator then scores the dispatched candidates over the range,
+// and the commit adds each value to its candidate's score in batch order.
+// A failure value (at least QuarantineValue) latches: the candidate keeps
+// it unscaled and is never dispatched again. A commit the context cut
+// short halts the deme before the rest of the rung, whose candidates keep
+// their previous prefix.
 func (d *deme) ladder(ctx context.Context, batch []individual, force bool) (int, bool) {
 	valued := make([]bool, len(batch))
-	assign := func(c *rungCand, v float64) {
+	assign := func(c *rungCand) {
+		v := c.fitness(d.cfg.Points)
 		d.memo[string(batch[c.first].bits)] = v
 		for _, m := range c.members {
 			batch[m].value = v
@@ -153,37 +150,61 @@ func (d *deme) ladder(ctx context.Context, batch []individual, force bool) (int,
 		fresh = append(fresh, c)
 	}
 
-	cohort := fresh
-	completed := true
-ladder:
+	cohort, prev := fresh, 0
+	var run []*rungCand
+	var values [][]int64
 	for r, upTo := range d.sched {
+		run, values = run[:0], values[:0]
 		for ci, c := range cohort {
+			if c.failed {
+				continue
+			}
 			if !(force && r == 0 && ci == 0) {
-				if !d.halted {
-					if reason, h := d.checkHalt(ctx, 0); h {
-						d.halted, d.haltReason = true, reason
-					}
-				}
-				if d.halted {
-					completed = false
-					break ladder
+				if reason, h := d.checkHalt(ctx, 0); h {
+					d.halted, d.haltReason = true, reason
+					break
 				}
 			}
-			if c.pe == nil {
-				c.pe = d.fe.Open(d.spec.Decode(batch[c.first].bits))
-				d.evals++
+			if c.values == nil {
+				c.values = d.spec.Decode(batch[c.first].bits)
 			}
 			// Points are charged before they are classified, cache-warm or
 			// cold alike, so budget trajectories never depend on cache state.
-			d.evalPoints += int64(upTo - c.seen)
-			c.score = c.pe.Score(upTo, r+1)
-			c.seen = upTo
+			d.evalPoints += int64(upTo - prev)
+			run, values = append(run, c), append(values, c.values)
 		}
+		if len(run) > 0 {
+			d.batch.Evaluate(ctx, values, Rung{Lo: prev, Hi: upTo, Index: r + 1})
+		}
+		recheck := false // a cut-short evaluation was committed
+		for k, c := range run {
+			if recheck {
+				if reason, h := d.checkHalt(ctx, 0); h {
+					d.halted, d.haltReason = true, reason
+					break
+				}
+			}
+			var v float64
+			v, recheck = d.batch.Commit(k)
+			if c.seen == 0 {
+				d.evals++
+			}
+			c.seen = upTo
+			if v >= QuarantineValue {
+				c.score, c.failed = v, true
+			} else {
+				c.score += v
+			}
+		}
+		if d.halted {
+			break
+		}
+		prev = upTo
 		if r == len(d.sched)-1 {
 			// Final rung: the accumulated score over the full sample is the
 			// exact single-fidelity objective.
 			for _, c := range cohort {
-				assign(c, c.pe.Fitness(c.seen))
+				assign(c)
 			}
 			d.emitRung(r+1, upTo, len(cohort), 0, 0)
 			break
@@ -218,18 +239,18 @@ ladder:
 			if kept[c] {
 				promoted = append(promoted, c)
 			} else {
-				assign(c, c.pe.Fitness(c.seen))
+				assign(c)
 			}
 		}
 		d.emitRung(r+1, upTo, len(cohort), len(promoted), len(cohort)-len(promoted))
 		cohort = promoted
 	}
-	if !completed {
+	if d.halted {
 		// Halted mid-ladder: everything with partial results gets its
 		// scaled fitness so a truncated generation 0 still ranks.
 		for _, c := range cohort {
-			if c.pe != nil && c.seen > 0 && !valued[c.first] {
-				assign(c, c.pe.Fitness(c.seen))
+			if c.seen > 0 && !valued[c.first] {
+				assign(c)
 			}
 		}
 	}
@@ -237,7 +258,7 @@ ladder:
 	for assigned < len(batch) && valued[assigned] {
 		assigned++
 	}
-	return assigned, completed
+	return assigned, !d.halted
 }
 
 // emitRung reports one completed rung to the observer.

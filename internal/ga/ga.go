@@ -22,25 +22,33 @@ type Objective func(values []int64) float64
 const QuarantineValue = math.MaxFloat64
 
 // BatchEvaluator evaluates a deme's cohorts: each generation, the decoded
-// candidates that missed every memo tier, in batch order. Evaluate may
-// classify them concurrently and returns once every one has finished;
-// the deme then commits them with Commit, serially in batch order, and
-// stops at the first halt, so only a prefix of a cohort may be committed.
-// Commit publishes candidate i's side effects (telemetry, failure
-// handling) and returns its objective value. cutShort reports that the
-// context stopped the evaluation before it finished: like serial
-// evaluation, the deme commits that candidate and re-checks its halt
-// before the next miss. Equal inputs must give equal values at any
-// scheduling, since the memo and migration carry values across demes.
+// candidates that missed every memo tier, in batch order, or with the
+// fidelity ladder on, each rung's candidates. Evaluate scores them over
+// the sample range r and may classify them concurrently; it returns once
+// every one has finished. The deme then commits them with Commit, serially
+// in batch order, and stops at the first halt, so only a prefix of a
+// cohort may be committed. Commit publishes candidate i's side effects
+// (telemetry, failure handling) and returns its objective value over r.
+// cutShort reports that the context stopped the evaluation before it
+// finished: like serial evaluation, the deme commits that candidate and
+// re-checks its halt before the next miss. Equal inputs must give equal
+// values at any scheduling, since the memo and migration carry values
+// across demes.
 type BatchEvaluator interface {
-	Evaluate(ctx context.Context, values [][]int64)
+	Evaluate(ctx context.Context, values [][]int64, r Rung)
 	Commit(i int) (value float64, cutShort bool)
 }
 
+// Rung is the part of the evaluation sample a cohort covers: the sample
+// points [Lo, Hi) of fidelity rung Index (1-based). The zero Rung is the
+// whole sample, which every evaluation outside the ladder covers.
+type Rung struct{ Lo, Hi, Index int }
+
 // Serial returns a BatchEvaluator that calls obj one candidate at a time
 // on the calling goroutine, so obj need not be safe for concurrent use.
-// Like serial evaluation it starts no candidate once ctx has ended: the
-// last one it evaluated then reports cutShort.
+// obj scores the whole sample, so Serial serves only the zero Rung. Like
+// serial evaluation it starts no candidate once ctx has ended: the last
+// one it evaluated then reports cutShort.
 func Serial(obj Objective) BatchEvaluator { return &serialBatch{obj: obj} }
 
 type serialBatch struct {
@@ -49,7 +57,7 @@ type serialBatch struct {
 	stopped bool // ctx ended after the last evaluated candidate
 }
 
-func (s *serialBatch) Evaluate(ctx context.Context, values [][]int64) {
+func (s *serialBatch) Evaluate(ctx context.Context, values [][]int64, _ Rung) {
 	s.values, s.stopped = s.values[:0], false
 	for _, v := range values {
 		s.values = append(s.values, s.obj(v))
@@ -184,21 +192,20 @@ type Config struct {
 	// Fidelity enables deterministic successive-halving evaluation: each
 	// generation's fresh candidates are ranked on coarse sample prefixes
 	// and the bottom fraction pruned before anyone pays full fidelity.
-	// The zero value (off) evaluates candidates one at a time at full
-	// fidelity. Enabled fidelity requires FidelityEval and is
-	// incompatible with SharedMemo (pruned candidates record
-	// cohort-dependent scaled fitness a cross-run tier must never serve).
-	// With the ladder on, MaxEvaluations is accounted in sample points:
-	// the budget is MaxEvaluations × the evaluator's Points() points
-	// classified, so the knob keeps its full-fidelity meaning
-	// proportionally.
+	// Each rung is one cohort of the deme's batch evaluator over the
+	// rung's new sample range. The zero value (off) evaluates each
+	// generation as one cohort over the whole sample. Enabled fidelity
+	// requires Batch and Points, and is incompatible with SharedMemo
+	// (pruned candidates record cohort-dependent scaled fitness a
+	// cross-run tier must never serve). With the ladder on,
+	// MaxEvaluations is accounted in sample points: the budget is
+	// MaxEvaluations × Points points classified, so the knob keeps its
+	// full-fidelity meaning proportionally.
 	Fidelity Fidelity
-	// FidelityEval supplies deme i's fidelity evaluator (0-based, like
-	// Batch), which opens its partial evaluations when Fidelity is
-	// enabled; obj is then unused by the run. Separate evaluators let
-	// demes evaluate concurrently, and must compute identical values for
-	// identical inputs.
-	FidelityEval func(deme int) FidelityEvaluator
+	// Points is the size of the sample the batch evaluator scores: the
+	// fidelity ladder's schedule divides it into rungs. Only the ladder
+	// reads it.
+	Points int
 
 	// SharedMemo, when non-nil, is a second memo tier behind the run's
 	// own memo table: finished objective values shared across runs (and
@@ -334,16 +341,15 @@ func Run(ctx context.Context, spec Spec, obj Objective, cfg Config) (Result, err
 	if n == 1 {
 		interval = 1
 	}
+	if cfg.Fidelity.Enabled() && (cfg.Batch == nil || cfg.Points <= 0) {
+		return Result{}, fmt.Errorf("ga: fidelity needs a batch evaluator and a positive sample size (Points %d)", cfg.Points)
+	}
 	start := time.Now()
 	sizes := islandSizes(cfg.PopSize, n)
 	budgets := islandBudgets(cfg.MaxEvaluations, n)
 	demes := make([]*deme, n)
 	for i := range demes {
-		d, err := newDeme(spec, obj, cfg, i, sizes[i], budgets[i], start)
-		if err != nil {
-			return Result{}, err
-		}
-		demes[i] = d
+		demes[i] = newDeme(spec, obj, cfg, i, sizes[i], budgets[i], start)
 	}
 
 	// flush forwards buffered per-island events and counter deltas to the
@@ -398,8 +404,8 @@ func Run(ctx context.Context, spec Spec, obj Objective, cfg Config) (Result, err
 		if err := cp.validate(spec, cfg); err != nil {
 			return Result{}, err
 		}
-		if cfg.Fidelity.Enabled() && cp.Fidelity != nil && cp.Fidelity.Points != demes[0].fe.Points() {
-			return Result{}, fmt.Errorf("ga: checkpoint records a %d-point sample, evaluator has %d", cp.Fidelity.Points, demes[0].fe.Points())
+		if cfg.Fidelity.Enabled() && cp.Fidelity != nil && cp.Fidelity.Points != cfg.Points {
+			return Result{}, fmt.Errorf("ga: checkpoint records a %d-point sample, run has %d", cp.Fidelity.Points, cfg.Points)
 		}
 		states, r := cp.demeStates()
 		for i, d := range demes {
@@ -479,10 +485,9 @@ type deme struct {
 	memoHits int
 	budget   int // this deme's MaxEvaluations share (0 = unlimited)
 
-	// Multi-fidelity state (nil fe = one-at-a-time evaluation): the deme's
-	// ladder evaluator and rung schedule, its classified-point counter and
-	// its point-budget share (budget × the full sample size, 0 = unlimited).
-	fe          FidelityEvaluator
+	// Multi-fidelity state (nil sched = one cohort per generation): the
+	// rung schedule, the classified-point counter and the point-budget
+	// share (budget × cfg.Points, 0 = unlimited).
 	sched       []int
 	evalPoints  int64
 	pointBudget int64
@@ -510,9 +515,8 @@ type deme struct {
 
 // newDeme builds deme i of a run. A lone deme draws from the run's own
 // (Seed1, Seed2) stream; island demes take islandSeeds. Every deme takes
-// its own batch evaluator and, with fidelity on, its own fidelity
-// evaluator.
-func newDeme(spec Spec, obj Objective, cfg Config, i, size, budget int, start time.Time) (*deme, error) {
+// its own batch evaluator.
+func newDeme(spec Spec, obj Objective, cfg Config, i, size, budget int, start time.Time) *deme {
 	d := &deme{
 		idx: i, spec: spec, cfg: cfg, size: size,
 		memo: map[string]float64{}, budget: budget,
@@ -537,20 +541,12 @@ func newDeme(spec Spec, obj Objective, cfg Config, i, size, budget int, start ti
 		}
 	}
 	if cfg.Fidelity.Enabled() {
-		if cfg.FidelityEval == nil {
-			return nil, fmt.Errorf("ga: fidelity enabled but no FidelityEval supplied")
-		}
-		fe := cfg.FidelityEval(i)
-		npts := fe.Points()
-		if npts <= 0 {
-			return nil, fmt.Errorf("ga: fidelity evaluator reports %d sample points", npts)
-		}
-		d.fe, d.sched = fe, cfg.Fidelity.Schedule(npts)
+		d.sched = cfg.Fidelity.Schedule(cfg.Points)
 		if budget > 0 {
-			d.pointBudget = int64(budget) * int64(npts)
+			d.pointBudget = int64(budget) * int64(cfg.Points)
 		}
 	}
-	return d, nil
+	return d
 }
 
 // active reports whether the deme still evolves.
@@ -568,7 +564,7 @@ func (d *deme) checkHalt(ctx context.Context, pending int) (StopReason, bool) {
 		return StopCancelled, true
 	default:
 	}
-	if d.fe != nil {
+	if d.sched != nil {
 		if d.pointBudget > 0 && d.evalPoints >= d.pointBudget {
 			return StopBudget, true
 		}
@@ -683,7 +679,7 @@ func (d *deme) breed() []individual {
 // values through it, which is safe on the same grounds as migrated memo
 // entries: islands compute identical values for identical genomes.
 func (d *deme) evaluate(ctx context.Context, batch []individual, force bool) (int, bool) {
-	if d.fe != nil {
+	if d.sched != nil {
 		return d.ladder(ctx, batch, force)
 	}
 	const (
@@ -719,7 +715,7 @@ func (d *deme) evaluate(ctx context.Context, batch []individual, force bool) (in
 		cohort = append(cohort, d.spec.Decode(batch[i].bits))
 	}
 	if len(cohort) > 0 {
-		d.batch.Evaluate(ctx, cohort)
+		d.batch.Evaluate(ctx, cohort, Rung{})
 	}
 	recheck := false // a cut-short evaluation was committed
 	for i := 0; i < end; i++ {

@@ -16,49 +16,45 @@ import (
 	"repro/internal/telemetry"
 )
 
-// fakeFidelity is a deterministic FidelityEvaluator over an n-point
+// fakePoints is the size of the fake evaluation sample the fidelity
+// configurations rank on.
+const fakePoints = 24
+
+// rangeCost is a deterministic objective over a fakePoints-point
 // "sample": point i of a candidate costs |v[i mod len(v)] - 17| plus a
-// small position-dependent term, so coarse prefixes rank candidates
-// roughly like the full sample does.
-type fakeFidelity struct{ n int }
-
-// fakeFidelities gives every deme its own fakeFidelity over n points.
-func fakeFidelities(n int) func(int) FidelityEvaluator {
-	return func(int) FidelityEvaluator { return fakeFidelity{n: n} }
-}
-
-func (f fakeFidelity) Points() int { return f.n }
-
-func (f fakeFidelity) Open(v []int64) PartialEval {
-	return &fakePartial{n: f.n, v: append([]int64(nil), v...)}
-}
-
-type fakePartial struct {
-	n, seen int
-	v       []int64
-	sum     float64
-}
-
-func (p *fakePartial) Score(upTo, rung int) float64 {
-	for i := p.seen; i < upTo; i++ {
-		d := p.v[i%len(p.v)] - 17
+// small position-dependent term, so coarse ranges rank candidates roughly
+// like the whole sample does. It sums the points r covers; the zero Rung
+// covers them all.
+func rangeCost(v []int64, r Rung) float64 {
+	if r == (Rung{}) {
+		r.Hi = fakePoints
+	}
+	sum := 0.0
+	for i := r.Lo; i < r.Hi; i++ {
+		d := v[i%len(v)] - 17
 		if d < 0 {
 			d = -d
 		}
-		p.sum += float64(d + int64(i*7%5))
+		sum += float64(d + int64(i*7%5))
 	}
-	if upTo > p.seen {
-		p.seen = upTo
-	}
-	return p.sum
+	return sum
 }
 
-func (p *fakePartial) Fitness(upTo int) float64 {
-	if upTo > 0 && upTo < p.n {
-		return p.sum * float64(p.n) / float64(upTo)
+// rangeBatch is a BatchEvaluator that scores rangeCost one candidate at a
+// time on the calling goroutine.
+type rangeBatch struct{ values []float64 }
+
+// rangeBatches gives every deme its own rangeBatch.
+func rangeBatches(int) BatchEvaluator { return &rangeBatch{} }
+
+func (b *rangeBatch) Evaluate(_ context.Context, values [][]int64, r Rung) {
+	b.values = b.values[:0]
+	for _, v := range values {
+		b.values = append(b.values, rangeCost(v, r))
 	}
-	return p.sum
 }
+
+func (b *rangeBatch) Commit(i int) (float64, bool) { return b.values[i], false }
 
 // streamRecorder keeps every event and counter delta in arrival order,
 // with the wall-clock Elapsed field zeroed so the stream is comparable
@@ -100,14 +96,12 @@ var goldenConfigs = []struct {
 	}},
 	{"fidelity3", func() Config {
 		c := PaperConfig(42)
-		c.Fidelity = Fidelity{Rungs: 3}
-		c.FidelityEval = fakeFidelities(24)
+		c.Fidelity, c.Batch, c.Points = Fidelity{Rungs: 3}, rangeBatches, fakePoints
 		return c
 	}},
 	{"fidelity3-budget45", func() Config {
 		c := PaperConfig(42)
-		c.Fidelity = Fidelity{Rungs: 3}
-		c.FidelityEval = fakeFidelities(24)
+		c.Fidelity, c.Batch, c.Points = Fidelity{Rungs: 3}, rangeBatches, fakePoints
 		c.MaxEvaluations = 45
 		return c
 	}},

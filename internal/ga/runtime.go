@@ -248,7 +248,7 @@ func checkpointOf(demes []*deme, cfg Config, nbits, round int) (*Checkpoint, err
 		cp.Version = checkpointVersionFidelity
 		cp.Fidelity = &FidelityState{
 			Rungs: cfg.Fidelity.Rungs, Eta: fidelityEta,
-			MinPoints: fidelityFloor, Points: demes[0].fe.Points(),
+			MinPoints: fidelityFloor, Points: cfg.Points,
 		}
 	}
 	states := make([]IslandState, len(demes))
