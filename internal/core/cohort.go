@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cachesim"
 	"repro/internal/cme"
-	"repro/internal/faultinject"
 	"repro/internal/ga"
 	"repro/internal/ir"
 	"repro/internal/iterspace"
@@ -141,38 +140,9 @@ func (c *cohort) work(ctx context.Context, w int) {
 			return
 		}
 		if j := &c.jobs[c.run[k]]; j.err == nil {
-			j.st, j.err = c.classify(ctx, w, j)
+			j.st, j.err = c.ev.classify(ctx, w, j.nest, j.space, c.rung, c.recorder(j), j.faults, j.built)
 		}
 	}
-}
-
-// classify evaluates one job over the cohort's range on pool[w]: rebound
-// when it already analyses the job's nest, rebuilt alone otherwise. The
-// job's drawn entry faults run inside the watchdog, and the evaluation
-// itself fires no plan.
-func (c *cohort) classify(ctx context.Context, w int, j *cohortJob) (st cachesim.Stats, err error) {
-	e := c.ev
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("core: objective panic: %v", r)
-		}
-	}()
-	an, reused, err := e.bind(w, j.nest, j.space)
-	if err != nil {
-		return st, err
-	}
-	rec := c.recorder(j)
-	countPool(rec, reused && !j.built)
-	faults, sub, rung := j.faults, e.sample.Range(c.rung.Lo, c.rung.Hi), c.rung.Index
-	// A truly hung evaluation still holds this worker's analyzer: drop it
-	// alone, so the worker's next job rebuilds one.
-	return e.watchedEval(ctx, rec, func() { e.pool[w] = nil },
-		func(ctx context.Context, obs telemetry.Recorder) (cachesim.Stats, error) {
-			if err := faults.Run(ctx); err != nil {
-				return cachesim.Stats{}, err
-			}
-			return sub.EvaluateObserved(faultinject.Without(ctx), an, obs, e.island, rung)
-		})
 }
 
 // recorder is where a job's telemetry goes until its commit (nil when the

@@ -387,12 +387,11 @@ func (e *evaluator) evalSpace(ctx context.Context, nest *ir.Nest, space iterspac
 }
 
 // evalRange evaluates the sample range r covers over nest traversed in
-// space order as a lone evaluation on pool[0], under the stall watchdog
-// when armed, reporting the batch (tagged with r's rung) and the pool hit
-// or miss. With the shared cache enabled, statistics for the search's
-// base nest are recalled and stored by content key, so repeated requests
-// skip the classification work entirely (the recalled value is the one an
-// evaluation would compute, so results never change).
+// space order as a lone evaluation on pool[0], drawing its entry faults
+// from the plan ctx carries. With the shared cache enabled, statistics for
+// the search's base nest are recalled and stored by content key, so
+// repeated requests skip the classification work entirely (the recalled
+// value is the one an evaluation would compute, so results never change).
 func (e *evaluator) evalRange(ctx context.Context, nest *ir.Nest, space iterspace.Space, r ga.Rung) (cachesim.Stats, error) {
 	r = e.span(r)
 	key := e.statsKey(nest, space, r)
@@ -403,21 +402,60 @@ func (e *evaluator) evalRange(ctx context.Context, nest *ir.Nest, space iterspac
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	an, reused, err := e.bind(0, nest, space)
-	if err != nil {
-		return cachesim.Stats{}, err
-	}
-	countPool(e.obs, reused)
-	sub := e.sample.Range(r.Lo, r.Hi)
-	// A truly hung evaluation still holds pool[0]: drop it (the caller
-	// holds e.mu) so the next evaluation rebuilds one.
-	st, err := e.watchedEval(ctx, e.obs, func() { e.pool[0] = nil },
-		func(ctx context.Context, obs telemetry.Recorder) (cachesim.Stats, error) {
-			return sub.EvaluateObserved(ctx, an, obs, e.island, r.Index)
-		})
+	st, err := e.classify(ctx, 0, nest, space, r, e.obs, sampling.DrawEntryFaults(ctx), false)
 	if err == nil && key != "" {
 		e.shared.PutStats(key, st)
 	}
+	return st, err
+}
+
+// classify evaluates the sample range r (resolved by span) over nest
+// traversed in space order on pool[w]: rebound when it already analyses
+// nest, rebuilt otherwise. It reports the pool hit or miss to obs (built
+// marks a pool the caller built for this evaluation: a miss), then runs
+// the drawn entry faults and the classification, which reports its batch
+// to obs, under the stall watchdog when armed. Every evaluation a search
+// makes goes through here, and a panic becomes its error. Callers hold
+// e.mu.
+func (e *evaluator) classify(ctx context.Context, w int, nest *ir.Nest, space iterspace.Space, r ga.Rung,
+	obs telemetry.Recorder, faults sampling.EntryFaults, built bool) (st cachesim.Stats, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("core: objective panic: %v", p)
+		}
+	}()
+	an, reused, err := e.bind(w, nest, space)
+	if err != nil {
+		return st, err
+	}
+	countPool(obs, reused && !built)
+	sub := e.sample.Range(r.Lo, r.Hi)
+	eval := func(ctx context.Context, obs telemetry.Recorder) (cachesim.Stats, error) {
+		if err := faults.Run(ctx); err != nil {
+			return cachesim.Stats{}, err
+		}
+		return sub.EvaluateObserved(ctx, an, obs, e.island, r.Index)
+	}
+	if e.stall <= 0 {
+		return eval(ctx, obs)
+	}
+	// The watched evaluation's telemetry is held and reaches obs only if
+	// it finished: a truly hung evaluation leaks its goroutine, which must
+	// not write into the stream later, and still holds pool[w], which is
+	// dropped so the next evaluation on w rebuilds one.
+	var held *recording
+	var to telemetry.Recorder
+	if obs != nil {
+		held = &recording{}
+		to = held
+	}
+	hung := false
+	v, err := watched(ctx, e.stall, func() { hung, e.pool[w] = true, nil },
+		func(wctx context.Context) (any, error) { return eval(wctx, to) })
+	if held != nil && !hung {
+		held.replay(obs)
+	}
+	st, _ = v.(cachesim.Stats)
 	return st, err
 }
 
@@ -485,39 +523,6 @@ func intsKey[T int | int64](vs []T) string {
 		b = append(b, ',')
 	}
 	return string(b)
-}
-
-// watchedEval runs one evaluation reporting to obs, under the stall
-// watchdog when armed. The watched evaluation's telemetry is held in a
-// log of its own and reaches obs only if the evaluation finished: a truly
-// hung evaluation leaks its goroutine, which must not write into the
-// stream later. onHang, when non-nil, abandons the analyzers the leaked
-// goroutine still holds.
-func (e *evaluator) watchedEval(ctx context.Context, obs telemetry.Recorder, onHang func(),
-	eval func(context.Context, telemetry.Recorder) (cachesim.Stats, error)) (cachesim.Stats, error) {
-	if e.stall <= 0 {
-		return eval(ctx, obs)
-	}
-	var held *recording
-	var to telemetry.Recorder
-	if obs != nil {
-		held = &recording{}
-		to = held
-	}
-	hung := false
-	v, err := watched(ctx, e.stall, func() {
-		hung = true
-		if onHang != nil {
-			onHang()
-		}
-	}, func(wctx context.Context) (any, error) {
-		return eval(wctx, to)
-	})
-	if held != nil && !hung {
-		held.replay(obs)
-	}
-	st, _ := v.(cachesim.Stats)
-	return st, err
 }
 
 // tiled evaluates a tile vector over (a possibly padded copy of) the nest.

@@ -391,15 +391,6 @@ func With(ctx context.Context, p *Plan) context.Context {
 	return context.WithValue(ctx, ctxKey{}, p)
 }
 
-// Without returns ctx with its plan masked, for work whose hits were
-// already drawn (Draw) and must not be drawn a second time.
-func Without(ctx context.Context) context.Context {
-	if From(ctx) == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, (*Plan)(nil))
-}
-
 // From extracts the plan a context carries, nil when none is installed.
 // The nil result composes with the nil-plan no-op methods, so call sites
 // need no guard of their own beyond avoiding work building arguments.

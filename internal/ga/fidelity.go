@@ -1,10 +1,8 @@
 package ga
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/telemetry"
 )
@@ -80,194 +78,29 @@ func (f Fidelity) Schedule(n int) []int {
 	return sched
 }
 
-// rungCand tracks one distinct fresh genome through the ladder.
-type rungCand struct {
-	first   int     // first batch index carrying this genome (rank tie-break)
-	members []int   // every batch index carrying it
-	values  []int64 // the decoded genome, from its first dispatch on
-	seen    int     // sample points committed so far
-	score   float64 // objective over those points
-	failed  bool    // score is a failure value, latched
+// rungs returns the sample ranges of the ladder's rungs over an n-point
+// sample, or with the ladder off the one zero Rung: the whole sample.
+func (f Fidelity) rungs(n int) []Rung {
+	if !f.Enabled() {
+		return []Rung{{}}
+	}
+	var rungs []Rung
+	lo := 0
+	for i, hi := range f.Schedule(n) {
+		rungs = append(rungs, Rung{Lo: lo, Hi: hi, Index: i + 1})
+		lo = hi
+	}
+	return rungs
 }
 
-// fitness is the value a candidate whose ladder stopped records: a
-// failure value as committed, the exact objective over the whole sample,
-// and below it a deterministic extrapolation (score scaled by
-// points/seen), so pruned candidates still rank sensibly in the memo.
-func (c *rungCand) fitness(points int) float64 {
-	if c.failed || c.seen >= points {
-		return c.score
-	}
-	return c.score * float64(points) / float64(c.seen)
-}
-
-// ladder evaluates one generation's batch by successive halving and
-// assigns every individual its fitness. It returns the count of assigned
-// individuals (always a prefix of the batch) and whether the whole batch
-// completed; false means the deme halted mid-ladder — candidates with
-// partial results receive scaled fitness, untouched ones stay unassigned,
-// and the caller discards or truncates accordingly. force skips the halt
-// check for the first fresh candidate's coarsest rung, so the very first
-// individual of a run always gets a fitness and a best-so-far exists.
-//
-// Each rung is one cohort of the deme's batch evaluator over the rung's
-// new sample range, so no sample point is classified twice. Dispatch
-// walks the rung's candidates in batch order: the halt check, the
-// candidate's decoding on its first rung, and the charge of its points.
-// The evaluator then scores the dispatched candidates over the range,
-// and the commit adds each value to its candidate's score in batch order.
-// A failure value (at least QuarantineValue) latches: the candidate keeps
-// it unscaled and is never dispatched again. A commit the context cut
-// short halts the deme before the rest of the rung, whose candidates keep
-// their previous prefix.
-func (d *deme) ladder(ctx context.Context, batch []individual, force bool) (int, bool) {
-	valued := make([]bool, len(batch))
-	assign := func(c *rungCand) {
-		v := c.fitness(d.cfg.Points)
-		d.memo[string(batch[c.first].bits)] = v
-		for _, m := range c.members {
-			batch[m].value = v
-			valued[m] = true
-		}
-	}
-	// Resolve memo hits and collapse duplicate genomes, in batch order.
-	fresh := make([]*rungCand, 0, len(batch))
-	byKey := make(map[string]*rungCand, len(batch))
-	for i := range batch {
-		key := string(batch[i].bits)
-		if v, ok := d.memo[key]; ok {
-			batch[i].value = v
-			valued[i] = true
-			d.memoHits++
-			continue
-		}
-		if c, ok := byKey[key]; ok {
-			c.members = append(c.members, i)
-			continue
-		}
-		c := &rungCand{first: i, members: []int{i}}
-		byKey[key] = c
-		fresh = append(fresh, c)
-	}
-
-	cohort, prev := fresh, 0
-	var run []*rungCand
-	var values [][]int64
-	for r, upTo := range d.sched {
-		run, values = run[:0], values[:0]
-		for ci, c := range cohort {
-			if c.failed {
-				continue
-			}
-			if !(force && r == 0 && ci == 0) {
-				if reason, h := d.checkHalt(ctx, 0); h {
-					d.halted, d.haltReason = true, reason
-					break
-				}
-			}
-			if c.values == nil {
-				c.values = d.spec.Decode(batch[c.first].bits)
-			}
-			// Points are charged before they are classified, cache-warm or
-			// cold alike, so budget trajectories never depend on cache state.
-			d.evalPoints += int64(upTo - prev)
-			run, values = append(run, c), append(values, c.values)
-		}
-		if len(run) > 0 {
-			d.batch.Evaluate(ctx, values, Rung{Lo: prev, Hi: upTo, Index: r + 1})
-		}
-		recheck := false // a cut-short evaluation was committed
-		for k, c := range run {
-			if recheck {
-				if reason, h := d.checkHalt(ctx, 0); h {
-					d.halted, d.haltReason = true, reason
-					break
-				}
-			}
-			var v float64
-			v, recheck = d.batch.Commit(k)
-			if c.seen == 0 {
-				d.evals++
-			}
-			c.seen = upTo
-			if v >= QuarantineValue {
-				c.score, c.failed = v, true
-			} else {
-				c.score += v
-			}
-		}
-		if d.halted {
-			break
-		}
-		prev = upTo
-		if r == len(d.sched)-1 {
-			// Final rung: the accumulated score over the full sample is the
-			// exact single-fidelity objective.
-			for _, c := range cohort {
-				assign(c)
-			}
-			d.emitRung(r+1, upTo, len(cohort), 0, 0)
-			break
-		}
-		keep := int(math.Ceil(float64(len(cohort)) / fidelityEta))
-		if keep < 1 {
-			keep = 1
-		}
-		if keep >= len(cohort) {
-			d.emitRung(r+1, upTo, len(cohort), len(cohort), 0)
-			continue
-		}
-		// Rank ascending by partial score (the GA minimises), ties to the
-		// earlier batch position — a total deterministic order.
-		order := make([]int, len(cohort))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			ca, cb := cohort[order[a]], cohort[order[b]]
-			if ca.score != cb.score {
-				return ca.score < cb.score
-			}
-			return ca.first < cb.first
-		})
-		kept := make(map[*rungCand]bool, keep)
-		for _, oi := range order[:keep] {
-			kept[cohort[oi]] = true
-		}
-		promoted := make([]*rungCand, 0, keep)
-		for _, c := range cohort {
-			if kept[c] {
-				promoted = append(promoted, c)
-			} else {
-				assign(c)
-			}
-		}
-		d.emitRung(r+1, upTo, len(cohort), len(promoted), len(cohort)-len(promoted))
-		cohort = promoted
-	}
-	if d.halted {
-		// Halted mid-ladder: everything with partial results gets its
-		// scaled fitness so a truncated generation 0 still ranks.
-		for _, c := range cohort {
-			if c.seen > 0 && !valued[c.first] {
-				assign(c)
-			}
-		}
-	}
-	assigned := 0
-	for assigned < len(batch) && valued[assigned] {
-		assigned++
-	}
-	return assigned, !d.halted
-}
-
-// emitRung reports one completed rung to the observer.
-func (d *deme) emitRung(rung, points, candidates, promoted, pruned int) {
-	if d.emit == nil {
+// emitRung reports one completed ladder rung to the observer; the zero
+// Rung is no ladder rung and reports nothing.
+func (d *deme) emitRung(r Rung, candidates, promoted, pruned int) {
+	if d.emit == nil || r.Index == 0 {
 		return
 	}
 	d.emit(telemetry.EvaluationRung{
-		Search: d.cfg.Label, Island: d.island, Rung: rung, Points: points,
+		Search: d.cfg.Label, Island: d.island, Rung: r.Index, Points: r.Hi,
 		Candidates: candidates, Promoted: promoted, Pruned: pruned,
 	})
 }

@@ -120,8 +120,8 @@ func TestLadderLatchesFailuresAndExtrapolates(t *testing.T) {
 	cfg.Observer = &cap
 	d := newDeme(spec, nil, cfg, 0, cfg.PopSize, 0, time.Now())
 	batch := []individual{{bits: spec.Encode([]int64{5, 40, 17})}}
-	if n, ok := d.ladder(context.Background(), batch, true); n != 1 || !ok {
-		t.Fatalf("ladder assigned %d of 1 (complete %v)", n, ok)
+	if n, ok := d.evaluate(context.Background(), batch, true); n != 1 || !ok {
+		t.Fatalf("evaluate assigned %d of 1 (complete %v)", n, ok)
 	}
 	if b.dispatched != 1 {
 		t.Fatalf("the failed candidate was dispatched %d times, want once", b.dispatched)

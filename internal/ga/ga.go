@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
 	"time"
 
 	"repro/internal/telemetry"
@@ -21,11 +22,12 @@ type Objective func(values []int64) float64
 // average (GenStats.Avg) covers only the members below it.
 const QuarantineValue = math.MaxFloat64
 
-// BatchEvaluator evaluates a deme's cohorts: each generation, the decoded
-// candidates that missed every memo tier, in batch order, or with the
-// fidelity ladder on, each rung's candidates. Evaluate scores them over
-// the sample range r and may classify them concurrently; it returns once
-// every one has finished. The deme then commits them with Commit, serially
+// BatchEvaluator evaluates a deme's cohorts: one per rung of each
+// generation, holding the decoded candidates the rung dispatched, in batch
+// order. With the fidelity ladder off a generation has one rung, the zero
+// Rung, and its cohort is every candidate that missed each memo tier.
+// Evaluate scores them over the sample range r and may classify them
+// concurrently; it returns once every one has finished. The deme then commits them with Commit, serially
 // in batch order, and stops at the first halt, so only a prefix of a
 // cohort may be committed. Commit publishes candidate i's side effects
 // (telemetry, failure handling) and returns its objective value over r.
@@ -193,18 +195,19 @@ type Config struct {
 	// generation's fresh candidates are ranked on coarse sample prefixes
 	// and the bottom fraction pruned before anyone pays full fidelity.
 	// Each rung is one cohort of the deme's batch evaluator over the
-	// rung's new sample range. The zero value (off) evaluates each
-	// generation as one cohort over the whole sample. Enabled fidelity
-	// requires Batch and Points, and is incompatible with SharedMemo
-	// (pruned candidates record cohort-dependent scaled fitness a
-	// cross-run tier must never serve). With the ladder on,
+	// rung's new sample range. The zero value (off) gives each generation
+	// one rung, the zero Rung: one cohort over the whole sample. Enabled
+	// fidelity requires Batch and Points, and is incompatible with
+	// SharedMemo (pruned candidates record cohort-dependent scaled fitness
+	// a cross-run tier must never serve). With the ladder on,
 	// MaxEvaluations is accounted in sample points: the budget is
 	// MaxEvaluations × Points points classified, so the knob keeps its
 	// full-fidelity meaning proportionally.
 	Fidelity Fidelity
 	// Points is the size of the sample the batch evaluator scores: the
 	// fidelity ladder's schedule divides it into rungs. Only the ladder
-	// reads it.
+	// reads it; the zero Rung needs no size, so a run without fidelity
+	// may leave it 0.
 	Points int
 
 	// SharedMemo, when non-nil, is a second memo tier behind the run's
@@ -485,10 +488,11 @@ type deme struct {
 	memoHits int
 	budget   int // this deme's MaxEvaluations share (0 = unlimited)
 
-	// Multi-fidelity state (nil sched = one cohort per generation): the
-	// rung schedule, the classified-point counter and the point-budget
-	// share (budget × cfg.Points, 0 = unlimited).
-	sched       []int
+	// rungs are the sample ranges each generation's fresh candidates
+	// climb: the one zero Rung with the fidelity ladder off. evalPoints
+	// counts the points charged to them, and pointBudget is the ladder's
+	// budget share in points (budget × cfg.Points, 0 = unlimited).
+	rungs       []Rung
 	evalPoints  int64
 	pointBudget int64
 
@@ -540,11 +544,9 @@ func newDeme(spec Spec, obj Objective, cfg Config, i, size, budget int, start ti
 			d.emit = func(e telemetry.Event) { d.events = append(d.events, e) }
 		}
 	}
-	if cfg.Fidelity.Enabled() {
-		d.sched = cfg.Fidelity.Schedule(cfg.Points)
-		if budget > 0 {
-			d.pointBudget = int64(budget) * int64(cfg.Points)
-		}
+	d.rungs = cfg.Fidelity.rungs(cfg.Points)
+	if cfg.Fidelity.Enabled() && budget > 0 {
+		d.pointBudget = int64(budget) * int64(cfg.Points)
 	}
 	return d
 }
@@ -564,7 +566,7 @@ func (d *deme) checkHalt(ctx context.Context, pending int) (StopReason, bool) {
 		return StopCancelled, true
 	default:
 	}
-	if d.sched != nil {
+	if d.cfg.Fidelity.Enabled() {
 		if d.pointBudget > 0 && d.evalPoints >= d.pointBudget {
 			return StopBudget, true
 		}
@@ -656,21 +658,32 @@ func (d *deme) breed() []individual {
 	return next
 }
 
-// evaluate assigns every individual of batch its fitness: through the
-// ladder with fidelity on, otherwise as one cohort. It returns how many
-// individuals were assigned (always a prefix of batch) and whether that is
-// all of them; false means the deme halted. force exempts the batch's
-// first evaluation from the halt check.
+// evaluate assigns every individual of batch its fitness. It returns how
+// many individuals were assigned (always a prefix of batch) and whether
+// that is all of them; false means the deme halted. force exempts the
+// first fresh genome's first rung from the halt check, so the very first
+// individual of a run always gets a fitness and a best-so-far exists.
 //
-// A cohort is dispatched, evaluated and committed. Dispatch walks the
-// batch in order: memo hits and repeats of an earlier genome need no
-// evaluation; every other genome first passes the halt check (the budget
-// counting what the cohort already dispatched), then the shared tier,
-// and otherwise joins the cohort. Dispatch stops at the first genome that
-// must halt, the same prefix serial evaluation reaches. The batch
-// evaluator then evaluates the cohort, and the commit walks the
-// dispatched prefix in order again, filling the memo and counters as
-// serial evaluation would.
+// Memo hits take their recorded value and repeats of an earlier genome
+// share its candidate. The distinct fresh genomes then climb the deme's
+// rungs: the one zero Rung (the whole sample) with the fidelity ladder
+// off, the successive-halving schedule with it on. Each rung is one
+// cohort of the batch evaluator over the rung's new sample range, so no
+// sample point is classified twice. Dispatch walks the rung's candidates
+// in batch order: the halt check (the budget counting what the rung
+// already dispatched), the charge of the rung's points and, on the first
+// rung, the shared tier, whose recalled value stands in for the
+// evaluation. It stops at the first candidate that must halt, the prefix
+// serial evaluation reaches. The batch evaluator scores the others, and
+// the commit walks the dispatched candidates in batch order again, adding
+// each value to its candidate's score. A failure value (at least
+// QuarantineValue) latches: the candidate keeps it unscaled and is never
+// dispatched again. A commit the context cut short halts the deme before
+// the rest of the rung, whose candidates keep their previous prefix.
+// Between rungs the ladder promotes the ceil(n/eta) best partial scores,
+// ties to the earlier batch position, and the others record their
+// extrapolated fitness. After a halt every candidate with a committed
+// rung records its fitness, so a truncated generation 0 still ranks.
 //
 // The shared tier sits strictly behind the local memo and the halt check:
 // a shared hit replaces only the computation, spending the budget and
@@ -679,74 +692,181 @@ func (d *deme) breed() []individual {
 // values through it, which is safe on the same grounds as migrated memo
 // entries: islands compute identical values for identical genomes.
 func (d *deme) evaluate(ctx context.Context, batch []individual, force bool) (int, bool) {
-	if d.sched != nil {
-		return d.ladder(ctx, batch, force)
+	valued := make([]bool, len(batch))
+	assign := func(c *rungCand) {
+		v := c.fitness(d.cfg.Points, len(d.rungs))
+		d.memo[c.key] = v
+		for _, m := range c.members {
+			batch[m].value, valued[m] = v, true
+		}
 	}
-	const (
-		memoHit = -1 // value in the memo, or a repeat of an earlier genome
-		shared  = -2 // value recalled from the shared tier
-	)
-	// job[i] is batch[i]'s index in the cohort, or memoHit or shared (the
-	// recalled value then waits in batch[i].value).
-	job := make([]int, len(batch))
-	seen := map[string]bool{}
-	var cohort [][]int64
-	end, halt, halted := len(batch), StopConverged, false
+	cohort := make([]*rungCand, 0, len(batch))
+	byKey := make(map[string]*rungCand, len(batch))
 	for i := range batch {
 		key := string(batch[i].bits)
-		if _, ok := d.memo[key]; ok || seen[key] {
-			job[i] = memoHit
-			continue
+		if v, ok := d.memo[key]; ok {
+			batch[i].value, valued[i] = v, true
+		} else if c, ok := byKey[key]; ok {
+			c.members = append(c.members, i)
+		} else {
+			byKey[key] = &rungCand{key: key, first: i, members: []int{i}}
+			cohort = append(cohort, byKey[key])
 		}
-		if !(force && i == 0) {
-			if r, h := d.checkHalt(ctx, len(seen)); h {
-				end, halt, halted = i, r, true
-				break
-			}
-		}
-		seen[key] = true
-		if d.cfg.SharedMemo != nil {
-			if v, ok := d.cfg.SharedMemo.Get(key); ok {
-				job[i], batch[i].value = shared, v
+	}
+
+	evals := d.evals
+	var run []*rungCand
+	var values [][]int64
+	for r, rung := range d.rungs {
+		run, values = run[:0], values[:0]
+		for ci, c := range cohort {
+			if c.failed {
 				continue
 			}
+			if !(force && r == 0 && ci == 0) {
+				if reason, h := d.checkHalt(ctx, len(run)); h {
+					d.halted, d.haltReason = true, reason
+					break
+				}
+			}
+			// Points are charged before they are classified, cache-warm or
+			// cold alike, so budget trajectories never depend on cache state.
+			d.evalPoints += int64(rung.Hi - rung.Lo)
+			run, c.job = append(run, c), -1
+			if r == 0 && d.cfg.SharedMemo != nil {
+				if v, ok := d.cfg.SharedMemo.Get(c.key); ok {
+					c.score = v
+					continue
+				}
+			}
+			if c.values == nil {
+				c.values = d.spec.Decode(batch[c.first].bits)
+			}
+			c.job, values = len(values), append(values, c.values)
 		}
-		job[i] = len(cohort)
-		cohort = append(cohort, d.spec.Decode(batch[i].bits))
-	}
-	if len(cohort) > 0 {
-		d.batch.Evaluate(ctx, cohort, Rung{})
-	}
-	recheck := false // a cut-short evaluation was committed
-	for i := 0; i < end; i++ {
-		key := string(batch[i].bits)
-		if job[i] == memoHit {
-			batch[i].value = d.memo[key]
-			d.memoHits++
+		if len(values) > 0 {
+			d.batch.Evaluate(ctx, values, rung)
+		}
+		recheck := false // a cut-short evaluation was committed
+		for _, c := range run {
+			if recheck {
+				if reason, h := d.checkHalt(ctx, 0); h {
+					d.halted, d.haltReason = true, reason
+					break
+				}
+			}
+			v := c.score // the value recalled from the shared tier
+			if c.job >= 0 {
+				v, recheck = d.batch.Commit(c.job)
+				if d.cfg.SharedMemo != nil {
+					d.cfg.SharedMemo.Put(c.key, v)
+				}
+			}
+			if c.rungs == 0 {
+				d.evals++
+			}
+			c.commit(v, rung.Hi)
+		}
+		if d.halted {
+			break
+		}
+		if r == len(d.rungs)-1 {
+			// Final rung: the accumulated score over the full sample is the
+			// exact single-fidelity objective.
+			for _, c := range cohort {
+				assign(c)
+			}
+			d.emitRung(rung, len(cohort), 0, 0)
+			break
+		}
+		keep := max(int(math.Ceil(float64(len(cohort))/fidelityEta)), 1)
+		if keep >= len(cohort) {
+			d.emitRung(rung, len(cohort), len(cohort), 0)
 			continue
 		}
-		if recheck {
-			if r, h := d.checkHalt(ctx, 0); h {
-				d.halted, d.haltReason = true, r
-				return i, false
+		// Rank ascending by partial score (the GA minimises), ties to the
+		// earlier batch position — a total deterministic order.
+		order := make([]int, len(cohort))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			ca, cb := cohort[order[a]], cohort[order[b]]
+			if ca.score != cb.score {
+				return ca.score < cb.score
+			}
+			return ca.first < cb.first
+		})
+		kept := make(map[*rungCand]bool, keep)
+		for _, oi := range order[:keep] {
+			kept[cohort[oi]] = true
+		}
+		promoted := make([]*rungCand, 0, keep)
+		for _, c := range cohort {
+			if kept[c] {
+				promoted = append(promoted, c)
+			} else {
+				assign(c)
 			}
 		}
-		v := batch[i].value
-		if job[i] >= 0 {
-			v, recheck = d.batch.Commit(job[i])
-			if d.cfg.SharedMemo != nil {
-				d.cfg.SharedMemo.Put(key, v)
+		d.emitRung(rung, len(cohort), len(promoted), len(cohort)-len(promoted))
+		cohort = promoted
+	}
+	if d.halted {
+		for _, c := range cohort {
+			if c.rungs > 0 && !valued[c.first] {
+				assign(c)
 			}
 		}
-		batch[i].value = v
-		d.memo[key] = v
-		d.evals++
 	}
-	if halted {
-		d.halted, d.haltReason = true, halt
-		return end, false
+	assigned := 0
+	for assigned < len(batch) && valued[assigned] {
+		assigned++
 	}
-	return len(batch), true
+	// Every assigned individual is one evaluation or one memo hit (a memo
+	// entry or a repeat of an earlier genome); past the prefix none counts.
+	d.memoHits += assigned - (d.evals - evals)
+	return assigned, !d.halted
+}
+
+// rungCand is one distinct fresh genome of a batch on its way up the
+// deme's rungs.
+type rungCand struct {
+	key     string  // the genome's bits: its memo and shared-tier key
+	first   int     // first batch index carrying this genome (rank tie-break)
+	members []int   // every batch index carrying it
+	values  []int64 // the decoded genome, from its first dispatch on
+	job     int     // its index in the current rung's cohort; -1: recalled
+	rungs   int     // rungs committed so far
+	seen    int     // sample points committed so far: the last rung's Hi
+	score   float64 // objective over those points
+	failed  bool    // score is a failure value, latched
+}
+
+// commit adds one rung's value to the candidate's score. A failure value
+// (at least QuarantineValue) latches as the score.
+func (c *rungCand) commit(v float64, hi int) {
+	switch {
+	case v >= QuarantineValue:
+		c.score, c.failed = v, true
+	case c.rungs == 0:
+		c.score = v
+	default:
+		c.score += v
+	}
+	c.rungs++
+	c.seen = hi
+}
+
+// fitness is the value the candidate records: its score once its last rung
+// is committed or a failure value latched, and below that a deterministic
+// extrapolation (score scaled by points/seen), so pruned candidates still
+// rank sensibly in the memo.
+func (c *rungCand) fitness(points, rungs int) float64 {
+	if c.failed || c.rungs == rungs {
+		return c.score
+	}
+	return c.score * float64(points) / float64(c.seen)
 }
 
 // record appends this generation's statistics to the deme history,

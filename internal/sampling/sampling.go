@@ -337,11 +337,10 @@ func recovered(st *cachesim.Stats, err *error) {
 }
 
 // EntryFaults are one evaluation's drawn entry hits: eval.stall, then
-// eval.panic. EvaluateWith and EvaluateObserved draw and run their own. A
-// caller evaluating several candidates concurrently draws each
-// candidate's hits in a fixed order with DrawEntryFaults, runs them where
-// that candidate is evaluated, and evaluates under faultinject.Without so
-// no hit is drawn twice.
+// eval.panic. EvaluateWith draws and runs its own. A caller of
+// EvaluateObserved draws each evaluation's hits with DrawEntryFaults, in a
+// fixed order when it evaluates several candidates concurrently, and runs
+// them where that evaluation runs, just before it.
 type EntryFaults struct{ stall, panic *faultinject.Hit }
 
 // DrawEntryFaults draws one evaluation's entry hits from the plan ctx
@@ -379,8 +378,9 @@ func (f EntryFaults) Run(ctx context.Context) (err error) {
 // the caller Rebinds a pooled analyzer (which zeroes its counters)
 // between batches. A nil obs records nothing. Failed or cancelled
 // evaluations record nothing either: their partial counts are discarded
-// by the caller too. Entry faults, cancellation and panics behave as in
-// EvaluateWith.
+// by the caller too. Cancellation and panics behave as in EvaluateWith,
+// but it draws no entry faults: the caller draws them (DrawEntryFaults)
+// and runs them first.
 //
 // The batch is tagged with its 1-based island index (0 = single
 // population), so a stream consumer can attribute evaluation work per
@@ -390,9 +390,6 @@ func (f EntryFaults) Run(ctx context.Context) (err error) {
 // newly classified range, not the cumulative prefix.
 func (s *Sample) EvaluateObserved(ctx context.Context, an *cme.Analyzer, obs telemetry.Recorder, island, rung int) (st cachesim.Stats, err error) {
 	defer recovered(&st, &err)
-	if ctx, err = enter(ctx); err != nil {
-		return cachesim.Stats{}, err
-	}
 	before := an.WalkCounts()
 	if err := classifyLabelled(ctx, profileLabels.Load(), rung, an, s.Points, &st); err != nil {
 		return st, err
