@@ -25,7 +25,9 @@ import (
 // every fidelity rung still ran on one analyzer. The multilevel/* entries
 // at Islands <= 1 were re-recorded when that search moved onto per-level
 // analyzer pools and began counting pool hits and misses; only their
-// counters line changed.
+// counters line changed. The tiling/fidelity3* and padtile/fidelity3*
+// entries at Islands <= 1 were re-recorded when the fidelity ladder began
+// counting memo hits as the classic loop does; only memo_hits changed.
 var facadeGoldenDigests = map[string]string{
 	"catalog/ADD":                  "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
 	"catalog/ADI":                  "1ad9b16a460d396a7281041159e45fe3ad6ea06115eb2610e5b16a6c247b9638",
@@ -83,9 +85,9 @@ var facadeGoldenDigests = map[string]string{
 	"padding/workers4-budget41":    "8ca948c72dfa346f8f67115eadce8d8684b3f1408050004a4c82208cdaeb30b2",
 	"padtile/base":                 "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
 	"padtile/budget41":             "8e9aae0e0beaea487480f07632e409f99a9cc3ca81ca7c98031157f708741664",
-	"padtile/fidelity3":            "1c3c72e06e0c173a2579cb56802ce39b18eb2ca51991875a55d700a23e4d910f",
+	"padtile/fidelity3":            "aa9db3e81fb9486e7ecf37432160d5924adb2a07e53cae4d56a4d03854055a8b",
 	"padtile/fidelity3-islands2":   "69599107b2c2529858b63ddf3e42f94279ee7471b7016a1c4b8d6082c8168e55",
-	"padtile/fidelity3-workers4":   "c5ac073c2b9bf1bddd01dbf5be59ac8269a3244b37b78c8cc53b07c384cbfaff",
+	"padtile/fidelity3-workers4":   "16f09a2a6e28e1f8b5dc3bf86da685497919a37b8cf8330892d5e5d6ea17794b",
 	"padtile/islands1":             "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
 	"padtile/islands2":             "885d7c2dea78a009e890902156dfa3cb5a99647d513e43faef2a07ab97b4f2ae",
 	"padtile/sharedcache":          "05f7d08993f601222cb9cea05d8b05a0386297eec1e778b10e319371acd816d0",
@@ -93,9 +95,9 @@ var facadeGoldenDigests = map[string]string{
 	"padtile/workers4-budget41":    "2cae847939f7714738412a25620359ea4d2c62a75f58d4de58dd5579e24d15ef",
 	"tiling/base":                  "500690e83a959edc7e9a67a3bb6c9f88b550271c009740067e279c0a05a6e8dc",
 	"tiling/budget41":              "94fb06269c2a35459c3afc6dad50d5d10170922d32157447caa7bad64ae96842",
-	"tiling/fidelity3":             "fcb868673c4302edf294bd1c56e67e5920ec07034a176d6c3bd82adcc2fbbf3f",
+	"tiling/fidelity3":             "302e2915324991a5cd1ec421689c09ad1b08c0bca7e637f1a9fee450623e535b",
 	"tiling/fidelity3-islands2":    "d898da01dd37e8ab0409e08d37e739ff9612c50b0383ce0277db1348e090f6dc",
-	"tiling/fidelity3-workers4":    "ba7a05842ccbb94e1e393d883ff3f531c90d2f6935cefc9732062d7e60decfcf",
+	"tiling/fidelity3-workers4":    "b45248359cb390fd905cdd29bfcdf09762b2649ae7e7200e7ae7bc0c6498a2cf",
 	"tiling/islands1":              "500690e83a959edc7e9a67a3bb6c9f88b550271c009740067e279c0a05a6e8dc",
 	"tiling/islands2":              "2dc1e1a16c348ba0cc7ed13e2d2fb33128fd2aab72df98aade02c62f8d6db2ea",
 	"tiling/sharedcache":           "f1b0bc75afdbdd49239701ecb7c208e8ca14b6018d5d2ac408114dd06c52507c",

@@ -117,7 +117,10 @@ var goldenConfigs = []struct {
 // goldenDigests were generated before the single-population loop and
 // the island runtime were merged into one deme engine. They pin every
 // observable output of Run: the Result, every checkpoint's bytes, the
-// counter totals and — at Islands <= 1 — the full event stream.
+// counter totals and — at Islands <= 1 — the full event stream. The
+// fidelity3/* entries and fidelity3-budget45/islands2 and islands3 were
+// re-recorded when the ladder began counting memo hits as the classic
+// loop does; only memo-hit counts changed.
 var goldenDigests = map[string]string{
 	"budget3/islands0":            "07e160270d84263ad61cd7577dc1a2aadff34daed3fb89f5b45815d55e2d17e9",
 	"budget3/islands1":            "07e160270d84263ad61cd7577dc1a2aadff34daed3fb89f5b45815d55e2d17e9",
@@ -129,12 +132,12 @@ var goldenDigests = map[string]string{
 	"budget37/islands3":           "cd4d26088b3da8516d3694fee105983c75c2ebebfd49d6dd09067bc9a96af8ec",
 	"fidelity3-budget45/islands0": "707a36fce9710b7115db3e6fe9915ba30ad92c7d0fdb7dc49e583545d6f0729a",
 	"fidelity3-budget45/islands1": "707a36fce9710b7115db3e6fe9915ba30ad92c7d0fdb7dc49e583545d6f0729a",
-	"fidelity3-budget45/islands2": "105207d1b982faf2652ac3a15e3b3ee022a0af0c062b6ad762abd9a027474de1",
-	"fidelity3-budget45/islands3": "dc41285ebfec898f7b9ace79c9f76092c7d3ee206905b7e8abadfaeecf7acde7",
-	"fidelity3/islands0":          "5edaa3dda4208faeed1f77a2325b5266936501d9fd4e6089d25543637ad17129",
-	"fidelity3/islands1":          "5edaa3dda4208faeed1f77a2325b5266936501d9fd4e6089d25543637ad17129",
-	"fidelity3/islands2":          "a9c0ac4524e43b84c9471e99de549e18bda71919b4ce8f72f3b9207d61202588",
-	"fidelity3/islands3":          "7704851907f559ba000ab3ffca6dd95960935d0286a1de4fe86f8835b8cd3562",
+	"fidelity3-budget45/islands2": "bc0f2d04924e40d9b0af7d4ba7a50cf0400047a998353550ff6893945d946cbd",
+	"fidelity3-budget45/islands3": "1d0efed1c4dcdfb740386fb307cf17ec5dac4082e93baf691e4a7007b67cce52",
+	"fidelity3/islands0":          "c5716f54665074fc37244ffd71cd0115942223523921ad7690f6b2f715ed416e",
+	"fidelity3/islands1":          "c5716f54665074fc37244ffd71cd0115942223523921ad7690f6b2f715ed416e",
+	"fidelity3/islands2":          "e9f6a89f1378941bbb978b47ef865a3ddb6d12656ddfbb50bf70fc21e101e8b9",
+	"fidelity3/islands3":          "6bec05602c4c7e2929e45ad46c42613b53767da9a6d567b1eacb7ccfd53bb195",
 	"paper/islands0":              "545178825cfbe6644a1b7f6583ca6e88a7ae5e50e88e30772fe5bab1bb942bcc",
 	"paper/islands1":              "545178825cfbe6644a1b7f6583ca6e88a7ae5e50e88e30772fe5bab1bb942bcc",
 	"paper/islands2":              "b85b43b763d746b2a1b3f122ae8695d82a05bd43cb9700c25c2788e49ac84242",
