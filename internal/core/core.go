@@ -974,7 +974,8 @@ func TileObjective(nest *ir.Nest, opt Options) (func(tile []int64) float64, *ite
 	f := func(tile []int64) float64 {
 		st, err := ev.tiled(context.Background(), nest, tileFromGenome(ev.box, tile))
 		if err != nil {
-			return float64(st.Accesses + 1) // poison invalid candidates
+			// One above the sample's accesses: worse than any scored tile.
+			return float64(len(ev.sample.Points)*len(nest.Refs) + 1)
 		}
 		return float64(st.Replacement)
 	}

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
+	"repro/internal/sampling"
 )
 
 // TestTileObjectiveDeterministicAndBounded: the exposed objective is
@@ -38,6 +40,34 @@ func TestTileObjective(t *testing.T) {
 	bad.Loops[0].Step = 2
 	if _, _, err := TileObjective(bad, opt); err == nil {
 		t.Fatal("non-rectangular accepted")
+	}
+}
+
+// TestTileObjectiveStalledScoresWorst: a tile whose evaluation fails,
+// here stalled by a one-nanosecond watchdog, scores one above the sample's
+// accesses, worse than every tile an evaluation scored, never the
+// near-best count of a failed evaluation's partial statistics.
+func TestTileObjectiveStalledScoresWorst(t *testing.T) {
+	nest := kernelNest(t, "MM", 40)
+	opt := Options{Cache: cache.DM8K, Seed: 7}
+	clean, _, err := TileObjective(nest, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.StallTimeout = time.Nanosecond
+	stalled, _, err := TileObjective(nest, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := float64(sampling.PaperSampleSize*len(nest.Refs) + 1)
+	for _, tile := range [][]int64{{40, 40, 40}, {1, 1, 1}, {8, 8, 8}, {40, 1, 1}} {
+		want := clean(tile)
+		if want >= failed {
+			t.Fatalf("tile %v scored %v unstalled, not below the failure value %v", tile, want, failed)
+		}
+		if got := stalled(tile); got != want && got != failed {
+			t.Errorf("tile %v scored %v under the stall watchdog, want %v or the failure value %v", tile, got, want, failed)
+		}
 	}
 }
 
