@@ -59,6 +59,9 @@ vet:
 # internal/polyhedra. Evaluation: a search classifies each candidate whole
 # on one analyzer and fans out only by cohort and island, so no non-test
 # file of internal/core may call sampling's point-chunked EvaluateWith.
+# Faults: EvaluateObserved draws no entry faults (its caller, core's
+# evaluator.classify, draws them), so no non-test file outside
+# internal/core may call it.
 depcheck:
 	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/... | grep -E ' repro/internal/telemetry/sinks( |$$)' || true); \
 	if [ -n "$$bad" ]; then \
@@ -77,6 +80,11 @@ depcheck:
 	@bad=$$(cd internal/core && grep -nE '\.EvaluateWith\(' $$($(GO) list -f '{{join .GoFiles " "}}' .) || true); \
 	if [ -n "$$bad" ]; then \
 		echo "depcheck: internal/core must not call sampling.EvaluateWith (a search evaluates each candidate on one analyzer):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$($(GO) list -f '{{if ne .ImportPath "repro/internal/core"}}{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{end}}' ./... | xargs grep -nE '\.EvaluateObserved\(' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "depcheck: only internal/core may call sampling's EvaluateObserved (it draws no entry faults, so a caller elsewhere would skip the fault plan):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "depcheck: ok"

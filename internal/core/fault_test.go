@@ -349,3 +349,46 @@ func TestValidateFailureOptions(t *testing.T) {
 		t.Fatal("FailurePolicy.String drifted")
 	}
 }
+
+// TestLoneEvaluationFaultDraws: a lone evaluation draws one eval.panic
+// hit from the caller's plan, so the Nth evaluation of an enumeration
+// takes hit N. ExhaustiveTiling over transpose(6)'s 36 tiles fails at
+// any N up to 36 and returns its clean result at 37; BestInterchange's
+// two loop orders fail at N = 1 and 2 and come back clean at 3.
+func TestLoneEvaluationFaultDraws(t *testing.T) {
+	nest, opt := transpose(6), testOpt(3)
+	wantTile, wantStats, err := ExhaustiveTiling(context.Background(), nest, opt, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRatio, wantOrder, err := BestInterchange(context.Background(), nest, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, n int, err error, clean bool) {
+		t.Helper()
+		fired := fmt.Sprintf("eval.panic fired (hit %d)", n)
+		switch {
+		case clean && err != nil:
+			t.Errorf("%s at after=%d: %v, want the clean result", name, n, err)
+		case !clean && (err == nil || !strings.Contains(err.Error(), fired)):
+			t.Errorf("%s at after=%d: %v, want the error of %q", name, n, err, fired)
+		}
+	}
+	for _, n := range []int{1, 20, 36, 37} {
+		ctx := faultCtx(t, fmt.Sprintf("eval.panic:after=%d,times=1", n))
+		tile, st, err := ExhaustiveTiling(ctx, nest, opt, 100)
+		check("ExhaustiveTiling", n, err, n == 37)
+		if n == 37 && (!reflect.DeepEqual(tile, wantTile) || st != wantStats) {
+			t.Errorf("ExhaustiveTiling at after=37: %v %+v, want %v %+v", tile, st, wantTile, wantStats)
+		}
+	}
+	for _, n := range []int{1, 2, 3} {
+		ctx := faultCtx(t, fmt.Sprintf("eval.panic:after=%d,times=1", n))
+		ratio, order, err := BestInterchange(ctx, nest, opt)
+		check("BestInterchange", n, err, n == 3)
+		if n == 3 && (ratio != wantRatio || !reflect.DeepEqual(order, wantOrder)) {
+			t.Errorf("BestInterchange at after=3: %v %v, want %v %v", ratio, order, wantRatio, wantOrder)
+		}
+	}
+}

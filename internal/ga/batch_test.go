@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // poolBatch evaluates a cohort on n goroutines, each taking the next
@@ -179,6 +180,77 @@ func TestBatchCutShortHaltsAtNextMiss(t *testing.T) {
 			}
 			if b.seen <= tc.cut+1 {
 				t.Fatalf("the cut candidate %d ended its cohort (%d evaluated): nothing after it was left uncommitted", tc.cut, b.seen)
+			}
+		})
+	}
+}
+
+// TestEvaluateCountsAssignedIndividualsOnce: deme.evaluate counts every
+// individual it assigns as exactly one evaluation or one memo hit, a memo
+// hit being a memo entry or a repeat of an earlier genome of the batch,
+// on the classic zero rung and on the fidelity ladder alike. When the
+// budget halts the batch, no memo hit past the assigned prefix counts.
+func TestEvaluateCountsAssignedIndividualsOnce(t *testing.T) {
+	spec := sphereSpec()
+	genome := func(x int64) []int64 { return []int64{x, x, x} }
+	memo := []int64{1, 2, 3} // in the deme's memo before the batch
+	// Fresh genomes 10–14 among memo hits and repeats.
+	order := []int64{10, 1, 11, 10, 2, 12, 11, 13, 3, 14, 12, 1, 13}
+	const points = 64 // ladder rungs [0,16), [16,32) and [32,64)
+	for _, tc := range []struct {
+		name     string
+		fidelity bool
+		shared   bool // the shared tier holds genome 11
+		budget   int  // the deme's share: evaluations, or × points points on the ladder
+		assigned int
+	}{
+		{"classic", false, false, 0, 13},
+		{"classic-shared", false, true, 0, 13},
+		// Genome 12, at index 5, is the third evaluation.
+		{"classic-budget2", false, false, 2, 5},
+		{"fidelity3", true, false, 0, 13},
+		// Rung 1 fits four candidates: genome 14, at index 9, halts.
+		{"fidelity3-budget1", true, false, 1, 9},
+		// Rungs 1 and 2 fit, rung 3 halts: every candidate has a score.
+		{"fidelity3-budget2", true, false, 2, 13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := PaperConfig(3)
+			if tc.fidelity {
+				cfg.Fidelity, cfg.Points, cfg.Batch = Fidelity{Rungs: 3}, points, rangeBatches
+			}
+			if tc.shared {
+				mm := newMapMemo()
+				mm.Put(string(spec.Encode(genome(11))), sphereObj(genome(11)))
+				cfg.SharedMemo = mm
+			}
+			d := newDeme(spec, sphereObj, cfg, 0, cfg.PopSize, tc.budget, time.Now())
+			known := map[string]bool{}
+			for _, x := range memo {
+				key := string(spec.Encode(genome(x)))
+				d.memo[key], known[key] = sphereObj(genome(x)), true
+			}
+			batch := make([]individual, len(order))
+			for i, x := range order {
+				batch[i].bits = spec.Encode(genome(x))
+			}
+			n, complete := d.evaluate(context.Background(), batch, false)
+			if n != tc.assigned || complete != (tc.budget == 0) {
+				t.Fatalf("assigned %d of %d (complete %v), want %d (complete %v)",
+					n, len(batch), complete, tc.assigned, tc.budget == 0)
+			}
+			if d.evals+d.memoHits != n {
+				t.Errorf("%d evaluations + %d memo hits, want the %d assigned individuals", d.evals, d.memoHits, n)
+			}
+			hits := 0
+			for _, ind := range batch[:n] {
+				if known[string(ind.bits)] {
+					hits++
+				}
+				known[string(ind.bits)] = true
+			}
+			if d.memoHits != hits {
+				t.Errorf("%d memo hits, want the %d inside the assigned prefix", d.memoHits, hits)
 			}
 		})
 	}
