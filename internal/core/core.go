@@ -296,10 +296,10 @@ func poison() float64 { return math.Inf(1) }
 // low-variance) and a pool of reusable analyzers, one per worker, rebound
 // to each candidate's iteration space instead of paying NewAnalyzer
 // allocation churn on all 450+ evaluations of a GA run. Every evaluation
-// classifies its whole sample range on one analyzer: a cohort (cohort.go)
-// gives worker w pool[w], a lone evaluation takes pool[0], and a
-// candidate on a different nest (the padding searches mutate array
-// layouts per candidate) rebuilds only its analyzer.
+// classifies its whole sample range on one analyzer through classify: a
+// cohort (cohort.go) gives worker w pool[w], a lone evaluation (evalRange)
+// takes pool[0], and a candidate on a different nest (the padding searches
+// mutate array layouts per candidate) rebuilds only its analyzer.
 type evaluator struct {
 	nest   *ir.Nest
 	box    *iterspace.Box

@@ -1,12 +1,13 @@
 package ga
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/telemetry"
@@ -27,15 +28,15 @@ const QuarantineValue = math.MaxFloat64
 // order. With the fidelity ladder off a generation has one rung, the zero
 // Rung, and its cohort is every candidate that missed each memo tier.
 // Evaluate scores them over the sample range r and may classify them
-// concurrently; it returns once every one has finished. The deme then commits them with Commit, serially
-// in batch order, and stops at the first halt, so only a prefix of a
-// cohort may be committed. Commit publishes candidate i's side effects
-// (telemetry, failure handling) and returns its objective value over r.
-// cutShort reports that the context stopped the evaluation before it
-// finished: like serial evaluation, the deme commits that candidate and
-// re-checks its halt before the next miss. Equal inputs must give equal
-// values at any scheduling, since the memo and migration carry values
-// across demes.
+// concurrently; it returns once every one has finished. The deme then
+// commits them with Commit, serially in batch order, and stops at the
+// first halt, so only a prefix of a cohort may be committed. Commit
+// publishes candidate i's side effects (telemetry, failure handling) and
+// returns its objective value over r. cutShort reports that the context
+// stopped the evaluation before it finished: like serial evaluation, the
+// deme commits that candidate and re-checks its halt before the next
+// miss. Equal inputs must give equal values at any scheduling, since the
+// memo and migration carry values across demes.
 type BatchEvaluator interface {
 	Evaluate(ctx context.Context, values [][]int64, r Rung)
 	Commit(i int) (value float64, cutShort bool)
@@ -732,10 +733,10 @@ func (d *deme) evaluate(ctx context.Context, batch []individual, force bool) (in
 			// Points are charged before they are classified, cache-warm or
 			// cold alike, so budget trajectories never depend on cache state.
 			d.evalPoints += int64(rung.Hi - rung.Lo)
-			run, c.job = append(run, c), -1
+			run = append(run, c)
 			if r == 0 && d.cfg.SharedMemo != nil {
 				if v, ok := d.cfg.SharedMemo.Get(c.key); ok {
-					c.score = v
+					c.job, c.score = -1, v
 					continue
 				}
 			}
@@ -784,29 +785,18 @@ func (d *deme) evaluate(ctx context.Context, batch []individual, force bool) (in
 			d.emitRung(rung, len(cohort), len(cohort), 0)
 			continue
 		}
-		// Rank ascending by partial score (the GA minimises), ties to the
-		// earlier batch position — a total deterministic order.
-		order := make([]int, len(cohort))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			ca, cb := cohort[order[a]], cohort[order[b]]
-			if ca.score != cb.score {
-				return ca.score < cb.score
-			}
-			return ca.first < cb.first
-		})
-		kept := make(map[*rungCand]bool, keep)
-		for _, oi := range order[:keep] {
-			kept[cohort[oi]] = true
+		// Rank ascending by partial score (the GA minimises); the cohort is
+		// in batch order, so the stable sort sends ties to the earlier
+		// batch position — a total deterministic order.
+		ranked := slices.Clone(cohort)
+		slices.SortStableFunc(ranked, func(a, b *rungCand) int { return cmp.Compare(a.score, b.score) })
+		for _, c := range ranked[keep:] {
+			assign(c)
 		}
 		promoted := make([]*rungCand, 0, keep)
 		for _, c := range cohort {
-			if kept[c] {
+			if !valued[c.first] {
 				promoted = append(promoted, c)
-			} else {
-				assign(c)
 			}
 		}
 		d.emitRung(rung, len(cohort), len(promoted), len(cohort)-len(promoted))
