@@ -61,7 +61,10 @@ vet:
 # file of internal/core may call sampling's point-chunked EvaluateWith.
 # Faults: EvaluateObserved draws no entry faults (its caller, core's
 # evaluator.classify, draws them), so no non-test file outside
-# internal/core may call it.
+# internal/core may call it. Shared cache: searches recall and store
+# evaluation work in the stats tier alone, so no non-test file of this
+# module may call evalcache's GetFitness or PutFitness (perfbench, a
+# module of its own, still times them in its layer replay).
 depcheck:
 	@bad=$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/... | grep -E ' repro/internal/telemetry/sinks( |$$)' || true); \
 	if [ -n "$$bad" ]; then \
@@ -85,6 +88,11 @@ depcheck:
 	@bad=$$($(GO) list -f '{{if ne .ImportPath "repro/internal/core"}}{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}{{end}}' ./... | xargs grep -nE '\.EvaluateObserved\(' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "depcheck: only internal/core may call sampling's EvaluateObserved (it draws no entry faults, so a caller elsewhere would skip the fault plan):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | xargs grep -nE '\.(Get|Put)Fitness\(' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "depcheck: no search may call evalcache's GetFitness or PutFitness (the stats tier is the one shared store of evaluation work; only perfbench's layer replay times the fitness tier):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "depcheck: ok"

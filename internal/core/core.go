@@ -319,9 +319,9 @@ type evaluator struct {
 	pool []*cme.Analyzer
 
 	// shared is the cross-search evaluation cache (nil = disabled). The
-	// content keys are precomputed once per search; only the primary
-	// evaluator carries them — island forks leave shared nil, since
-	// fitness sharing happens at the GA layer.
+	// content keys of the base nest, the geometry and the sample are
+	// computed once per search and carried by every fork; a level fork
+	// keys its own geometry.
 	shared   *evalcache.Cache
 	nestKey  string
 	cfgKey   string
@@ -357,15 +357,21 @@ func newEvaluator(nest *ir.Nest, opt Options) (*evaluator, error) {
 
 // fork returns a private view of the evaluator over cache geometry cfg:
 // its own mutex and (initially empty) analyzer pool, sharing the
-// immutable pieces — nest, box, sample, observer — so every fork of one
-// geometry evaluates the identical objective while islands (tagged island)
-// or cache levels run concurrently.
+// immutable pieces — nest, box, sample, observer, shared cache and content
+// keys — so every fork of one geometry evaluates the identical objective
+// while islands (tagged island) or cache levels run concurrently. A fork
+// over another geometry keys the shared cache by that geometry.
 func (e *evaluator) fork(island int, cfg cache.Config) *evaluator {
-	return &evaluator{
+	f := &evaluator{
 		nest: e.nest, box: e.box, cfg: cfg, sample: e.sample,
 		obs: e.obs, stall: e.stall,
 		island: island, pool: make([]*cme.Analyzer, len(e.pool)),
+		shared: e.shared, nestKey: e.nestKey, cfgKey: e.cfgKey, sampleFP: e.sampleFP,
 	}
+	if f.shared != nil && cfg != e.cfg {
+		f.cfgKey = evalcache.ConfigKey(cfg)
+	}
+	return f
 }
 
 // bind returns pool[w] bound to (nest, space): rebound in place when it
@@ -388,10 +394,10 @@ func (e *evaluator) evalSpace(ctx context.Context, nest *ir.Nest, space iterspac
 
 // evalRange evaluates the sample range r covers over nest traversed in
 // space order as a lone evaluation on pool[0], drawing its entry faults
-// from the plan ctx carries. With the shared cache enabled, statistics for
-// the search's base nest are recalled and stored by content key, so
-// repeated requests skip the classification work entirely (the recalled
-// value is the one an evaluation would compute, so results never change).
+// from the plan ctx carries. With the shared cache enabled, statistics are
+// recalled and stored by content key, so repeated requests skip the
+// classification work entirely (the recalled value is the one an
+// evaluation would compute, so results never change).
 func (e *evaluator) evalRange(ctx context.Context, nest *ir.Nest, space iterspace.Space, r ga.Rung) (cachesim.Stats, error) {
 	r = e.span(r)
 	key := e.statsKey(nest, space, r)
@@ -480,21 +486,26 @@ func countPool(obs telemetry.Recorder, reused bool) {
 	}
 }
 
-// statsKey returns the shared-cache key for statistics of the search's
-// base nest over space and the sample range r (resolved by span), or ""
-// when the evaluation is not shareable: sharing disabled, a per-candidate
-// mutated (padded) nest, or an iteration-space shape without a canonical
-// encoding. The whole sample has one key whichever rung covers it; a
+// statsKey returns the shared-cache key for statistics of nest over space
+// and the sample range r (resolved by span), or "" when the evaluation is
+// not shareable: sharing disabled, or an iteration-space shape without a
+// canonical encoding. The key covers the nest's content, the geometry,
+// the sample and the space; a per-candidate (padded) nest is keyed by its
+// own content. The whole sample has one key whichever rung covers it; a
 // partial rung is keyed by its own range.
 func (e *evaluator) statsKey(nest *ir.Nest, space iterspace.Space, r ga.Rung) string {
-	if e.shared == nil || nest != e.nest {
+	if e.shared == nil {
 		return ""
 	}
 	shape, ok := spaceKey(space)
 	if !ok {
 		return ""
 	}
-	key := evalcache.Scope("stats", e.nestKey, e.cfgKey, e.sampleFP, shape)
+	nestKey := e.nestKey
+	if nest != e.nest {
+		nestKey = evalcache.NestKey(nest)
+	}
+	key := evalcache.Scope("stats", nestKey, e.cfgKey, e.sampleFP, shape)
 	if r.Lo == 0 && r.Hi == len(e.sample.Points) {
 		return key
 	}
@@ -539,42 +550,6 @@ func (e *evaluator) estimate(st cachesim.Stats) sampling.Estimate {
 	return sampling.FromStats(st, len(e.sample.Points), sampling.PaperConfidence)
 }
 
-// sharedMemo adapts the shared evaluation cache to the ga.SharedMemo
-// fitness tier. Keys arriving from the GA are raw genome bits; the scope
-// prefix pins them to one evaluation context (phase label, nest content,
-// geometry, sample). Put filters every value that is not a pure function
-// of the key: quarantine sentinels and poisoned or non-finite fitness
-// depend on wall-clock faults, and recalling them in a later run would
-// corrupt its results.
-type sharedMemo struct {
-	c     *evalcache.Cache
-	scope string
-}
-
-func (m *sharedMemo) Get(key string) (float64, bool) {
-	return m.c.GetFitness(m.scope + key)
-}
-
-func (m *sharedMemo) Put(key string, v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) || v == ga.QuarantineValue {
-		return
-	}
-	m.c.PutFitness(m.scope+key, v)
-}
-
-// sharedFitnessMemo returns the GA's shared fitness tier for one search
-// phase over this evaluator's nest, geometry and sample (nil when
-// sharing is disabled). extra carries additional scope discriminators —
-// the multi-level search adds every level's geometry and penalty, since
-// its fitness depends on more than the evaluator's single geometry.
-func (e *evaluator) sharedFitnessMemo(label string, extra ...string) ga.SharedMemo {
-	if e.shared == nil {
-		return nil
-	}
-	parts := append([]string{label, e.nestKey, e.cfgKey, e.sampleFP}, extra...)
-	return &sharedMemo{c: e.shared, scope: evalcache.Scope(parts...)}
-}
-
 // problem is what one GA search optimises: its genome, the heuristic
 // individuals seeded into the initial population and how a genome is
 // scored.
@@ -583,10 +558,6 @@ type problem struct {
 	spec  ga.Spec
 	// seeds are injected into the initial population.
 	seeds [][]int64
-	// memoScope adds discriminators to the shared fitness memo's scope,
-	// for a fitness that depends on more than the evaluator's nest,
-	// geometry and sample.
-	memoScope []string
 	// decode maps a genome to the nest and iteration space whose sampled
 	// replacement misses are its fitness. The cohorts use it for whole
 	// generations and fidelity rungs alike.
@@ -638,9 +609,9 @@ func runSearch[R any](ctx context.Context, nest *ir.Nest, opt Options,
 	guard := opt.newGuard()
 	// Each deme evaluates on its own evaluator: the search's own for a
 	// single population, a fork (private analyzer pool over the shared
-	// immutable sample) per island, so islands run concurrently without
-	// serialising on one pool. The forks are value-identical, so migration
-	// and memo sharing stay sound.
+	// immutable sample and the shared cache) per island, so islands run
+	// concurrently without serialising on one pool. The forks are
+	// value-identical, so migration and the shared stats tier stay sound.
 	demeEval := func(i int) *evaluator {
 		if opt.Islands > 1 {
 			return ev.fork(i+1, ev.cfg)
@@ -667,11 +638,6 @@ func runSearch[R any](ctx context.Context, nest *ir.Nest, opt Options,
 		Checkpoint:     opt.Checkpoint,
 		ResumeFrom:     opt.ResumeFrom,
 		Label:          p.label,
-	}
-	// Fidelity pruning records cohort-dependent scaled fitness, which must
-	// never leak into the cross-search memo tier.
-	if !opt.Fidelity.Enabled() {
-		gaCfg.SharedMemo = ev.sharedFitnessMemo(p.label, p.memoScope...)
 	}
 	res, err := ga.Run(ctx, p.spec, nil, gaCfg)
 	if err != nil {

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"strconv"
 
 	"repro/internal/cache"
-	"repro/internal/evalcache"
 	"repro/internal/ga"
 	"repro/internal/ir"
 	"repro/internal/iterspace"
@@ -69,21 +67,11 @@ func OptimizeTilingMultiLevel(ctx context.Context, nest *ir.Nest, levels []Level
 	}
 	opt.Cache = levels[0].Cache // each level evaluates on a fork over its own cache
 	return runSearch(ctx, nest, opt, func(ev *evaluator) problem {
-		// The multi-level fitness depends on every level's geometry and
-		// penalty, not just the evaluator's level-0 geometry: widen the
-		// memo scope so hierarchies differing in any level never share
-		// values.
-		scope := make([]string, 0, 2*len(levels))
-		for _, l := range levels {
-			scope = append(scope, evalcache.ConfigKey(l.Cache),
-				strconv.FormatFloat(l.MissPenalty, 'g', -1, 64))
-		}
 		return problem{
-			label:     "multilevel",
-			spec:      ev.tileSpec(),
-			seeds:     tileSeeds(nest, ev.box, levels[0].Cache),
-			memoScope: scope,
-			levels:    levels,
+			label:  "multilevel",
+			spec:   ev.tileSpec(),
+			seeds:  tileSeeds(nest, ev.box, levels[0].Cache),
+			levels: levels,
 			decode: func(e *evaluator, v []int64) (*ir.Nest, iterspace.Space, error) {
 				return nest, iterspace.NewTiled(e.box, tileFromGenome(e.box, v)), nil
 			},

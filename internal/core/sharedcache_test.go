@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/evalcache"
 	"repro/internal/iterspace"
+	"repro/internal/telemetry"
 )
 
 // sharedOpt is islandOpt plus a shared evaluation cache.
@@ -65,9 +68,10 @@ func TestSharedCacheIslandDeterminism(t *testing.T) {
 	}
 }
 
-// TestSharedCacheIslandScopeIsolation: warming the cache with one search
-// phase must not leak values into another phase or seed — the scope hash
-// (label, nest, geometry, sample) isolates them.
+// TestSharedCacheIslandScopeIsolation: warming the cache with other seeds
+// and another search must not leak values into an unrelated search. No
+// key carries the search's label: the content keys (nest, geometry,
+// sample, iteration space) isolate them.
 func TestSharedCacheIslandScopeIsolation(t *testing.T) {
 	nest := transpose(64)
 	c := evalcache.New(evalcache.Config{MaxEntries: 1 << 14})
@@ -109,6 +113,62 @@ func TestSharedCacheIslandScopeIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameTiling(t, "seed-99 warm vs disabled", disabled, warm)
+}
+
+// TestSharedCacheCoversEverySearch: the stats tier is the one shared
+// store of evaluation work, so every search recalls through it. Each
+// search runs with no cache, a cold cache and the same cache warm. The
+// three results are identical. With the cold cache the padding, joint and
+// multi-level searches already classify fewer points than with none
+// (distinct genomes decode to one padded nest; finalisation recalls each
+// level's statistics), and no run classifies more. The warm run
+// classifies no point at all.
+func TestSharedCacheCoversEverySearch(t *testing.T) {
+	mm, add := kernelNest(t, "MM", 40), kernelNest(t, "ADD", 0)
+	levels := []Level{{Cache: cache.DM8K, MissPenalty: 10}, {Cache: cache.DM32K, MissPenalty: 100}}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		islands int
+		fewer   bool // the cold cache must recall within the search
+		run     func(Options) (any, error)
+	}{
+		{"padding", 0, true, func(o Options) (any, error) { return OptimizePadding(ctx, add, o) }},
+		{"joint", 0, true, func(o Options) (any, error) { return OptimizeJoint(ctx, add, o) }},
+		{"multilevel", 0, true, func(o Options) (any, error) { return OptimizeTilingMultiLevel(ctx, mm, levels, o) }},
+		{"tiling-islands2", 2, false, func(o Options) (any, error) { return OptimizeTiling(ctx, mm, o) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := evalcache.New(evalcache.Config{})
+			var results []string
+			var points []uint64
+			for _, shared := range []*evalcache.Cache{nil, c, c} {
+				var cap telemetry.Capture
+				res, err := tc.run(Options{Cache: cache.DM8K, Seed: 7, SamplePoints: 64, Workers: 1,
+					Islands: tc.islands, Observer: &cap, SharedCache: shared})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results = append(results, string(b))
+				points = append(points, cap.Counters().SampledPoints)
+			}
+			none, cold, warm := points[0], points[1], points[2]
+			t.Logf("sampled points: no cache %d, cold %d, warm %d", none, cold, warm)
+			if results[1] != results[0] || results[2] != results[0] {
+				t.Fatalf("results differ:\nno cache: %s\ncold:     %s\nwarm:     %s", results[0], results[1], results[2])
+			}
+			if cold > none || (tc.fewer && cold == none) {
+				t.Errorf("cold cache classified %d points, no cache %d", cold, none)
+			}
+			if warm != 0 {
+				t.Errorf("warm cache classified %d points, want 0", warm)
+			}
+		})
+	}
 }
 
 // TestSpaceKeyEncodesTileAndOrder pins the shared stats tier's key for

@@ -45,11 +45,25 @@ func (b *poolBatch) Commit(i int) (float64, bool) {
 	return b.values[i], false
 }
 
+// countingObjective is the deterministic test objective with a call
+// counter (atomic: island demes evaluate concurrently), so tests can
+// see which evaluations the memo absorbed.
+func countingObjective(calls *atomic.Int64) Objective {
+	return func(values []int64) float64 {
+		calls.Add(1)
+		var s float64
+		for i, v := range values {
+			s += float64(v%97) * float64(i+1)
+		}
+		return s
+	}
+}
+
 // TestBatchWorkerCountInvariant: a concurrent batch evaluator at any
 // worker count reproduces the serial run exactly (result, history,
 // evaluations and every checkpoint), also when a budget halts a deme in
-// the middle of a generation, with island demes sharing a memo tier, and
-// with every fidelity rung a cohort, where rangeBatch is the serial run.
+// the middle of a generation, with island demes, and with every fidelity
+// rung a cohort, where rangeBatch is the serial run.
 func TestBatchWorkerCountInvariant(t *testing.T) {
 	spec := NewTileSpec([]int64{64, 64, 64})
 	var calls atomic.Int64
@@ -62,10 +76,7 @@ func TestBatchWorkerCountInvariant(t *testing.T) {
 	}{
 		{"base", func(*Config) {}, whole},
 		{"budget41", func(c *Config) { c.MaxEvaluations = 41 }, whole},
-		{"islands2-shared", func(c *Config) {
-			c.Islands = 2
-			c.SharedMemo = newMapMemo()
-		}, whole},
+		{"islands2", func(c *Config) { c.Islands = 2 }, whole},
 		{"fidelity3", func(c *Config) {
 			c.Fidelity, c.Points = Fidelity{Rungs: 3}, fakePoints
 			if c.Batch == nil {
@@ -200,29 +211,22 @@ func TestEvaluateCountsAssignedIndividualsOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		fidelity bool
-		shared   bool // the shared tier holds genome 11
-		budget   int  // the deme's share: evaluations, or × points points on the ladder
+		budget   int // the deme's share: evaluations, or × points points on the ladder
 		assigned int
 	}{
-		{"classic", false, false, 0, 13},
-		{"classic-shared", false, true, 0, 13},
+		{"classic", false, 0, 13},
 		// Genome 12, at index 5, is the third evaluation.
-		{"classic-budget2", false, false, 2, 5},
-		{"fidelity3", true, false, 0, 13},
+		{"classic-budget2", false, 2, 5},
+		{"fidelity3", true, 0, 13},
 		// Rung 1 fits four candidates: genome 14, at index 9, halts.
-		{"fidelity3-budget1", true, false, 1, 9},
+		{"fidelity3-budget1", true, 1, 9},
 		// Rungs 1 and 2 fit, rung 3 halts: every candidate has a score.
-		{"fidelity3-budget2", true, false, 2, 13},
+		{"fidelity3-budget2", true, 2, 13},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := PaperConfig(3)
 			if tc.fidelity {
 				cfg.Fidelity, cfg.Points, cfg.Batch = Fidelity{Rungs: 3}, points, rangeBatches
-			}
-			if tc.shared {
-				mm := newMapMemo()
-				mm.Put(string(spec.Encode(genome(11))), sphereObj(genome(11)))
-				cfg.SharedMemo = mm
 			}
 			d := newDeme(spec, sphereObj, cfg, 0, cfg.PopSize, tc.budget, time.Now())
 			known := map[string]bool{}

@@ -3,7 +3,6 @@ package ga
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -57,18 +56,6 @@ func TestFidelityValidate(t *testing.T) {
 		if err := f.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted an invalid configuration", f)
 		}
-	}
-}
-
-// TestFidelityRejectsSharedMemo: pruned candidates memoise cohort-dependent
-// scaled fitness, which must never feed the cross-search memo tier.
-func TestFidelityRejectsSharedMemo(t *testing.T) {
-	cfg := PaperConfig(1)
-	cfg.Fidelity = Fidelity{Rungs: 3}
-	cfg.SharedMemo = &mapMemo{}
-	err := cfg.Validate()
-	if err == nil || !strings.Contains(err.Error(), "shared memo") {
-		t.Fatalf("Validate = %v, want shared-memo incompatibility", err)
 	}
 }
 

@@ -26,7 +26,7 @@ const QuarantineValue = math.MaxFloat64
 // BatchEvaluator evaluates a deme's cohorts: one per rung of each
 // generation, holding the decoded candidates the rung dispatched, in batch
 // order. With the fidelity ladder off a generation has one rung, the zero
-// Rung, and its cohort is every candidate that missed each memo tier.
+// Rung, and its cohort is every candidate that missed the deme's memo.
 // Evaluate scores them over the sample range r and may classify them
 // concurrently; it returns once every one has finished. The deme then
 // commits them with Commit, serially in batch order, and stops at the
@@ -73,18 +73,6 @@ func (s *serialBatch) Evaluate(ctx context.Context, values [][]int64, _ Rung) {
 
 func (s *serialBatch) Commit(i int) (float64, bool) {
 	return s.values[i], s.stopped && i == len(s.values)-1
-}
-
-// SharedMemo is a cross-run memo tier for finished objective values,
-// keyed by the individual's raw genome bits. The caller scopes keys to
-// the evaluation context (nest, geometry, sample, phase) before handing
-// the memo to a run, so the run itself only sees genome keys. Get
-// returns a previously Put value; Put offers a freshly computed value
-// (implementations may drop it, e.g. under a size bound). Both must be
-// safe for concurrent use — islands of one run share the memo.
-type SharedMemo interface {
-	Get(key string) (float64, bool)
-	Put(key string, value float64)
 }
 
 // CrossoverKind selects the recombination operator.
@@ -158,8 +146,8 @@ func (p Params) Validate() error {
 }
 
 // Config is one run: the algorithm's Params plus the wiring of the run
-// (seed individuals, islands, fidelity ladder, memo tier, budget,
-// telemetry and checkpointing).
+// (seed individuals, islands, fidelity ladder, budget, telemetry and
+// checkpointing).
 type Config struct {
 	Params
 	// SeedValues are decoded-value vectors injected into the otherwise
@@ -198,9 +186,7 @@ type Config struct {
 	// Each rung is one cohort of the deme's batch evaluator over the
 	// rung's new sample range. The zero value (off) gives each generation
 	// one rung, the zero Rung: one cohort over the whole sample. Enabled
-	// fidelity requires Batch and Points, and is incompatible with
-	// SharedMemo (pruned candidates record cohort-dependent scaled fitness
-	// a cross-run tier must never serve). With the ladder on,
+	// fidelity requires Batch and Points. With the ladder on,
 	// MaxEvaluations is accounted in sample points: the budget is
 	// MaxEvaluations × Points points classified, so the knob keeps its
 	// full-fidelity meaning proportionally.
@@ -211,19 +197,6 @@ type Config struct {
 	// may leave it 0.
 	Points int
 
-	// SharedMemo, when non-nil, is a second memo tier behind the run's
-	// own memo table: finished objective values shared across runs (and
-	// across islands of one run). A lookup that misses the local memo
-	// consults the shared tier before computing; either way the value is
-	// stored locally, and freshly computed values are offered back via
-	// Put. Determinism contract: the shared tier must be result-
-	// transparent — Get may only return values that Put stored for the
-	// exact same key, and a shared hit counts against MaxEvaluations
-	// exactly like the computation it replaced, so a run's trajectory
-	// (generations, budget stops, checkpoints) is bit-identical whether
-	// the shared tier is cold, warm, or absent. Implementations must be
-	// safe for concurrent use.
-	SharedMemo SharedMemo
 	// MaxEvaluations caps the number of distinct objective evaluations
 	// (0 = unlimited). When the budget runs out the search halts with
 	// StopBudget and returns the best individual evaluated so far. The
@@ -265,9 +238,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Fidelity.Validate(); err != nil {
 		return err
-	}
-	if c.Fidelity.Enabled() && c.SharedMemo != nil {
-		return fmt.Errorf("ga: fidelity pruning is incompatible with a shared memo (pruned candidates record cohort-dependent scaled fitness)")
 	}
 	if c.Islands > 1 {
 		if c.PopSize < 2*c.Islands {
@@ -672,26 +642,18 @@ func (d *deme) breed() []individual {
 // cohort of the batch evaluator over the rung's new sample range, so no
 // sample point is classified twice. Dispatch walks the rung's candidates
 // in batch order: the halt check (the budget counting what the rung
-// already dispatched), the charge of the rung's points and, on the first
-// rung, the shared tier, whose recalled value stands in for the
-// evaluation. It stops at the first candidate that must halt, the prefix
-// serial evaluation reaches. The batch evaluator scores the others, and
-// the commit walks the dispatched candidates in batch order again, adding
-// each value to its candidate's score. A failure value (at least
-// QuarantineValue) latches: the candidate keeps it unscaled and is never
-// dispatched again. A commit the context cut short halts the deme before
-// the rest of the rung, whose candidates keep their previous prefix.
-// Between rungs the ladder promotes the ceil(n/eta) best partial scores,
-// ties to the earlier batch position, and the others record their
-// extrapolated fitness. After a halt every candidate with a committed
-// rung records its fitness, so a truncated generation 0 still ranks.
-//
-// The shared tier sits strictly behind the local memo and the halt check:
-// a shared hit replaces only the computation, spending the budget and
-// filling the local memo exactly as the computation would, so the run's
-// trajectory is identical cold or warm. Demes also exchange finished
-// values through it, which is safe on the same grounds as migrated memo
-// entries: islands compute identical values for identical genomes.
+// already dispatched) and the charge of the rung's points. It stops at
+// the first candidate that must halt, the prefix serial evaluation
+// reaches. The batch evaluator scores every dispatched candidate, and the
+// commit walks them in batch order again, adding each value to its
+// candidate's score. A failure value (at least QuarantineValue) latches:
+// the candidate keeps it unscaled and is never dispatched again. A commit
+// the context cut short halts the deme before the rest of the rung, whose
+// candidates keep their previous prefix. Between rungs the ladder promotes
+// the ceil(n/eta) best partial scores, ties to the earlier batch position,
+// and the others record their extrapolated fitness. After a halt every
+// candidate with a committed rung records its fitness, so a truncated
+// generation 0 still ranks.
 func (d *deme) evaluate(ctx context.Context, batch []individual, force bool) (int, bool) {
 	valued := make([]bool, len(batch))
 	assign := func(c *rungCand) {
@@ -733,36 +695,24 @@ func (d *deme) evaluate(ctx context.Context, batch []individual, force bool) (in
 			// Points are charged before they are classified, cache-warm or
 			// cold alike, so budget trajectories never depend on cache state.
 			d.evalPoints += int64(rung.Hi - rung.Lo)
-			run = append(run, c)
-			if r == 0 && d.cfg.SharedMemo != nil {
-				if v, ok := d.cfg.SharedMemo.Get(c.key); ok {
-					c.job, c.score = -1, v
-					continue
-				}
-			}
 			if c.values == nil {
 				c.values = d.spec.Decode(batch[c.first].bits)
 			}
-			c.job, values = len(values), append(values, c.values)
+			run, values = append(run, c), append(values, c.values)
 		}
-		if len(values) > 0 {
+		if len(run) > 0 {
 			d.batch.Evaluate(ctx, values, rung)
 		}
 		recheck := false // a cut-short evaluation was committed
-		for _, c := range run {
+		for i, c := range run {
 			if recheck {
 				if reason, h := d.checkHalt(ctx, 0); h {
 					d.halted, d.haltReason = true, reason
 					break
 				}
 			}
-			v := c.score // the value recalled from the shared tier
-			if c.job >= 0 {
-				v, recheck = d.batch.Commit(c.job)
-				if d.cfg.SharedMemo != nil {
-					d.cfg.SharedMemo.Put(c.key, v)
-				}
-			}
+			var v float64
+			v, recheck = d.batch.Commit(i)
 			if c.rungs == 0 {
 				d.evals++
 			}
@@ -820,13 +770,13 @@ func (d *deme) evaluate(ctx context.Context, batch []individual, force bool) (in
 }
 
 // rungCand is one distinct fresh genome of a batch on its way up the
-// deme's rungs.
+// deme's rungs. The i-th candidate a rung dispatches is job i of its
+// cohort.
 type rungCand struct {
-	key     string  // the genome's bits: its memo and shared-tier key
+	key     string  // the genome's bits: its memo key
 	first   int     // first batch index carrying this genome (rank tie-break)
 	members []int   // every batch index carrying it
 	values  []int64 // the decoded genome, from its first dispatch on
-	job     int     // its index in the current rung's cohort; -1: recalled
 	rungs   int     // rungs committed so far
 	seen    int     // sample points committed so far: the last rung's Hi
 	score   float64 // objective over those points

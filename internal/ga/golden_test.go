@@ -105,7 +105,6 @@ var goldenConfigs = []struct {
 		c.MaxEvaluations = 45
 		return c
 	}},
-	{"sharedmemo", func() Config { c := PaperConfig(42); c.SharedMemo = newMapMemo(); return c }},
 	{"uniform31", func() Config {
 		c := PaperConfig(42)
 		c.Crossover = Uniform
@@ -146,10 +145,6 @@ var goldenDigests = map[string]string{
 	"seeds35/islands1":            "ab44fa6f315acd8bf66a1272c3c0fe4d4cda76484d4db57c97e684167fb934b1",
 	"seeds35/islands2":            "fdb65d9999aeb71e349dce051380dd4e7ec6c0a5f94abc673bbbc17eacdfc1ed",
 	"seeds35/islands3":            "fe683b8347b6798d57d2790574af8392f44140d446ebab3b5d30851d6c00aae8",
-	"sharedmemo/islands0":         "545178825cfbe6644a1b7f6583ca6e88a7ae5e50e88e30772fe5bab1bb942bcc",
-	"sharedmemo/islands1":         "545178825cfbe6644a1b7f6583ca6e88a7ae5e50e88e30772fe5bab1bb942bcc",
-	"sharedmemo/islands2":         "b85b43b763d746b2a1b3f122ae8695d82a05bd43cb9700c25c2788e49ac84242",
-	"sharedmemo/islands3":         "6bb816ed1e990914e4b59593db3e8bb89092d84897f098481cb7a3d434cfa92f",
 	"uniform31/islands0":          "f03ef5205151dc0cc02ca7a89516ceedcdcbdd8a9e8f179cd7bd6b1488e9c6c1",
 	"uniform31/islands1":          "f03ef5205151dc0cc02ca7a89516ceedcdcbdd8a9e8f179cd7bd6b1488e9c6c1",
 	"uniform31/islands2":          "093b2bd65a1c7901ca28c376ca9e8ae22c938a03329ee4ee2c95760466212ca1",

@@ -120,10 +120,11 @@ func checkStreamSchema(t *testing.T, stream []byte) {
 // but their events reach the observer in batch order, so only
 // search_start's workers field tells the streams apart. The padded nests
 // of a padding-then-tiling search rebuild one worker's analyzer per
-// candidate; with a shared cache, a candidate whose tile an earlier one
-// of its generation already scored recalls that one's statistics; the
-// multi-level search classifies each generation on one cohort per cache
-// level and commits each candidate's levels in order.
+// candidate; with a shared cache, a candidate whose tile or padded nest
+// an earlier one of its generation already scored recalls that one's
+// statistics; the multi-level search classifies each generation on one
+// cohort per cache level and commits each candidate's levels in order,
+// with a shared cache keying each level by its own geometry.
 func TestJSONLStreamWorkerInvariantCounters(t *testing.T) {
 	workersField := regexp.MustCompile(`"workers":\d+`)
 	levels := []cmetiling.Level{
@@ -141,6 +142,8 @@ func TestJSONLStreamWorkerInvariantCounters(t *testing.T) {
 		{"ADD", 0, true, false, false},
 		{"MM", 40, false, true, false},
 		{"MM", 40, false, false, true},
+		{"ADD", 0, true, true, false},
+		{"MM", 40, false, true, true},
 	} {
 		name := fmt.Sprintf("%s_%d_shared=%v", tc.kernel, tc.size, tc.shared)
 		if tc.multiLevel {
