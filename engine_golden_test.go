@@ -28,6 +28,10 @@ import (
 // counters line changed. The tiling/fidelity3* and padtile/fidelity3*
 // entries at Islands <= 1 were re-recorded when the fidelity ladder began
 // counting memo hits as the classic loop does; only memo_hits changed.
+// The joint, multilevel, padding and padtile sharedcache entries were
+// re-recorded when padded nests and cache-level forks began sharing the
+// stats tier within one search; only evaluation_batch lines (deleted)
+// and the counters line changed.
 var facadeGoldenDigests = map[string]string{
 	"catalog/ADD":                  "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
 	"catalog/ADI":                  "1ad9b16a460d396a7281041159e45fe3ad6ea06115eb2610e5b16a6c247b9638",
@@ -53,14 +57,14 @@ var facadeGoldenDigests = map[string]string{
 	"joint/fidelity3-workers4":     "26f5034cbacea3588ba24ac31839418ac345c5e1c05e941f0bb90feed39ed195",
 	"joint/islands1":               "6dd540dc4453f60cee876bf740bf8aa2c6df47feed3d156575a475a4e8923088",
 	"joint/islands2":               "cbc94145b170b2ddfe01b0b138c88248b2db16609ed7b4ac43260317111449cb",
-	"joint/sharedcache":            "6dd540dc4453f60cee876bf740bf8aa2c6df47feed3d156575a475a4e8923088",
+	"joint/sharedcache":            "5d15e79f4e2ec844b5c9d0a9d3d209cbdb940a85ac0933b31b540cc19367634b",
 	"joint/workers4":               "e899d47ebe7282411c98cf457aa76b1a533c17332cc234b55fda54d53f989682",
 	"joint/workers4-budget41":      "f36426d4a2ca53c770e32788aa39b86a11ddd479ca6ac11cd20a3fcb286f0384",
 	"multilevel/base":              "44e3026d07acbba1c05db86acf58e8c48cc343bf1996b91603423db96784c56f",
 	"multilevel/budget41":          "bcffd4d7d340ab409236343c8de9953647b04bf006c01b232d78e90558607c52",
 	"multilevel/islands1":          "44e3026d07acbba1c05db86acf58e8c48cc343bf1996b91603423db96784c56f",
 	"multilevel/islands2":          "4bcb13e85422960b961926bc9de51541f3bc0c06acbdb8a19dfbdeeacc5bfc09",
-	"multilevel/sharedcache":       "44e3026d07acbba1c05db86acf58e8c48cc343bf1996b91603423db96784c56f",
+	"multilevel/sharedcache":       "8673d5811c107b3c733d6d31dc8dff21e7cc013e215ce72820b23998de8f2e5b",
 	"multilevel/workers4":          "55362f44e2611d26187b1ae74324947d2acc415b24cda06df19ad5e404092ada",
 	"multilevel/workers4-budget41": "562eefddd5a41dac6734668d7fa8c3b2e99d36a9a3c37eff8e4fe97f5d373822",
 	"order/base":                   "690d42195c7ff27f9d52f02ec4a03cda485e7c80404bd17b74e1af5caaa2baab",
@@ -80,7 +84,7 @@ var facadeGoldenDigests = map[string]string{
 	"padding/fidelity3-workers4":   "f71ab4498f8c6572f85c7428138c7fda0a674711865b0c7ee3ae1b88d820fb4c",
 	"padding/islands1":             "fbca6ca4484afcaaf5e3264a30319df096c2c792ff432f913df162262d59e477",
 	"padding/islands2":             "e356da70657aa1a0cd0ffc5dbe353120d6e98125a2eb1b7b3651c9bce4047858",
-	"padding/sharedcache":          "fbca6ca4484afcaaf5e3264a30319df096c2c792ff432f913df162262d59e477",
+	"padding/sharedcache":          "9d24fe77f6710d8d7acc0da584105ceff8ac7bd3cdb4b2d36aeee50c7a8f7ac3",
 	"padding/workers4":             "fb14aa4330be9e863d844cdd2763597c35b3516e205f5c67262e5c2d7e159ac6",
 	"padding/workers4-budget41":    "8ca948c72dfa346f8f67115eadce8d8684b3f1408050004a4c82208cdaeb30b2",
 	"padtile/base":                 "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
@@ -90,7 +94,7 @@ var facadeGoldenDigests = map[string]string{
 	"padtile/fidelity3-workers4":   "16f09a2a6e28e1f8b5dc3bf86da685497919a37b8cf8330892d5e5d6ea17794b",
 	"padtile/islands1":             "79f5dfd37fcaa792dadce8544a75de6ff43b8d4160ec8335f6f2629fc8fbde52",
 	"padtile/islands2":             "885d7c2dea78a009e890902156dfa3cb5a99647d513e43faef2a07ab97b4f2ae",
-	"padtile/sharedcache":          "05f7d08993f601222cb9cea05d8b05a0386297eec1e778b10e319371acd816d0",
+	"padtile/sharedcache":          "61ad0320c25481a84928a4e8cd7f5c814d68d71dc1912eaee774473ea58ad93e",
 	"padtile/workers4":             "86916df1acefb71b03d572e1cab3570178873b7992f43e3e08bdb0aa01bd011e",
 	"padtile/workers4-budget41":    "2cae847939f7714738412a25620359ea4d2c62a75f58d4de58dd5579e24d15ef",
 	"tiling/base":                  "500690e83a959edc7e9a67a3bb6c9f88b550271c009740067e279c0a05a6e8dc",
