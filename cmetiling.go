@@ -35,9 +35,10 @@
 // # Sharing evaluation work across searches
 //
 // Options.SharedCache attaches a shared evaluation cache (NewEvalCache)
-// to a search. The cache memoizes per-candidate fitness values and
-// finalized per-tile statistics across GA islands, successive searches
-// and concurrent callers — strictly result-transparently: for a fixed
+// to a search. The cache memoizes the sampled statistics of each
+// evaluated tile or padded nest, keyed by content, across the candidates,
+// GA islands and cache levels of one search, successive searches and
+// concurrent callers — strictly result-transparently: for a fixed
 // seed a search returns bit-identical results whether the cache is
 // absent, cold, or pre-warmed. Its keys include the sample the seed
 // draws, so searches over the same nest and cache geometry with the same

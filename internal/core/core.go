@@ -81,8 +81,9 @@ type Options struct {
 	// × sample size), so the cap buys the same classification work either
 	// way. The ladder halves the cohort and doubles the sample prefix at
 	// each rung, with a 16-point floor on the coarsest prefix. Its pruned
-	// fitness never enters the shared fitness tier of SharedCache. The
-	// multi-level search refuses it.
+	// fitness stays in the GA's memo; SharedCache keys each rung's
+	// statistics by the rung's sample range. The multi-level search
+	// refuses it.
 	Fidelity ga.Fidelity
 	// Islands splits the GA population into this many concurrently
 	// evolving demes, each sending its best individual to its ring
@@ -124,19 +125,19 @@ type Options struct {
 	// evaluation degrades the search to best-so-far instead of hanging it.
 	StallTimeout time.Duration
 	// SharedCache, when non-nil, is the process-wide shared evaluation
-	// cache: finished fitness values and per-tile statistics, keyed by
-	// content (nest IR, cache geometry, sample set, candidate), recalled
-	// across GA islands, successive searches and service requests. The
-	// sample set is drawn from Seed, so only searches with the same Seed
-	// and SamplePoints share entries. Analyzers are never shared: each
-	// search builds its own pool. It is
+	// cache: the sampled statistics of every evaluation, keyed by content
+	// (the evaluated nest's IR, padding included, cache geometry, sample
+	// set, iteration space), recalled across the candidates, GA islands
+	// and cache levels of one search, successive searches and service
+	// requests. The sample set is drawn from Seed, so only searches with
+	// the same Seed and SamplePoints share entries. Analyzers are never
+	// shared: each search builds its own pool. It is
 	// strictly result-transparent: for a fixed Seed a search returns
 	// bit-identical results whether the cache is nil, cold, or pre-warmed
-	// by earlier searches — only the work to arrive there changes. Values
-	// that are not pure functions of their key (quarantine sentinels,
-	// poisoned evaluations) are never stored, and searches running under
-	// an injected fault plan bypass the cache entirely so fault schedules
-	// keep firing at the same evaluation counts.
+	// by earlier searches — only the work to arrive there changes. Failed
+	// and cut-short evaluations are never stored, and searches running
+	// under an injected fault plan bypass the cache entirely so fault
+	// schedules keep firing at the same evaluation counts.
 	SharedCache *evalcache.Cache
 	// Checkpoint, when non-nil, receives a resumable snapshot after every
 	// completed GA generation. For the sequential padding+tiling search
@@ -299,7 +300,9 @@ func poison() float64 { return math.Inf(1) }
 // classifies its whole sample range on one analyzer through classify: a
 // cohort (cohort.go) gives worker w pool[w], a lone evaluation (evalRange)
 // takes pool[0], and a candidate on a different nest (the padding searches
-// mutate array layouts per candidate) rebuilds only its analyzer.
+// mutate array layouts per candidate) rebuilds only its analyzer. With a
+// shared cache, every evaluation first looks its statistics up under its
+// content key (statsKey) and stores them once computed.
 type evaluator struct {
 	nest   *ir.Nest
 	box    *iterspace.Box

@@ -1,29 +1,27 @@
 // Package evalcache is the shared evaluation cache: a sharded, bounded,
 // concurrency-safe store for finished CME evaluation results, shared
-// across GA islands, successive searches, and tiling-service requests.
-// It holds values only, never solver state: each search builds and owns
-// its analyzers.
+// across the candidates, GA islands and cache levels of one search,
+// successive searches, and tiling-service requests. It holds values only,
+// never solver state: each search builds and owns its analyzers.
 //
-// Two tiers live behind one size bound:
+// Searches use one tier, stats: the sampled cachesim.Stats of one
+// evaluation, keyed by (nest content, geometry, sample fingerprint,
+// iteration space and, for a partial fidelity rung, the sample range).
+// A padded candidate is keyed by its own nest, so every genome that
+// decodes to one tile or padded nest shares an entry. The key includes
+// the sample fingerprint, which the search seed and sample size draw, so
+// only searches with the same seed and sample size share entries.
 //
-//   - fitness: GA objective values keyed by (scope, genome bits), where
-//     the scope hashes the search phase, nest IR, cache geometry and
-//     sample fingerprint. A hit replays a finished evaluation from an
-//     earlier search.
-//   - stats: finalized per-tile cachesim.Stats keyed by (nest, geometry,
-//     sample, iteration space), recalling the full classification
-//     breakdown for a tile that was already finalized.
+// GetFitness and PutFitness keep a second tier of float64 values behind
+// the same size bound. Only perfbench's traced layer replay calls them,
+// to time the cache; no search does, and make depcheck refuses a call
+// from this module.
 //
-// Both keys include the sample fingerprint, which the search seed and
-// sample size draw, so only searches with the same seed and sample size
-// share entries.
-//
-// Determinism contract: a fitness or stats value is a pure function of
-// its key — the sampled-miss objective depends only on the nest content,
-// cache geometry, sample set and candidate genome — so recalling it is
-// result-transparent. Callers must never store values that are not
-// (quarantine sentinels, poisoned +Inf results); the cache itself only
-// stores and recalls.
+// Determinism contract: a stats value is a pure function of its key — the
+// sampled statistics depend only on the nest content, cache geometry,
+// sample set and iteration space — so recalling it is result-transparent.
+// Callers must never store values that are not (failed or cut-short
+// evaluations); the cache itself only stores and recalls.
 //
 // Eviction is per-shard LRU (lru.Cache) with a fixed bound, so one insert
 // evicts at most one entry under the shard mutex.
@@ -125,7 +123,8 @@ func (c *Cache) put(key string, val any) {
 	}
 }
 
-// GetFitness recalls a finished GA objective value.
+// GetFitness recalls a value PutFitness stored. Only perfbench's layer
+// replay calls it.
 func (c *Cache) GetFitness(key string) (float64, bool) {
 	v, ok := c.get("f:"+key, "fitness")
 	if !ok {
@@ -134,8 +133,8 @@ func (c *Cache) GetFitness(key string) (float64, bool) {
 	return v.(float64), true
 }
 
-// PutFitness stores a finished GA objective value. Callers filter out
-// sentinel values (quarantine fitness, ±Inf, NaN) before storing.
+// PutFitness stores a float64 value in the fitness tier. Only perfbench's
+// layer replay calls it.
 func (c *Cache) PutFitness(key string, v float64) { c.put("f:"+key, v) }
 
 // GetStats recalls finalized per-tile classification statistics.

@@ -109,11 +109,10 @@ func ConfigKey(c cache.Config) string {
 	return w.sum()
 }
 
-// Scope condenses the full evaluation context — search phase label, nest
-// hash, geometry hash(es), sample fingerprint, and any extra
-// discriminators — into one fixed-width prefix for per-genome keys.
-// Distinct scopes can never collide with each other's entries because the
-// scope participates in every key.
+// Scope condenses the parts of an evaluation context — nest hash,
+// geometry hash, sample fingerprint, iteration-space shape and any range —
+// into one fixed-width key. Every part is length-prefixed, so distinct
+// part lists never share a key.
 func Scope(parts ...string) string {
 	w := newHashWriter()
 	w.i64(int64(len(parts)))

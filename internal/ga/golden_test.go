@@ -78,8 +78,8 @@ func (r *streamRecorder) Add(d telemetry.Counters) {
 }
 
 // goldenConfigs are the engine configurations whose output is pinned by
-// TestEngineGolden. Each builder returns a fresh Config, so stateful
-// pieces (the shared memo) start cold on every run.
+// TestEngineGolden. Each builder returns a fresh Config, so no run
+// shares state with another.
 var goldenConfigs = []struct {
 	name string
 	mk   func() Config

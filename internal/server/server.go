@@ -14,8 +14,8 @@
 //   - a circuit breaker takes the GA out of rotation when searches fail
 //     repeatedly and serves the capacity-heuristic fallback tile, tagged
 //     degraded, until a half-open probe proves the search healthy again;
-//   - a process-wide shared evaluation cache memoizes per-candidate
-//     fitness values and finalized stats across requests with the same
+//   - a process-wide shared evaluation cache memoizes the sampled
+//     statistics of evaluated candidates across requests with the same
 //     seed and sample size (a capped request and its uncapped retry, or
 //     tile and order requests on identity-order tiles) — without
 //     changing any result;
@@ -72,8 +72,8 @@ type Config struct {
 	// that search pipelines consult across requests (0 = the evalcache
 	// default, negative = disabled). Unlike the result cache — which
 	// serves whole response bodies for byte-identical requests — the
-	// evaluation cache memoizes per-candidate fitness values and
-	// finalized stats. Its keys include the seed-drawn sample, so
+	// evaluation cache memoizes the sampled statistics of evaluated
+	// candidates. Its keys include the seed-drawn sample, so
 	// requests with the same seed and sample size share them: a capped
 	// request and its uncapped retry, or tile and order requests on
 	// identity-order tiles.
