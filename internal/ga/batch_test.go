@@ -46,8 +46,7 @@ func (b *poolBatch) Commit(i int) (float64, bool) {
 }
 
 // countingObjective is the deterministic test objective with a call
-// counter (atomic: island demes evaluate concurrently), so tests can
-// see which evaluations the memo absorbed.
+// counter (atomic: island demes evaluate concurrently).
 func countingObjective(calls *atomic.Int64) Objective {
 	return func(values []int64) float64 {
 		calls.Add(1)

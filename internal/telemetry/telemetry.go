@@ -377,8 +377,8 @@ func (ServerDrained) Kind() Kind { return KindServerDrained }
 // EvalCacheHit reports one shared evaluation-cache lookup that recalled
 // a finished result computed by an earlier search or request.
 type EvalCacheHit struct {
-	// Tier is the cache tier that answered: "stats" (sampled statistics)
-	// for every search; "fitness" only from perfbench's layer replay.
+	// Tier is the cache tier that answered: "stats" (sampled statistics),
+	// the one tier searches use, or "fitness" (GetFitness).
 	Tier string
 }
 
@@ -388,8 +388,8 @@ func (EvalCacheHit) Kind() Kind { return KindEvalCacheHit }
 // EvalCacheMiss reports one shared evaluation-cache lookup that found
 // nothing; the caller computes and (usually) stores the result.
 type EvalCacheMiss struct {
-	// Tier is the cache tier consulted: "stats" for every search,
-	// "fitness" only from perfbench's layer replay.
+	// Tier is the cache tier consulted: "stats", the one tier searches
+	// use, or "fitness" (GetFitness).
 	Tier string
 }
 
