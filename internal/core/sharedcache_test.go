@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/evalcache"
+	"repro/internal/ga"
 	"repro/internal/iterspace"
 	"repro/internal/telemetry"
 )
@@ -122,21 +123,25 @@ func TestSharedCacheIslandScopeIsolation(t *testing.T) {
 // multi-level searches already classify fewer points than with none
 // (distinct genomes decode to one padded nest; finalisation recalls each
 // level's statistics), and no run classifies more. The warm run
-// classifies no point at all.
+// classifies no point at all, also where island forks score fidelity
+// rungs.
 func TestSharedCacheCoversEverySearch(t *testing.T) {
 	mm, add := kernelNest(t, "MM", 40), kernelNest(t, "ADD", 0)
 	levels := []Level{{Cache: cache.DM8K, MissPenalty: 10}, {Cache: cache.DM32K, MissPenalty: 100}}
 	ctx := context.Background()
+	tiling := func(o Options) (any, error) { return OptimizeTiling(ctx, mm, o) }
 	for _, tc := range []struct {
 		name    string
 		islands int
+		rungs   int  // fidelity rungs (0 = off)
 		fewer   bool // the cold cache must recall within the search
 		run     func(Options) (any, error)
 	}{
-		{"padding", 0, true, func(o Options) (any, error) { return OptimizePadding(ctx, add, o) }},
-		{"joint", 0, true, func(o Options) (any, error) { return OptimizeJoint(ctx, add, o) }},
-		{"multilevel", 0, true, func(o Options) (any, error) { return OptimizeTilingMultiLevel(ctx, mm, levels, o) }},
-		{"tiling-islands2", 2, false, func(o Options) (any, error) { return OptimizeTiling(ctx, mm, o) }},
+		{"padding", 0, 0, true, func(o Options) (any, error) { return OptimizePadding(ctx, add, o) }},
+		{"joint", 0, 0, true, func(o Options) (any, error) { return OptimizeJoint(ctx, add, o) }},
+		{"multilevel", 0, 0, true, func(o Options) (any, error) { return OptimizeTilingMultiLevel(ctx, mm, levels, o) }},
+		{"tiling-islands2", 2, 0, false, tiling},
+		{"tiling-fidelity3-islands2", 2, 3, false, tiling},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := evalcache.New(evalcache.Config{})
@@ -145,7 +150,7 @@ func TestSharedCacheCoversEverySearch(t *testing.T) {
 			for _, shared := range []*evalcache.Cache{nil, c, c} {
 				var cap telemetry.Capture
 				res, err := tc.run(Options{Cache: cache.DM8K, Seed: 7, SamplePoints: 64, Workers: 1,
-					Islands: tc.islands, Observer: &cap, SharedCache: shared})
+					Islands: tc.islands, Fidelity: ga.Fidelity{Rungs: tc.rungs}, Observer: &cap, SharedCache: shared})
 				if err != nil {
 					t.Fatal(err)
 				}
